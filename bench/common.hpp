@@ -1,19 +1,13 @@
 // Shared plumbing for the per-table/per-figure benchmark binaries.
 //
 // Each binary computes its experiment data once (virtual-time simulation),
-// prints the paper-style table/series, and registers one google-benchmark
-// entry per data point that reports the cached virtual time as manual time —
-// so `./bench_figX` emits both the paper-shaped table and standard
-// benchmark output without re-running the simulations.
-//
-// Every bench also writes BENCH_<tag>.json (uniform schema, rendered by the
-// same core::json::Writer as the runtime's JSON report) — override the
-// destination with `--out <path>`. scripts/check_perf.sh compares the
-// deterministic virtual_us points in these files against the committed
-// baselines in bench/baselines/.
+// prints the paper-style table/series, and writes every data point to
+// BENCH_<tag>.json (uniform schema, rendered by the same core::json::Writer
+// as the runtime's JSON report) — override the destination with
+// `--out <path>`. scripts/check_perf.sh compares the deterministic
+// virtual_us points in these files against the committed baselines in
+// bench/baselines/; scripts/bench_identical.py compares two runs exactly.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdint>
@@ -93,24 +87,20 @@ inline double wall_now() {
 }
 
 // ---------------------------------------------------------------------------
-// JSON output + google-benchmark driver.
+// JSON output.
 
-/// Strip `--out <path>` / `--out=<path>` from argv (google-benchmark rejects
-/// flags it does not know). Returns the path, or "" when absent.
-inline std::string take_out_flag(int& argc, char** argv) {
+/// The `--out <path>` / `--out=<path>` destination (the last one wins), or
+/// "" when absent. Other arguments are left to the bench.
+inline std::string out_flag(int argc, char** argv) {
   std::string out;
-  int w = 1;
   for (int r = 1; r < argc; ++r) {
     std::string_view arg(argv[r]);
     if (arg == "--out" && r + 1 < argc) {
       out = argv[++r];
     } else if (arg.rfind("--out=", 0) == 0) {
       out = std::string(arg.substr(6));
-    } else {
-      argv[w++] = argv[r];
     }
   }
-  argc = w;
   return out;
 }
 
@@ -149,37 +139,10 @@ inline void write_bench_json(const std::string& tag, std::string path = "") {
   std::printf("wrote %s\n", path.c_str());
 }
 
-/// Register every wall point as a manual-time benchmark entry (so engine
-/// benches appear in standard google-benchmark output too).
-inline void register_wall_benchmarks() {
-  for (const WallPoint& p : wall_points()) {
-    benchmark::RegisterBenchmark(p.name.c_str(), [p](benchmark::State& state) {
-      for (auto _ : state) {
-        state.SetIterationTime(p.wall_seconds);
-      }
-      state.counters["events_per_sec"] = p.events_per_sec();
-      state.counters["events"] = static_cast<double>(p.events);
-    })->UseManualTime()->Iterations(1);
-  }
-}
-
-/// Register every cached point as a manual-time benchmark, run them, and
-/// persist BENCH_<tag>.json (or the --out destination).
+/// Write BENCH_<tag>.json (or the --out destination) and return the bench's
+/// exit status.
 inline int report_and_run(int argc, char** argv, const std::string& tag) {
-  std::string out = take_out_flag(argc, argv);
-  for (const Point& p : points()) {
-    benchmark::RegisterBenchmark(p.name.c_str(), [p](benchmark::State& state) {
-      for (auto _ : state) {
-        state.SetIterationTime(p.virtual_us * 1e-6);
-      }
-      state.counters["virtual_us"] = p.virtual_us;
-    })->UseManualTime()->Iterations(1);
-  }
-  register_wall_benchmarks();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  write_bench_json(tag, out);
+  write_bench_json(tag, out_flag(argc, argv));
   return 0;
 }
 

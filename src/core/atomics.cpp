@@ -2,6 +2,10 @@
 // hardware atomics — including on GPU symmetric memory via GDR. Sub-64-bit
 // operations use the paper's mask technique: a retry loop of hardware
 // compare-and-swap on the containing aligned 64-bit word.
+//
+// Every hardware atomic is posted and awaited reliably: under a fault plan
+// an error completion means the request was lost *before* the RMW executed,
+// so re-posting the identical descriptor is exact (never double-applies).
 #include "core/ctx.hpp"
 
 namespace gdrshmem::core {
@@ -21,18 +25,6 @@ std::uint64_t* resolve_word(Runtime& rt, int owner_pe, int target_pe,
   return static_cast<std::uint64_t*>(remote);
 }
 
-/// Post a hardware atomic and wait for it. Under a fault plan an error
-/// completion means the request was lost *before* the RMW executed, so
-/// re-posting the identical descriptor is exact (never double-applies).
-void await_atomic(Ctx& ctx, const std::function<sim::CompletionPtr()>& post) {
-  auto comp = post();
-  if (!ctx.runtime().faults_enabled()) {
-    comp->wait(ctx.proc());
-    return;
-  }
-  ctx.await_reliable(ctx.proc(), std::move(comp), post);
-}
-
 }  // namespace
 
 std::int64_t Ctx::atomic_fetch_add(std::int64_t* sym, std::int64_t value, int pe) {
@@ -43,7 +35,7 @@ std::int64_t Ctx::atomic_fetch_add(std::int64_t* sym, std::int64_t value, int pe
   proc().delay(Duration::us(rt_->cluster().params().shmem_sw_overhead_us));
   std::uint64_t* word = resolve_word(*rt_, pe_, pe, sym);
   std::uint64_t old = 0;
-  await_atomic(*this, [&] {
+  await_reliable(proc(), [&] {
     return rt_->endpoint(pe_).atomic_fadd64(
         proc(), pe, word, static_cast<std::uint64_t>(value), &old);
   });
@@ -64,7 +56,7 @@ std::int64_t Ctx::atomic_compare_swap(std::int64_t* sym, std::int64_t cond,
   proc().delay(Duration::us(rt_->cluster().params().shmem_sw_overhead_us));
   std::uint64_t* word = resolve_word(*rt_, pe_, pe, sym);
   std::uint64_t old = 0;
-  await_atomic(*this, [&] {
+  await_reliable(proc(), [&] {
     return rt_->endpoint(pe_).atomic_cswap64(
         proc(), pe, word, static_cast<std::uint64_t>(cond),
         static_cast<std::uint64_t>(value), &old);
@@ -117,7 +109,7 @@ std::int32_t Ctx::atomic_fetch_add32(std::int32_t* sym, std::int32_t value, int 
     // Fetch the current word (fadd 0), splice the updated lane, CAS it in.
     std::uint64_t cur = 0;
     count_protocol(Protocol::kAtomicHw, 8);
-    await_atomic(*this, [&] {
+    await_reliable(proc(), [&] {
       return rt_->endpoint(pe_).atomic_fadd64(proc(), pe, lane.word, 0, &cur);
     });
     auto lane_val = static_cast<std::uint32_t>((cur & mask) >> lane.shift);
@@ -127,7 +119,7 @@ std::int32_t Ctx::atomic_fetch_add32(std::int32_t* sym, std::int32_t value, int 
         (cur & ~mask) | (static_cast<std::uint64_t>(updated) << lane.shift);
     std::uint64_t old = 0;
     count_protocol(Protocol::kAtomicHw, 8);
-    await_atomic(*this, [&] {
+    await_reliable(proc(), [&] {
       return rt_->endpoint(pe_).atomic_cswap64(proc(), pe, lane.word, cur,
                                                desired, &old);
     });
@@ -151,7 +143,7 @@ std::int32_t Ctx::atomic_compare_swap32(std::int32_t* sym, std::int32_t cond,
   while (true) {
     std::uint64_t cur = 0;
     count_protocol(Protocol::kAtomicHw, 8);
-    await_atomic(*this, [&] {
+    await_reliable(proc(), [&] {
       return rt_->endpoint(pe_).atomic_fadd64(proc(), pe, lane.word, 0, &cur);
     });
     auto lane_val = static_cast<std::uint32_t>((cur & mask) >> lane.shift);
@@ -164,7 +156,7 @@ std::int32_t Ctx::atomic_compare_swap32(std::int32_t* sym, std::int32_t cond,
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(value)) << lane.shift);
     std::uint64_t old = 0;
     count_protocol(Protocol::kAtomicHw, 8);
-    await_atomic(*this, [&] {
+    await_reliable(proc(), [&] {
       return rt_->endpoint(pe_).atomic_cswap64(proc(), pe, lane.word, cur,
                                                desired, &old);
     });

@@ -210,10 +210,7 @@ struct TeamCtx {
   /// before the next can be issued in either regime.
   void put_flag(std::uint64_t* my_slot, std::uint64_t v, int peer_idx) {
     ctx.putmem(my_slot, &v, sizeof(v), world(peer_idx));
-    if (ctx.runtime().faults_enabled() ||
-        !ctx.runtime().ib().in_order_delivery()) {
-      ctx.quiet();
-    }
+    if (ctx.runtime().needs_completion_ordering()) ctx.quiet();
   }
   void wait_flag(const std::uint64_t* my_slot, std::uint64_t v) {
     ctx.wait_until<std::uint64_t>(my_slot, Cmp::kGe, v);

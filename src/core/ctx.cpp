@@ -172,19 +172,11 @@ void Ctx::put_sync(void* dst_sym, const void* src, std::size_t n, int pe) {
 }
 
 void Ctx::quiet() {
-  if (!rt_->faults_enabled()) {
-    // Healthy fabric: completions only ever fire successfully.
-    wait_for([&] {
-      std::erase_if(pending_, [](const PendingOp& p) { return p.comp->done(); });
-      return pending_.empty();
-    });
-  } else {
-    wait_for([&] {
-      recover_pending();
-      std::erase_if(pending_, [](const PendingOp& p) { return p.comp->ok(); });
-      return pending_.empty();
-    });
-  }
+  wait_for([&] {
+    recover_pending();
+    std::erase_if(pending_, [](const PendingOp& p) { return p.comp->ok(); });
+    return pending_.empty();
+  });
   snapshots_.clear();
 }
 
@@ -218,7 +210,6 @@ sim::CompletionPtr Ctx::await_reliable(
     sim::Process& worker, sim::CompletionPtr comp,
     const std::function<sim::CompletionPtr()>& repost) {
   comp->wait(worker);
-  if (!rt_->faults_enabled()) return comp;
   int replays = 0;
   while (comp->failed()) {
     if (++replays > rt_->tuning().max_sw_replays) {
@@ -233,6 +224,24 @@ sim::CompletionPtr Ctx::await_reliable(
     comp->wait(worker);
   }
   return comp;
+}
+
+sim::CompletionPtr Ctx::issue(sim::Process& worker,
+                              const std::function<sim::CompletionPtr()>& post,
+                              bool tracked) {
+  if (rt_->needs_completion_ordering()) return await_reliable(worker, post);
+  sim::CompletionPtr comp = post();
+  if (tracked) track(comp);
+  return comp;
+}
+
+bool Ctx::finish_attempt(const sim::CompletionPtr& done, bool blocking,
+                         sim::Time deadline) {
+  if (!blocking && deadline == sim::Time::never()) {
+    track(done);
+    return true;
+  }
+  return wait_for_deadline([&] { return done->done(); }, deadline);
 }
 
 void Ctx::progress() {

@@ -308,12 +308,14 @@ class Ctx {
     }
   }
   /// wait_for with a give-up instant: returns false if `pred` still does not
-  /// hold at `deadline`. Schedules one wake event at the deadline, so it is
-  /// reserved for fault-recovery paths (proxy request timeouts).
+  /// hold at `deadline`. A finite deadline schedules one wake event at the
+  /// deadline; Time::never() schedules nothing and is exactly wait_for.
   template <typename Pred>
   bool wait_for_deadline(Pred&& pred, sim::Time deadline) {
-    rt_->engine().schedule_at(sim::max(deadline, now()),
-                              [this] { notify_progress(); });
+    if (deadline != sim::Time::never()) {
+      rt_->engine().schedule_at(sim::max(deadline, now()),
+                                [this] { notify_progress(); });
+    }
     while (true) {
       progress();
       if (pred()) return true;
@@ -345,10 +347,31 @@ class Ctx {
   }
   /// Block `worker` until `comp` fires successfully; error completions
   /// (fault plans only) are re-posted via `repost` with capped exponential
-  /// backoff. Returns the completion that finally succeeded.
+  /// backoff. Returns the completion that finally succeeded. Without a
+  /// fault plan this is a plain wait.
   sim::CompletionPtr await_reliable(
       sim::Process& worker, sim::CompletionPtr comp,
       const std::function<sim::CompletionPtr()>& repost);
+  /// Post through `post` and await the result reliably.
+  sim::CompletionPtr await_reliable(
+      sim::Process& worker, const std::function<sim::CompletionPtr()>& post) {
+    return await_reliable(worker, post(), post);
+  }
+  /// Post a data op that a notification will follow. When the runtime
+  /// needs completion ordering, `worker` blocks until the op landed
+  /// (replaying errors); otherwise the wire's FIFO orders the notification
+  /// behind it and the completion joins quiet()'s pending set — unless
+  /// `tracked` is false. Returns the op's completion.
+  sim::CompletionPtr issue(sim::Process& worker,
+                           const std::function<sim::CompletionPtr()>& post,
+                           bool tracked = true);
+  /// Finish one attempt of an op that another process completes by firing
+  /// `done`. Without a deadline (no fault plan) the attempt cannot be lost:
+  /// an nbi op is tracked for quiet() and a blocking one waits. With one,
+  /// every op waits — a legal strengthening of nbi — and false means the
+  /// deadline passed, so the caller reissues with fresh state.
+  bool finish_attempt(const sim::CompletionPtr& done, bool blocking,
+                      sim::Time deadline);
   /// Backoff before software replay number `replays` (1-based).
   sim::Duration replay_backoff(int replays) const;
   /// Keep a snapshot buffer alive until pending ops drain (inline puts).
@@ -384,8 +407,9 @@ class Ctx {
   /// land in the same stats, histograms, and traces.
   friend class DeviceCtx;
 
-  /// One tracked non-blocking operation. `repost` is null for ops issued on
-  /// a healthy fabric (their completions can only fire successfully).
+  /// One tracked non-blocking operation. `repost` is null for ops whose
+  /// completion can only fire successfully: protocol completions fired by
+  /// another process, and RDMA posted without a fault plan.
   struct PendingOp {
     sim::CompletionPtr comp;
     std::function<sim::CompletionPtr()> repost;
@@ -393,7 +417,7 @@ class Ctx {
   };
 
   /// Replay every pending op whose completion surfaced in error state
-  /// (fault plans only; called from quiet's predicate).
+  /// (called from quiet's predicate; a no-op unless a completion failed).
   void recover_pending();
 
   RmaOp make_op(void* remote_sym, void* local, std::size_t n, int pe,

@@ -78,42 +78,33 @@ void DeviceBackend::offload(DeviceCtx& dctx, std::shared_ptr<DeviceCmd> cmd) {
       return ring.size() < depth;
     });
   }
-  if (!rt_.faults_enabled()) {
-    post_cmd(dctx, cmd);
-    ring.push_back(cmd->done);
-    if (cmd->rma.blocking) {
-      ctx.wait_for([&] { return cmd->done->done(); });
-    } else {
-      ctx.track(cmd->done);
-    }
-    return;
-  }
-  // Fault plan: the proxy may crash holding our descriptor. Each attempt
-  // uses fresh completion state (a restarted daemon can never complete a
-  // command we already gave up on) and a deadline scaled to the staged
-  // transfer size; timed-out attempts are reissued from scratch up to the
-  // budget. The op becomes effectively blocking — a legal strengthening of
-  // nbi. Puts and gets rewrite the same bytes on reissue (idempotent);
-  // atomics may double-apply if the proxy crashes after executing the RMW
-  // but before the completion notification — see DESIGN.md.
+  // The proxy may crash holding our descriptor under a fault plan. Each
+  // attempt posts fresh completion state (a restarted daemon can never
+  // complete a command we already gave up on) under a deadline scaled to
+  // the staged transfer size; timed-out attempts are reissued from scratch.
+  // Puts and gets rewrite the same bytes on reissue (idempotent); atomics
+  // may double-apply if the proxy crashes after executing the RMW but
+  // before the completion notification — see DESIGN.md.
   const Duration timeout = Duration::us(
       rt_.tuning().proxy_timeout_us *
       (2.0 + static_cast<double>(cmd->rma.bytes) /
                  static_cast<double>(rt_.tuning().pipeline_chunk)));
-  int reissues = 0;
-  while (true) {
-    auto attempt = std::make_shared<DeviceCmd>(*cmd);
-    attempt->done = std::make_shared<sim::Completion>();
+  std::shared_ptr<DeviceCmd> attempt;
+  detail::reissue_until_done(ctx, "device offload", [&] {
+    if (attempt == nullptr) {
+      attempt = cmd;
+    } else {
+      attempt = std::make_shared<DeviceCmd>(*cmd);
+      attempt->done = std::make_shared<sim::Completion>();
+    }
     post_cmd(dctx, attempt);
-    if (ctx.wait_for_deadline([&] { return attempt->done->done(); },
-                              ctx.now() + timeout)) {
-      return;
+    if (!ctx.finish_attempt(attempt->done, cmd->rma.blocking,
+                            rt_.deadline_after(timeout))) {
+      return false;
     }
-    if (++reissues > rt_.tuning().proxy_max_reissues) {
-      throw ShmemError("device offload: reissue budget exhausted");
-    }
-    rt_.faults().on_event(sim::FaultEvent::kProxyReissue, me);
-  }
+    ring.push_back(attempt->done);
+    return true;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -227,14 +218,9 @@ class GpuIbBackend final : public DeviceBackend {
       }
       return rt_.endpoint(me).atomic_fadd64(ctx.proc(), pe, word, a, &old);
     };
-    auto comp = post();
-    if (rt_.faults_enabled()) {
-      // An error completion means the request was lost before the RMW
-      // executed (see atomics.cpp), so re-posting is exact.
-      ctx.await_reliable(ctx.proc(), std::move(comp), post);
-    } else {
-      comp->wait(ctx.proc());
-    }
+    // An error completion means the request was lost before the RMW
+    // executed (see atomics.cpp), so re-posting is exact.
+    ctx.await_reliable(ctx.proc(), post);
     return static_cast<std::int64_t>(old);
   }
 };

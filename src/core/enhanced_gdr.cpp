@@ -33,14 +33,14 @@ void EnhancedGdrTransport::note_gdr_fallback(const RmaOp& op) {
 
 void EnhancedGdrTransport::put(Ctx& ctx, const RmaOp& op) {
   issuer_ = ctx.my_pe();
-  if (rt_.faults_enabled()) note_gdr_fallback(op);
+  note_gdr_fallback(op);
   switch (rt_.selector().select_put(op, issuer_)) {
     case PathChoice::kHostShm:
       ctx.count_protocol(Protocol::kHostShm, op.bytes);
       return detail::host_shm_copy(ctx, op.remote, op.local, op.bytes,
                                    op.target_pe);
     case PathChoice::kLoopbackGdr:
-      return direct_put(ctx, op, Protocol::kLoopbackGdr);
+      return detail::rdma_put(ctx, op, Protocol::kLoopbackGdr);
     case PathChoice::kIpcCopy:
       // One IPC copy into the mapped destination (H-D / D-D large put).
       return detail::peer_cuda_copy(ctx, op.remote, op.local, op.bytes,
@@ -52,9 +52,9 @@ void EnhancedGdrTransport::put(Ctx& ctx, const RmaOp& op) {
                                     op.target_pe, Protocol::kShmemPtrCopy,
                                     false);
     case PathChoice::kDirectRdma:
-      return direct_put(ctx, op, Protocol::kDirectRdma);
+      return detail::rdma_put(ctx, op, Protocol::kDirectRdma);
     case PathChoice::kDirectGdr:
-      return direct_put(ctx, op, Protocol::kDirectGdr);
+      return detail::rdma_put(ctx, op, Protocol::kDirectGdr);
     case PathChoice::kPipelineGdrWrite:
       return pipeline_gdr_write(ctx, op);
     case PathChoice::kStagedProxyPut: {
@@ -74,13 +74,13 @@ void EnhancedGdrTransport::put(Ctx& ctx, const RmaOp& op) {
 
 void EnhancedGdrTransport::get(Ctx& ctx, const RmaOp& op) {
   issuer_ = ctx.my_pe();
-  if (rt_.faults_enabled()) note_gdr_fallback(op);
+  note_gdr_fallback(op);
   switch (rt_.selector().select_get(op, issuer_)) {
     case PathChoice::kHostShm:
       ctx.count_protocol(Protocol::kHostShm, op.bytes);
       return detail::host_shm_copy(ctx, op.local, op.remote, op.bytes, -1);
     case PathChoice::kLoopbackGdr:
-      return direct_get(ctx, op, Protocol::kLoopbackGdr);
+      return detail::rdma_get(ctx, op, Protocol::kLoopbackGdr);
     case PathChoice::kIpcCopy:
       // H-D / D-D large get: one IPC copy out of the mapped source. For H-D
       // this single D->H copy is the 40% win over the baseline's staged path.
@@ -92,9 +92,9 @@ void EnhancedGdrTransport::get(Ctx& ctx, const RmaOp& op) {
                                     op.target_pe, Protocol::kShmemPtrCopy,
                                     false);
     case PathChoice::kDirectRdma:
-      return direct_get(ctx, op, Protocol::kDirectRdma);
+      return detail::rdma_get(ctx, op, Protocol::kDirectRdma);
     case PathChoice::kDirectGdr:
-      return direct_get(ctx, op, Protocol::kDirectGdr);
+      return detail::rdma_get(ctx, op, Protocol::kDirectGdr);
     case PathChoice::kProxyGet:
       return proxy_get(ctx, op);
     case PathChoice::kHostStagedGet:
@@ -112,14 +112,6 @@ void EnhancedGdrTransport::handle_ctrl(Ctx&, CtrlMsg&, sim::Process&) {
 // ---------------------------------------------------------------------------
 // inter-node protocols
 
-void EnhancedGdrTransport::direct_put(Ctx& ctx, const RmaOp& op, Protocol proto) {
-  detail::rdma_put(ctx, op, proto);
-}
-
-void EnhancedGdrTransport::direct_get(Ctx& ctx, const RmaOp& op, Protocol proto) {
-  detail::rdma_get(ctx, op, proto);
-}
-
 void EnhancedGdrTransport::pipeline_gdr_write(Ctx& ctx, const RmaOp& op) {
   // Device source, large put. Avoid the P2P *read* bottleneck by IPC-copying
   // D->H into registered host staging, then RDMA (GDR-)writing each chunk.
@@ -127,59 +119,30 @@ void EnhancedGdrTransport::pipeline_gdr_write(Ctx& ctx, const RmaOp& op) {
   // kStagedProxyPut or throws.)
   ctx.count_protocol(Protocol::kPipelineGdrWrite, op.bytes);
   const int me = ctx.my_pe();
-  const bool faulty = rt_.faults_enabled();
   const std::size_t chunk = rt_.tuning().pipeline_chunk;
-  std::byte* bounce = ctx.bounce(2 * chunk);
-  sim::CompletionPtr slot_comp[2];
-  std::function<sim::CompletionPtr()> slot_repost[2];
+  detail::StagedPipeline pipe(ctx, ctx.proc(), ctx.bounce(2 * chunk), chunk);
   auto* local_bytes = static_cast<const std::byte*>(op.local);
   auto* remote_bytes = static_cast<std::byte*>(op.remote);
-  for (std::size_t off = 0; off < op.bytes; off += chunk) {
-    std::size_t c = std::min(chunk, op.bytes - off);
-    std::size_t s = (off / chunk) % 2;
-    if (slot_comp[s]) {
-      // The staging slot is about to be overwritten: its previous chunk must
-      // be remotely complete first. Under a fault plan that means replaying
-      // error completions *now*, while the slot still holds the chunk.
-      if (faulty) {
-        slot_comp[s] =
-            ctx.await_reliable(ctx.proc(), std::move(slot_comp[s]), slot_repost[s]);
-      } else {
-        slot_comp[s]->wait(ctx.proc());
-      }
-    }
-    rt_.cuda().memcpy_sync(ctx.proc(), bounce + s * chunk, local_bytes + off, c);
-    auto post = [this, &ctx, me, bounce, s, chunk, target = op.target_pe,
-                 remote_bytes, off, c] {
-      return rt_.ib().rdma_write(ctx.proc(), me, bounce + s * chunk, target,
-                                    remote_bytes + off, c);
-    };
-    auto comp = post();
-    slot_comp[s] = comp;
-    if (faulty) {
-      slot_repost[s] = std::move(post);
-    } else {
-      ctx.track(std::move(comp));
-    }
-  }
-  if (faulty) {
-    // Drain both slots reliably before returning: once we return, the bounce
-    // buffer may be reused and the repost closures would replay stale bytes.
-    // A legal strengthening of the put's completion semantics.
-    for (std::size_t s = 0; s < 2; ++s) {
-      if (slot_comp[s]) {
-        ctx.track(ctx.await_reliable(ctx.proc(), std::move(slot_comp[s]),
-                                     slot_repost[s]));
-      }
-    }
-  }
+  pipe.for_each_chunk(op.bytes, [&](std::size_t off, std::size_t c,
+                                    std::size_t s) {
+    pipe.acquire(s);
+    std::byte* slot = pipe.slot(s);
+    rt_.cuda().memcpy_sync(ctx.proc(), slot, local_bytes + off, c);
+    pipe.post(s, [this, &ctx, me, slot, target = op.target_pe,
+                  dst = remote_bytes + off, c] {
+      return rt_.ib().rdma_write(ctx.proc(), me, slot, target, dst, c);
+    });
+  });
   // Paper semantics: the put returns once the last IPC cudaMemcpy completes
   // and the RDMA is posted — the source buffer is already copied out.
+  pipe.finish_async();
 }
 
 void EnhancedGdrTransport::host_staged_get(Ctx& ctx, const RmaOp& op) {
   // RDMA-read chunks into host staging, then H->D copy them locally —
-  // avoids an inter-socket GDR write into our own GPU.
+  // avoids an inter-socket GDR write into our own GPU. Each read is awaited
+  // before the copy that consumes it, so a slot's guard is its H->D event,
+  // not a network completion (hence no StagedPipeline here).
   ctx.count_protocol(Protocol::kHostStagedGet, op.bytes);
   const int me = ctx.my_pe();
   const std::size_t chunk = rt_.tuning().pipeline_chunk;
@@ -190,20 +153,14 @@ void EnhancedGdrTransport::host_staged_get(Ctx& ctx, const RmaOp& op) {
   for (std::size_t off = 0; off < op.bytes; off += chunk) {
     std::size_t c = std::min(chunk, op.bytes - off);
     std::size_t s = (off / chunk) % 2;
+    std::byte* slot = bounce + s * chunk;
     if (h2d[s]) h2d[s]->synchronize(ctx.proc());  // staging slot reusable
-    auto post = [this, &ctx, me, bounce, s, chunk, target = op.target_pe,
-                 remote_bytes, off, c] {
-      return rt_.ib().rdma_read(ctx.proc(), me, bounce + s * chunk, target,
-                                   remote_bytes + off, c);
-    };
-    if (rt_.faults_enabled()) {
-      // Reads are idempotent into the staging slot: replay in place.
-      ctx.await_reliable(ctx.proc(), post(), post);
-    } else {
-      post()->wait(ctx.proc());
-    }
-    h2d[s] = rt_.cuda().memcpy_async(local_bytes + off, bounce + s * chunk, c,
-                                     ctx.stream());
+    // Reads are idempotent into the staging slot: replay in place.
+    ctx.await_reliable(ctx.proc(), [this, &ctx, me, slot, target = op.target_pe,
+                                    src = remote_bytes + off, c] {
+      return rt_.ib().rdma_read(ctx.proc(), me, slot, target, src, c);
+    });
+    h2d[s] = rt_.cuda().memcpy_async(local_bytes + off, slot, c, ctx.stream());
   }
   for (auto& ev : h2d) {
     if (ev) ev->synchronize(ctx.proc());
@@ -213,184 +170,88 @@ void EnhancedGdrTransport::host_staged_get(Ctx& ctx, const RmaOp& op) {
 void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
                                      const void* host_src) {
   ctx.count_protocol(Protocol::kProxyPut, op.bytes);
-  if (rt_.faults_enabled()) {
-    // Under a fault plan the proxy may crash mid-transfer. Each attempt uses
-    // fresh transfer state (so a restarted proxy never consumes a stale
-    // window notification into the new transfer) and a per-stage deadline;
-    // a timed-out attempt is reissued from scratch, up to the budget. The
-    // op becomes effectively blocking — a legal strengthening of nbi.
-    int reissues = 0;
-    while (!attempt_proxy_put(ctx, op, host_src)) {
-      if (++reissues > rt_.tuning().proxy_max_reissues) {
-        throw ShmemError("proxy put: reissue budget exhausted");
-      }
-      rt_.faults().on_event(sim::FaultEvent::kProxyReissue, ctx.my_pe());
-    }
-    return;
-  }
-  const int me = ctx.my_pe();
-  Runtime& rt = rt_;
-  ProxyDaemon& proxy = rt_.proxy(rt_.cluster().placement(op.target_pe).node);
-
-  auto st = std::make_shared<ProxyPutState>();
-  st->requester = me;
-  CtrlMsg req;
-  req.kind = CtrlMsg::Kind::kProxyPutReq;
-  req.from = me;
-  req.remote = op.remote;
-  req.bytes = op.bytes;
-  req.state = st;
-  rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 32,
-                        [&proxy, req] { proxy.mailbox().post(req); });
-  ctx.wait_for([&] { return st->cts.done(); });
-
-  auto* src_bytes = static_cast<const std::byte*>(host_src);
-  const std::size_t window = st->window;
-  for (std::size_t off = 0; off < op.bytes; off += window) {
-    std::size_t w = std::min(window, op.bytes - off);
-    if (off > 0) {
-      // Wait until the proxy drained the previous window out of staging.
-      std::uint64_t need = off / window;
-      ctx.wait_for([&] { return st->windows_done >= need; });
-    }
-    auto data = rt_.ib().rdma_write(ctx.proc(), me, src_bytes + off,
-                                       proxy.endpoint(), st->staging, w);
-    if (rt_.ib().in_order_delivery()) {
-      ctx.track(std::move(data));
-    } else {
-      // Relaxed ordering (srd): the fin below must not overtake the staging
-      // write — the proxy drains staging on fin receipt — so wait for the
-      // window's data before announcing it.
-      data->wait(ctx.proc());
-    }
-    CtrlMsg fin;
-    fin.kind = CtrlMsg::Kind::kProxyPutFin;
-    fin.from = me;
-    fin.remote = op.remote;
-    fin.bytes = w;
-    fin.offset = off;
-    fin.state = st;
-    rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 0,
-                          [&proxy, fin] { proxy.mailbox().post(fin); });
-  }
-  (void)rt;
-  ctx.track(st->done);
-  if (op.blocking) ctx.wait_for([&] { return st->done->done(); });
-}
-
-bool EnhancedGdrTransport::attempt_proxy_put(Ctx& ctx, const RmaOp& op,
-                                             const void* host_src) {
   const int me = ctx.my_pe();
   ProxyDaemon& proxy = rt_.proxy(rt_.cluster().placement(op.target_pe).node);
   const sim::Duration timeout =
       sim::Duration::us(rt_.tuning().proxy_timeout_us);
-
-  auto st = std::make_shared<ProxyPutState>();
-  st->requester = me;
-  CtrlMsg req;
-  req.kind = CtrlMsg::Kind::kProxyPutReq;
-  req.from = me;
-  req.remote = op.remote;
-  req.bytes = op.bytes;
-  req.state = st;
-  rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 32,
-                        [&proxy, req] { proxy.mailbox().post(req); });
-  if (!ctx.wait_for_deadline([&] { return st->cts.done(); },
-                             ctx.now() + timeout)) {
-    return false;
-  }
-
   auto* src_bytes = static_cast<const std::byte*>(host_src);
-  const std::size_t window = st->window;
-  for (std::size_t off = 0; off < op.bytes; off += window) {
-    std::size_t w = std::min(window, op.bytes - off);
-    if (off > 0) {
-      std::uint64_t need = off / window;
-      if (!ctx.wait_for_deadline([&] { return st->windows_done >= need; },
-                                 ctx.now() + timeout)) {
+  // The proxy may crash mid-transfer under a fault plan. Each attempt uses
+  // fresh transfer state (so a restarted proxy never consumes a stale window
+  // notification into the new transfer) and per-stage deadlines; a timed-out
+  // attempt is reissued from scratch.
+  detail::reissue_until_done(ctx, "proxy put", [&] {
+    auto st = std::make_shared<ProxyPutState>();
+    st->requester = me;
+    CtrlMsg req;
+    req.kind = CtrlMsg::Kind::kProxyPutReq;
+    req.from = me;
+    req.remote = op.remote;
+    req.bytes = op.bytes;
+    req.state = st;
+    rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 32,
+                       [&proxy, req] { proxy.mailbox().post(req); });
+    if (!ctx.wait_for_deadline([&] { return st->cts.done(); },
+                               rt_.deadline_after(timeout))) {
+      return false;
+    }
+    const std::size_t window = st->window;
+    for (std::size_t off = 0; off < op.bytes; off += window) {
+      std::size_t w = std::min(window, op.bytes - off);
+      // Wait until the proxy drained the previous window out of staging.
+      if (off > 0 &&
+          !ctx.wait_for_deadline([&] { return st->windows_done >= off / window; },
+                                 rt_.deadline_after(timeout))) {
         return false;
       }
+      // The proxy drains staging on fin receipt, so the window's bytes must
+      // be there first: a replayed or unordered (srd) data write could
+      // otherwise land after the drain. host_src stays valid across replays
+      // (user buffer or whole-message bounce).
+      ctx.issue(ctx.proc(), [this, &ctx, me, src = src_bytes + off, &proxy,
+                             staging = st->staging, w] {
+        return rt_.ib().rdma_write(ctx.proc(), me, src, proxy.endpoint(),
+                                   staging, w);
+      });
+      CtrlMsg fin;
+      fin.kind = CtrlMsg::Kind::kProxyPutFin;
+      fin.from = me;
+      fin.remote = op.remote;
+      fin.bytes = w;
+      fin.offset = off;
+      fin.state = st;
+      rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 0,
+                         [&proxy, fin] { proxy.mailbox().post(fin); });
     }
-    // The window's bytes must be in proxy staging before the notification is
-    // sent: a tier-2 replay of the data write could otherwise land *after*
-    // the proxy's H->D copy drained the window. host_src stays valid across
-    // replays (user buffer or whole-message bounce).
-    auto post = [this, &ctx, me, src_bytes, off, &proxy, st, w] {
-      return rt_.ib().rdma_write(ctx.proc(), me, src_bytes + off,
-                                    proxy.endpoint(), st->staging, w);
-    };
-    ctx.await_reliable(ctx.proc(), post(), post);
-    CtrlMsg fin;
-    fin.kind = CtrlMsg::Kind::kProxyPutFin;
-    fin.from = me;
-    fin.remote = op.remote;
-    fin.bytes = w;
-    fin.offset = off;
-    fin.state = st;
-    rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 0,
-                          [&proxy, fin] { proxy.mailbox().post(fin); });
-  }
-  return ctx.wait_for_deadline([&] { return st->done->done(); },
-                               ctx.now() + timeout);
-}
-
-bool EnhancedGdrTransport::attempt_proxy_get(Ctx& ctx, const RmaOp& op) {
-  const int me = ctx.my_pe();
-  ProxyDaemon& proxy = rt_.proxy(rt_.cluster().placement(op.target_pe).node);
-  rt_.verbs().reg_cache().get_or_register(ctx.proc(), me, op.local, op.bytes);
-
-  auto st = std::make_shared<ProxyGetState>();
-  st->requester = me;
-  CtrlMsg req;
-  req.kind = CtrlMsg::Kind::kProxyGet;
-  req.from = me;
-  req.local = op.local;
-  req.remote = op.remote;
-  req.bytes = op.bytes;
-  req.state = st;
-  rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 32,
-                        [&proxy, req] { proxy.mailbox().post(req); });
-  // One stage: the proxy streams straight into our destination buffer and
-  // fires done. A replayed attempt rewrites the same bytes — idempotent.
-  return ctx.wait_for_deadline(
-      [&] { return st->done->done(); },
-      ctx.now() + sim::Duration::us(rt_.tuning().proxy_timeout_us));
+    return ctx.finish_attempt(st->done, op.blocking,
+                              rt_.deadline_after(timeout));
+  });
 }
 
 void EnhancedGdrTransport::proxy_get(Ctx& ctx, const RmaOp& op) {
   ctx.count_protocol(Protocol::kProxyGet, op.bytes);
-  if (rt_.faults_enabled()) {
-    int reissues = 0;
-    while (!attempt_proxy_get(ctx, op)) {
-      if (++reissues > rt_.tuning().proxy_max_reissues) {
-        throw ShmemError("proxy get: reissue budget exhausted");
-      }
-      rt_.faults().on_event(sim::FaultEvent::kProxyReissue, ctx.my_pe());
-    }
-    return;
-  }
   const int me = ctx.my_pe();
   ProxyDaemon& proxy = rt_.proxy(rt_.cluster().placement(op.target_pe).node);
-  // The proxy RDMA-writes straight into our destination buffer: it must be
-  // registered under our endpoint (registration cache softens the cost).
-  rt_.verbs().reg_cache().get_or_register(ctx.proc(), me, op.local, op.bytes);
-
-  auto st = std::make_shared<ProxyGetState>();
-  st->requester = me;
-  CtrlMsg req;
-  req.kind = CtrlMsg::Kind::kProxyGet;
-  req.from = me;
-  req.local = op.local;    // our destination buffer
-  req.remote = op.remote;  // device range on the proxy's node
-  req.bytes = op.bytes;
-  req.state = st;
-  rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 32,
-                        [&proxy, req] { proxy.mailbox().post(req); });
-  if (op.blocking) {
-    ctx.wait_for([&] { return st->done->done(); });
-  } else {
-    ctx.track(st->done);
-  }
+  // One stage: the proxy streams straight into our destination buffer and
+  // fires done. A reissued attempt rewrites the same bytes — idempotent.
+  detail::reissue_until_done(ctx, "proxy get", [&] {
+    // The proxy RDMA-writes into our buffer: it must be registered under
+    // our endpoint (the registration cache softens the cost).
+    rt_.verbs().reg_cache().get_or_register(ctx.proc(), me, op.local, op.bytes);
+    auto st = std::make_shared<ProxyGetState>();
+    st->requester = me;
+    CtrlMsg req;
+    req.kind = CtrlMsg::Kind::kProxyGet;
+    req.from = me;
+    req.local = op.local;    // our destination buffer
+    req.remote = op.remote;  // device range on the proxy's node
+    req.bytes = op.bytes;
+    req.state = st;
+    rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 32,
+                       [&proxy, req] { proxy.mailbox().post(req); });
+    return ctx.finish_attempt(
+        st->done, op.blocking,
+        rt_.deadline_after(sim::Duration::us(rt_.tuning().proxy_timeout_us)));
+  });
 }
 
 }  // namespace gdrshmem::core

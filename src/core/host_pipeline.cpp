@@ -150,18 +150,12 @@ void HostPipelineTransport::eager_put(Ctx& ctx, const RmaOp& op) {
     return rt_.ib().rdma_write(ctx.proc(), me, slot_src, dst, remote_slot,
                                   bytes);
   };
-  if (rt_.faults_enabled() || !rt_.ib().in_order_delivery()) {
-    // The payload must be in the remote eager slot before the notification:
-    // a tier-2 replay of the data write could otherwise land after the
-    // target's final copy read the slot. slot_src stays valid (one eager in
-    // flight per peer), so the replay is exact. On a relaxed-ordering
-    // transport (srd) the data write and the notification can also arrive
-    // out of issue order, so the data wait is required even fault-free
-    // (await_reliable is then a plain wait).
-    ctx.await_reliable(ctx.proc(), data_post(), data_post);
-  } else {
-    ctx.track(data_post());
-  }
+  // The payload must be in the remote eager slot before the notification
+  // where completions need ordering: a tier-2 replay of the data write, or
+  // an unordered (srd) delivery, could otherwise land after the target's
+  // final copy read the slot. slot_src stays valid (one eager in flight per
+  // peer), so a replay is exact.
+  ctx.issue(ctx.proc(), data_post);
 
   auto done = std::make_shared<sim::Completion>();
   CtrlMsg msg;
@@ -226,13 +220,9 @@ void HostPipelineTransport::on_eager_get_req(Ctx& ctx, CtrlMsg& msg,
     return rt_.ib().rdma_write(worker, me, slot_src, requester, remote_slot,
                                   bytes);
   };
-  // Same data-before-notification requirement as eager_put: also needed
-  // fault-free on a relaxed-ordering transport.
-  if (rt_.faults_enabled() || !rt_.ib().in_order_delivery()) {
-    ctx.await_reliable(worker, data_post(), data_post);
-  } else {
-    data_post();
-  }
+  // Same data-before-notification requirement as eager_put. The requester
+  // awaits the reply, so the write stays out of our pending set.
+  ctx.issue(worker, data_post, /*tracked=*/false);
   CtrlMsg reply;
   reply.kind = CtrlMsg::Kind::kEagerData;
   reply.from = me;
@@ -295,40 +285,24 @@ void HostPipelineTransport::rendezvous_put(Ctx& ctx, const RmaOp& op) {
   });
   ctx.wait_for([&] { return st->cts.done(); });
 
+  // Inter-node rendezvous is D-D only (see put()), so every chunk stages
+  // D->H through the bounce slots.
   const std::size_t chunk = rt_.tuning().pipeline_chunk;
-  std::byte* bounce = op.local_is_device ? ctx.bounce(2 * chunk) : nullptr;
-  sim::CompletionPtr slot_comp[2];
-  std::vector<sim::CompletionPtr> chunk_comps;
+  detail::StagedPipeline pipe(ctx, ctx.proc(), ctx.bounce(2 * chunk), chunk);
   auto* local_bytes = static_cast<const std::byte*>(op.local);
-  for (std::size_t off = 0; off < op.bytes; off += chunk) {
-    std::size_t c = std::min(chunk, op.bytes - off);
-    const std::byte* buf;
-    if (bounce != nullptr) {
-      std::size_t s = (off / chunk) % 2;
-      if (slot_comp[s]) slot_comp[s]->wait(ctx.proc());  // bounce slot reusable
-      rt_.cuda().memcpy_sync(ctx.proc(), bounce + s * chunk, local_bytes + off, c);
-      buf = bounce + s * chunk;
-    } else {
-      buf = local_bytes + off;
-    }
-    auto data_post = [this, &ctx, me, buf, dst, st, off, c] {
-      return rt_.ib().rdma_write(ctx.proc(), me, buf, dst, st->staging + off,
-                                    c);
+  pipe.for_each_chunk(op.bytes, [&](std::size_t off, std::size_t c,
+                                    std::size_t s) {
+    pipe.acquire(s);
+    std::byte* slot = pipe.slot(s);
+    rt_.cuda().memcpy_sync(ctx.proc(), slot, local_bytes + off, c);
+    auto data_post = [this, &ctx, me, slot, dst, staging = st->staging + off,
+                      c] {
+      return rt_.ib().rdma_write(ctx.proc(), me, slot, dst, staging, c);
     };
-    if (rt_.faults_enabled() || !rt_.ib().in_order_delivery()) {
-      // Chunk bytes must be in target staging before the chunk notification
-      // (the target copies out of staging on receipt). Serializes the
-      // pipeline, but only under a fault plan or a relaxed-ordering
-      // transport, where the wire's FIFO can't sequence write vs. notify.
-      // The wait also makes the bounce slot immediately reusable, so the
-      // slot_comp bookkeeping of the pipelined branch is unnecessary here.
-      ctx.await_reliable(ctx.proc(), data_post(), data_post);
-    } else {
-      auto comp = data_post();
-      if (bounce != nullptr) slot_comp[(off / chunk) % 2] = comp;
-      chunk_comps.push_back(comp);
-      ctx.track(std::move(comp));
-    }
+    // Chunk bytes must be in target staging before the chunk notification
+    // (the target copies out of staging on receipt) wherever the wire's FIFO
+    // can't sequence write vs. notify.
+    pipe.record(s, ctx.issue(ctx.proc(), data_post), data_post);
     CtrlMsg chunk_msg;
     chunk_msg.kind = CtrlMsg::Kind::kRendezvousChunk;
     chunk_msg.from = me;
@@ -340,13 +314,8 @@ void HostPipelineTransport::rendezvous_put(Ctx& ctx, const RmaOp& op) {
       rt.ctx(dst).rx().post(chunk_msg);
       rt.ctx(dst).notify_progress();
     });
-  }
+  });
   ctx.track(st->done);
-  if (op.blocking && bounce == nullptr) {
-    // Host source: the chunks read the user buffer at delivery time, so a
-    // blocking put must wait for the data to leave it.
-    for (auto& c : chunk_comps) c->wait(ctx.proc());
-  }
 }
 
 void HostPipelineTransport::on_chunk(Ctx& ctx, CtrlMsg& msg,
@@ -451,33 +420,21 @@ void HostPipelineTransport::on_get_req(Ctx& ctx, CtrlMsg& msg,
   const int me = ctx.my_pe();
   const int requester = msg.from;
   Runtime& rt = rt_;
+  // The source is GPU-resident (inter-node gets are D-D only, see get()),
+  // so every chunk stages D->H through our bounce slots.
   const std::size_t chunk = rt_.tuning().pipeline_chunk;
-  bool src_dev = rt_.cuda().attributes(msg.remote).space == cudart::MemSpace::kDevice;
-  std::byte* bounce = src_dev ? ctx.bounce(2 * chunk) : nullptr;
-  sim::CompletionPtr slot_comp[2];
+  detail::StagedPipeline pipe(ctx, worker, ctx.bounce(2 * chunk), chunk);
   auto* src_bytes = static_cast<const std::byte*>(msg.remote);
-  for (std::size_t off = 0; off < msg.bytes; off += chunk) {
-    std::size_t c = std::min(chunk, msg.bytes - off);
-    const std::byte* buf;
-    if (bounce != nullptr) {
-      std::size_t s = (off / chunk) % 2;
-      if (slot_comp[s]) slot_comp[s]->wait(worker);
-      rt_.cuda().memcpy_sync(worker, bounce + s * chunk, src_bytes + off, c);
-      buf = bounce + s * chunk;
-    } else {
-      buf = src_bytes + off;
-    }
-    auto data_post = [this, &worker, me, buf, requester, st, off, c] {
-      return rt_.ib().rdma_write(worker, me, buf, requester,
-                                    st->staging + off, c);
+  pipe.for_each_chunk(msg.bytes, [&](std::size_t off, std::size_t c,
+                                     std::size_t s) {
+    pipe.acquire(s);
+    std::byte* slot = pipe.slot(s);
+    rt_.cuda().memcpy_sync(worker, slot, src_bytes + off, c);
+    auto data_post = [this, &worker, me, slot, requester,
+                      staging = st->staging + off, c] {
+      return rt_.ib().rdma_write(worker, me, slot, requester, staging, c);
     };
-    if (rt_.faults_enabled() || !rt_.ib().in_order_delivery()) {
-      ctx.await_reliable(worker, data_post(), data_post);
-    } else {
-      auto comp = data_post();
-      if (bounce != nullptr) slot_comp[(off / chunk) % 2] = comp;
-      ctx.track(std::move(comp));
-    }
+    pipe.record(s, ctx.issue(worker, data_post), data_post);
 
     CtrlMsg chunk_msg;
     chunk_msg.kind = CtrlMsg::Kind::kRendezvousChunk;
@@ -491,7 +448,7 @@ void HostPipelineTransport::on_get_req(Ctx& ctx, CtrlMsg& msg,
       rt.ctx(requester).rx().post(chunk_msg);
       rt.ctx(requester).notify_progress();
     });
-  }
+  });
 }
 
 }  // namespace gdrshmem::core

@@ -4,6 +4,7 @@
 #include "core/device_api.hpp"
 #include "core/protocol_selector.hpp"
 #include "core/runtime.hpp"
+#include "core/transport_util.hpp"
 
 namespace gdrshmem::core {
 
@@ -104,7 +105,6 @@ void ProxyDaemon::do_get(sim::Process& self, CtrlMsg& msg) {
   ++gets_served_;
   auto st = std::static_pointer_cast<ProxyGetState>(msg.state);
   const int requester = msg.from;
-  const bool faulty = rt_.faults_enabled();
   const std::size_t chunk =
       std::min(rt_.tuning().pipeline_chunk, staging_.size() / 2);
   rt_.metrics()
@@ -112,52 +112,11 @@ void ProxyDaemon::do_get(sim::Process& self, CtrlMsg& msg) {
       .set(std::min(2 * chunk, msg.bytes));
   auto* src = static_cast<const std::byte*>(msg.remote);
   auto* dst = static_cast<std::byte*>(msg.local);
-  sim::CompletionPtr slot_comp[2];
-  std::function<sim::CompletionPtr()> slot_repost[2];
-  for (std::size_t off = 0; off < msg.bytes; off += chunk) {
-    std::size_t c = std::min(chunk, msg.bytes - off);
-    std::size_t s = (off / chunk) % 2;
-    if (slot_comp[s]) {
-      // Replay error completions while the slot still holds the chunk
-      // (fault plans only; the repost closure reads the staging slot).
-      if (faulty) {
-        slot_comp[s] = rt_.ctx(requester).await_reliable(
-            self, std::move(slot_comp[s]), slot_repost[s]);
-      } else {
-        slot_comp[s]->wait(self);
-      }
-    }
-    rt_.cuda().memcpy_sync(self, staging_.data() + s * chunk, src + off, c);
-    auto post = [this, &self, requester, s, chunk, dst, off, c] {
-      return rt_.ib().rdma_write(self, endpoint(),
-                                    staging_.data() + s * chunk, requester,
-                                    dst + off, c);
-    };
-    slot_comp[s] = post();
-    if (faulty) slot_repost[s] = std::move(post);
-  }
-  if (faulty) {
-    // Drain both slots reliably: done must not fire before every chunk
-    // actually landed in the requester's buffer.
-    for (std::size_t s = 0; s < 2; ++s) {
-      if (!slot_comp[s]) continue;
-      rt_.ctx(requester).await_reliable(self, std::move(slot_comp[s]),
-                                        slot_repost[s]);
-    }
-  } else if (msg.bytes > 0) {
-    if (rt_.ib().in_order_delivery()) {
-      // FIFO wire: the other slot's chunk was posted earlier to the same
-      // peer, so the last chunk's completion implies it landed.
-      std::size_t last_slot = ((msg.bytes + chunk - 1) / chunk - 1) % 2;
-      if (slot_comp[last_slot]) slot_comp[last_slot]->wait(self);
-    } else {
-      // Relaxed ordering (srd): an earlier chunk can still be in flight
-      // when the later one completes; done must wait for both slots.
-      for (auto& comp : slot_comp) {
-        if (comp) comp->wait(self);
-      }
-    }
-  }
+  detail::StagedPipeline pipe(rt_.ctx(requester), self, staging_.data(), chunk);
+  stream_chunks(self, pipe, src, requester, dst, msg.bytes);
+  // done must not fire before every chunk landed in the requester's buffer
+  // — whatever order the wire completes them in.
+  pipe.drain();
   Runtime& rt = rt_;
   rt_.ib().post_send(self, endpoint(), requester, 0, [st, &rt, requester] {
     st->done->fire();
@@ -191,19 +150,17 @@ void ProxyDaemon::do_put(sim::Process& self, CtrlMsg& req) {
         stash_.front().state == req.state) {
       m = stash_.front();
       stash_.pop_front();
-    } else if (rt_.faults_enabled()) {
-      // Timed receive at twice the requester's per-stage timeout: if the
-      // requester gave up on this transfer (it saw us crash and reissued,
-      // or died itself) the window notifications stop coming and we must
-      // not serve this orphan forever. Requesters always time out first,
-      // so an abort here can never strand a live requester.
+    } else {
+      // Under a fault plan, a timed receive at twice the requester's
+      // per-stage timeout: if the requester gave up on this transfer (it saw
+      // us crash and reissued, or died itself) the window notifications stop
+      // coming and we must not serve this orphan forever. Requesters always
+      // time out first, so an abort here can never strand a live requester.
       auto maybe = mb_.receive_until(
-          self, rt_.engine().now() +
-                    Duration::us(2 * rt_.tuning().proxy_timeout_us));
+          self,
+          rt_.deadline_after(Duration::us(2 * rt_.tuning().proxy_timeout_us)));
       if (!maybe) return;  // orphaned transfer: drop it, serve the next
       m = *maybe;
-    } else {
-      m = mb_.receive(self);
     }
     if (m.kind != CtrlMsg::Kind::kProxyPutFin || m.state != req.state) {
       stash_.push_back(m);  // another transfer's message: serve it later
@@ -231,7 +188,6 @@ void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
   const int requester = cmd->requester;
   Ctx& rctx = rt_.ctx(requester);
   Runtime& rt = rt_;
-  const bool faulty = rt_.faults_enabled();
   const RmaOp& op = cmd->rma;
 
   switch (cmd->op) {
@@ -249,12 +205,7 @@ void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
                                           cmd->amo_word, cmd->amo_a,
                                           cmd->amo_b, result);
       };
-      auto comp = post();
-      if (faulty) {
-        rctx.await_reliable(self, std::move(comp), post);
-      } else {
-        comp->wait(self);
-      }
+      rctx.await_reliable(self, post);
       break;
     }
     case DeviceCmd::Op::kPut:
@@ -286,12 +237,7 @@ void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
           return rt_.ib().rdma_write(self, requester, op.local,
                                         op.target_pe, op.remote, op.bytes);
         };
-        auto comp = post();
-        if (faulty) {
-          rctx.await_reliable(self, std::move(comp), post);
-        } else {
-          comp->wait(self);
-        }
+        rctx.await_reliable(self, post);
       } else if (is_get) {
         staged_device_get(self, rctx, op);
       } else {
@@ -315,47 +261,17 @@ void ProxyDaemon::staged_device_put(sim::Process& self, Ctx& rctx,
   // heap into our staging, RDMA-write each chunk out — the do_get pipeline
   // shape, running at the *source* node. The final write lands directly in
   // the target heap (a GDR leg when the target is GPU-resident).
-  const bool faulty = rt_.faults_enabled();
   const std::size_t chunk =
       std::min(rt_.tuning().pipeline_chunk, staging_.size() / 2);
   rctx.count_protocol(Protocol::kProxyPut, op.bytes);
   rt_.metrics()
       .gauge("proxy/staging_used_bytes")
       .set(std::min(2 * chunk, op.bytes));
-  auto* src = static_cast<const std::byte*>(op.local);
-  auto* dst = static_cast<std::byte*>(op.remote);
-  sim::CompletionPtr slot_comp[2];
-  std::function<sim::CompletionPtr()> slot_repost[2];
-  for (std::size_t off = 0; off < op.bytes; off += chunk) {
-    std::size_t c = std::min(chunk, op.bytes - off);
-    std::size_t s = (off / chunk) % 2;
-    if (slot_comp[s]) {
-      if (faulty) {
-        slot_comp[s] =
-            rctx.await_reliable(self, std::move(slot_comp[s]), slot_repost[s]);
-      } else {
-        slot_comp[s]->wait(self);
-      }
-    }
-    rt_.cuda().memcpy_sync(self, staging_.data() + s * chunk, src + off, c);
-    auto post = [this, &self, s, chunk, target = op.target_pe, dst, off, c] {
-      return rt_.ib().rdma_write(self, endpoint(),
-                                    staging_.data() + s * chunk, target,
-                                    dst + off, c);
-    };
-    slot_comp[s] = post();
-    if (faulty) slot_repost[s] = std::move(post);
-  }
-  // Drain both slots before signalling completion: done must imply every
-  // byte is at its final destination.
-  for (std::size_t s = 0; s < 2; ++s) {
-    if (!slot_comp[s]) continue;
-    if (faulty) {
-      rctx.await_reliable(self, std::move(slot_comp[s]), slot_repost[s]);
-    } else {
-      slot_comp[s]->wait(self);
-    }
-  }
+  detail::StagedPipeline pipe(rctx, self, staging_.data(), chunk);
+  stream_chunks(self, pipe, static_cast<const std::byte*>(op.local),
+                op.target_pe, static_cast<std::byte*>(op.remote), op.bytes);
+  // done must imply every byte is at its final destination.
+  pipe.drain();
 }
 
 void ProxyDaemon::staged_device_get(sim::Process& self, Ctx& rctx,
@@ -364,7 +280,6 @@ void ProxyDaemon::staged_device_get(sim::Process& self, Ctx& rctx,
   // H->D IPC them into the requester's buffer. Reads into staging are
   // idempotent, so fault replays re-post in place.
   const int requester = rctx.my_pe();
-  const bool faulty = rt_.faults_enabled();
   const std::size_t chunk =
       std::min(rt_.tuning().pipeline_chunk, staging_.size());
   rctx.count_protocol(Protocol::kProxyGet, op.bytes);
@@ -375,19 +290,28 @@ void ProxyDaemon::staged_device_get(sim::Process& self, Ctx& rctx,
   auto* dst = static_cast<std::byte*>(op.local);
   for (std::size_t off = 0; off < op.bytes; off += chunk) {
     std::size_t c = std::min(chunk, op.bytes - off);
-    auto post = [this, &self, target = op.target_pe, src, off, c] {
+    rctx.await_reliable(self, [this, &self, target = op.target_pe, src, off, c] {
       return rt_.ib().rdma_read(self, endpoint(), staging_.data(), target,
-                                   src + off, c);
-    };
-    auto comp = post();
-    if (faulty) {
-      rctx.await_reliable(self, std::move(comp), post);
-    } else {
-      comp->wait(self);
-    }
+                                src + off, c);
+    });
     rt_.cuda().memcpy_sync(self, dst + off, staging_.data(), c);
   }
   rt_.notify_pe(requester);
+}
+
+void ProxyDaemon::stream_chunks(sim::Process& self,
+                                detail::StagedPipeline& pipe,
+                                const std::byte* src, int target,
+                                std::byte* dst, std::size_t bytes) {
+  pipe.for_each_chunk(bytes, [&](std::size_t off, std::size_t c,
+                                 std::size_t s) {
+    pipe.acquire(s);
+    std::byte* slot = pipe.slot(s);
+    rt_.cuda().memcpy_sync(self, slot, src + off, c);
+    pipe.post(s, [this, &self, slot, target, to = dst + off, c] {
+      return rt_.ib().rdma_write(self, endpoint(), slot, target, to, c);
+    });
+  });
 }
 
 }  // namespace gdrshmem::core

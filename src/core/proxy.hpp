@@ -26,6 +26,9 @@ namespace gdrshmem::core {
 class Runtime;
 class Ctx;
 struct RmaOp;
+namespace detail {
+class StagedPipeline;
+}
 
 /// Shared state of one proxy-put transfer, carried in the control messages.
 struct ProxyPutState {
@@ -81,6 +84,12 @@ class ProxyDaemon {
   /// run at the requester's node).
   void staged_device_put(sim::Process& self, Ctx& rctx, const RmaOp& op);
   void staged_device_get(sim::Process& self, Ctx& rctx, const RmaOp& op);
+  /// The reverse pipeline's chunk loop (do_get, staged_device_put): IPC-copy
+  /// each chunk of `src` into a staging slot, RDMA-write it to `target`'s
+  /// `dst`. The caller drains `pipe`.
+  void stream_chunks(sim::Process& self, detail::StagedPipeline& pipe,
+                     const std::byte* src, int target, std::byte* dst,
+                     std::size_t bytes);
   void restart();
 
   Runtime& rt_;

@@ -164,6 +164,19 @@ class Runtime {
   Ctx& ctx(int pe) { return *ctxs_.at(static_cast<std::size_t>(pe)); }
   sim::FaultInjector& faults() { return injector_; }
   bool faults_enabled() const { return injector_.enabled(); }
+  /// The single ordering predicate: true when a data op's completion must be
+  /// awaited before the notification that announces it, because a fault
+  /// plan may replay the op late or the wire (srd) does not deliver in
+  /// issue order. Otherwise the wire's FIFO orders the notification.
+  bool needs_completion_ordering() {
+    return faults_enabled() || !ib().in_order_delivery();
+  }
+  /// Deadline for a recovery stage that started now: `timeout` from now
+  /// under a fault plan, Time::never() (no wake event, cannot expire)
+  /// without one.
+  sim::Time deadline_after(sim::Duration timeout) {
+    return faults_enabled() ? engine_.now() + timeout : sim::Time::never();
+  }
   /// GPUDirect P2P usable for `pe`'s GPU (false after a planned revocation).
   bool gdr_available(int pe) {
     return cluster_.p2p_available(cluster_.placement(pe).node);

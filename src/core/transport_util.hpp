@@ -1,7 +1,10 @@
 // Internal helpers shared by the transport implementations.
 #pragma once
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <string>
 
 #include "core/ctx.hpp"
 
@@ -24,35 +27,32 @@ inline void host_shm_copy(Ctx& ctx, void* dst, const void* src, std::size_t n,
   host_shm_copy_by(ctx, ctx.proc(), dst, src, n, wake_pe);
 }
 
+/// Post an RDMA op that reads or writes the user buffer in place: a
+/// blocking op waits for it reliably, an nbi op hands `post` to quiet() as
+/// its repost closure (the spec pins the buffer until then). Either way an
+/// error completion under a fault plan replays the same descriptor.
+inline void post_rma(Ctx& ctx, bool blocking,
+                     std::function<sim::CompletionPtr()> post) {
+  sim::CompletionPtr comp = post();
+  if (blocking) {
+    ctx.await_reliable(ctx.proc(), std::move(comp), post);
+  } else {
+    ctx.track_reliable(std::move(comp), std::move(post));
+  }
+}
+
 /// Put over (possibly loopback) RDMA. Small host-resident sources are sent
 /// inline from a pre-registered slot so even a blocking put returns right
-/// after the post; everything else waits for the ACK when blocking.
+/// after the post; everything else goes through post_rma.
 ///
-/// Under a fault plan the inline ring is bypassed: a slot is recycled as
-/// soon as its completion fires, which under error completions would let a
-/// replay read overwritten data. Instead blocking puts retry-in-place and
-/// non-blocking puts carry a repost closure over the (spec-pinned until
-/// quiet) user source buffer.
+/// The inline ring is fault-free only: a slot is recycled as soon as its
+/// completion fires, which under error completions would let a replay read
+/// overwritten data.
 inline void rdma_put(Ctx& ctx, const RmaOp& op, Protocol proto) {
   Runtime& rt = ctx.runtime();
   ctx.count_protocol(proto, op.bytes);
-  if (rt.faults_enabled()) {
-    auto repost = [&ctx, &rt, op]() {
-      return rt.endpoint(ctx.my_pe())
-          .rdma_write(ctx.proc(), op.local, op.target_pe, op.remote, op.bytes);
-    };
-    auto comp = repost();
-    if (op.blocking) {
-      comp = ctx.await_reliable(ctx.proc(), std::move(comp), repost);
-      ctx.track(std::move(comp));
-    } else {
-      ctx.track_reliable(std::move(comp), repost);
-    }
-    return;
-  }
-  bool use_inline =
-      !op.local_is_device && op.bytes <= rt.tuning().inline_put_limit;
-  if (use_inline) {
+  if (!rt.faults_enabled() && !op.local_is_device &&
+      op.bytes <= rt.tuning().inline_put_limit) {
     auto [slot, comp_entry] = ctx.inline_slot();
     std::memcpy(slot, op.local, op.bytes);
     auto comp = rt.endpoint(ctx.my_pe())
@@ -62,37 +62,111 @@ inline void rdma_put(Ctx& ctx, const RmaOp& op, Protocol proto) {
     ctx.track(std::move(comp));
     return;
   }
-  auto comp = rt.endpoint(ctx.my_pe())
-                  .rdma_write(ctx.proc(), op.local, op.target_pe, op.remote,
-                              op.bytes);
-  ctx.track(comp);
-  if (op.blocking) comp->wait(ctx.proc());
+  post_rma(ctx, op.blocking, [&ctx, &rt, op] {
+    return rt.endpoint(ctx.my_pe())
+        .rdma_write(ctx.proc(), op.local, op.target_pe, op.remote, op.bytes);
+  });
 }
 
-/// Get over (possibly loopback) RDMA read. Reads are idempotent, so replays
-/// under a fault plan simply re-post the same descriptor.
+/// Get over (possibly loopback) RDMA read. Reads are idempotent, so a
+/// replay simply re-posts the same descriptor.
 inline void rdma_get(Ctx& ctx, const RmaOp& op, Protocol proto) {
   Runtime& rt = ctx.runtime();
   ctx.count_protocol(proto, op.bytes);
-  if (rt.faults_enabled()) {
-    auto repost = [&ctx, &rt, op]() {
-      return rt.endpoint(ctx.my_pe())
-          .rdma_read(ctx.proc(), op.local, op.target_pe, op.remote, op.bytes);
-    };
-    auto comp = repost();
-    if (op.blocking) {
-      comp = ctx.await_reliable(ctx.proc(), std::move(comp), repost);
-      ctx.track(std::move(comp));
-    } else {
-      ctx.track_reliable(std::move(comp), repost);
+  post_rma(ctx, op.blocking, [&ctx, &rt, op] {
+    return rt.endpoint(ctx.my_pe())
+        .rdma_read(ctx.proc(), op.local, op.target_pe, op.remote, op.bytes);
+  });
+}
+
+/// The two-slot staging pipeline behind every chunked protocol: the host
+/// rendezvous (Fig 1), pipeline-GDR-write (Fig 4), and the proxy's reverse
+/// pipeline (Fig 5). Chunk k stages through slot k % 2 while chunk k - 1 is
+/// on the wire. Each slot keeps the completion of the last chunk posted
+/// from it and the closure that re-posts that chunk, so an error completion
+/// is replayed while the slot still holds the chunk's bytes. Without a
+/// fault plan every wait here is a plain wait.
+class StagedPipeline {
+ public:
+  using Post = std::function<sim::CompletionPtr()>;
+
+  /// `owner` is the PE whose replay budget covers the chunks; `worker` is
+  /// the process that stages and posts them (the PE itself or a proxy
+  /// daemon); `staging` holds two `chunk`-byte slots.
+  StagedPipeline(Ctx& owner, sim::Process& worker, std::byte* staging,
+                 std::size_t chunk)
+      : owner_(owner), worker_(worker), staging_(staging), chunk_(chunk) {}
+
+  /// Call fn(offset, length, slot) for each chunk of a `bytes`-long
+  /// message, in order.
+  template <typename Fn>
+  void for_each_chunk(std::size_t bytes, Fn&& fn) const {
+    for (std::size_t off = 0; off < bytes; off += chunk_) {
+      fn(off, std::min(chunk_, bytes - off), (off / chunk_) % 2);
     }
-    return;
   }
-  auto comp = rt.endpoint(ctx.my_pe())
-                  .rdma_read(ctx.proc(), op.local, op.target_pe, op.remote,
-                             op.bytes);
-  ctx.track(comp);
-  if (op.blocking) comp->wait(ctx.proc());
+
+  std::byte* slot(std::size_t s) const { return staging_ + s * chunk_; }
+
+  /// Wait until the chunk last posted from slot `s` has landed, so the
+  /// slot can be overwritten.
+  void acquire(std::size_t s) {
+    if (comp_[s]) {
+      comp_[s] = owner_.await_reliable(worker_, std::move(comp_[s]), repost_[s]);
+    }
+  }
+
+  /// Remember `comp` as slot `s`'s outstanding chunk, re-posted by `repost`.
+  void record(std::size_t s, sim::CompletionPtr comp, Post repost) {
+    comp_[s] = std::move(comp);
+    repost_[s] = std::move(repost);
+  }
+
+  /// Post the chunk staged in slot `s` and remember it.
+  void post(std::size_t s, Post post) {
+    sim::CompletionPtr comp = post();
+    record(s, std::move(comp), std::move(post));
+  }
+
+  /// Wait for every slot's outstanding chunk, slot 0 then slot 1.
+  void drain() {
+    acquire(0);
+    acquire(1);
+  }
+
+  /// Let the operation return before remote completion: the outstanding
+  /// chunks join the owner's quiet() set. Under a fault plan they are
+  /// drained first, because a repost closure reads its staging slot and
+  /// the next operation may overwrite it once this one returns.
+  void finish_async() {
+    if (owner_.runtime().faults_enabled()) drain();
+    for (const sim::CompletionPtr& comp : comp_) {
+      if (comp) owner_.track(comp);
+    }
+  }
+
+ private:
+  Ctx& owner_;
+  sim::Process& worker_;
+  std::byte* staging_;
+  std::size_t chunk_;
+  sim::CompletionPtr comp_[2];
+  Post repost_[2];
+};
+
+/// Run `attempt` until it reports success, reissuing an attempt that timed
+/// out (the proxy crashed holding it) up to the tuned budget. Without a
+/// fault plan attempts wait against Time::never() and cannot time out, so
+/// `attempt` runs exactly once.
+template <typename Attempt>
+void reissue_until_done(Ctx& ctx, const char* what, Attempt&& attempt) {
+  Runtime& rt = ctx.runtime();
+  for (int reissues = 0; !attempt();) {
+    if (++reissues > rt.tuning().proxy_max_reissues) {
+      throw ShmemError(std::string(what) + ": reissue budget exhausted");
+    }
+    rt.faults().on_event(sim::FaultEvent::kProxyReissue, ctx.my_pe());
+  }
 }
 
 /// One-copy cudaMemcpy touching a peer's memory: CUDA IPC when the peer

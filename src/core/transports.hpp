@@ -61,21 +61,13 @@ class EnhancedGdrTransport final : public Transport {
   void handle_ctrl(Ctx& ctx, CtrlMsg& msg, sim::Process& worker) override;
 
  private:
-  void direct_put(Ctx& ctx, const RmaOp& op, Protocol proto);
-  void direct_get(Ctx& ctx, const RmaOp& op, Protocol proto);
   void pipeline_gdr_write(Ctx& ctx, const RmaOp& op);
   void host_staged_get(Ctx& ctx, const RmaOp& op);
   void proxy_put(Ctx& ctx, const RmaOp& op, const void* host_src);
   void proxy_get(Ctx& ctx, const RmaOp& op);
 
-  /// One full proxy-put / proxy-get exchange under a fault plan; false means
-  /// a stage timed out (proxy crashed mid-transfer) and the caller should
-  /// reissue with fresh transfer state.
-  bool attempt_proxy_put(Ctx& ctx, const RmaOp& op, const void* host_src);
-  bool attempt_proxy_get(Ctx& ctx, const RmaOp& op);
-
   /// Record a gdr-fallback event when a device leg of `op` sits on a node
-  /// whose P2P capability has been revoked (fault plans only).
+  /// whose P2P capability has been revoked (only a fault plan revokes it).
   void note_gdr_fallback(const RmaOp& op);
 
   Runtime& rt_;

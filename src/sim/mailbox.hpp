@@ -39,12 +39,12 @@ class Mailbox {
   }
 
   /// Blocking receive with a deadline: returns nullopt if no message arrived
-  /// by `deadline`. Schedules one wake event at the deadline, so use only
-  /// where a timeout is genuinely needed (fault-recovery paths) — the event
-  /// keeps the simulation alive until it fires.
+  /// by `deadline`. A finite future deadline schedules one wake event, which
+  /// keeps the simulation alive until it fires; Time::never() schedules
+  /// nothing and behaves exactly like receive().
   std::optional<T> receive_until(Process& self, Time deadline) {
     Engine& eng = self.engine();
-    if (eng.now() < deadline) {
+    if (eng.now() < deadline && deadline != Time::never()) {
       eng.schedule_at(deadline, [this] { available_.notify(); });
     }
     self.await_until(available_, [this, &eng, deadline] {

@@ -52,6 +52,11 @@ class Time {
   constexpr Time() = default;
   static constexpr Time ns(std::int64_t v) { return Time{v}; }
   static constexpr Time zero() { return Time{0}; }
+  /// The infinite deadline: later than every reachable instant. Deadline
+  /// waits given never() schedule no wake event. Do not add to it.
+  static constexpr Time never() {
+    return Time{std::numeric_limits<std::int64_t>::max()};
+  }
 
   constexpr std::int64_t count_ns() const { return ns_; }
   constexpr double to_us() const { return static_cast<double>(ns_) * 1e-3; }

@@ -296,6 +296,53 @@ TEST(FaultInjection, EmptyPlanLeavesNoTrace) {
   EXPECT_EQ(format_report(*rt).find("fault injection"), std::string::npos);
 }
 
+TEST(DeadlineWait, NeverDeadlineIsPlainWaitFor) {
+  // Without a fault plan every recovery deadline is Time::never(): the wait
+  // must cost exactly the events of wait_for and leave nothing parked at
+  // infinity, so the run ends at the last real event.
+  auto run = [](bool never) {
+    auto rt = run_spmd(
+        make_cluster(2, 1), make_options(TransportKind::kEnhancedGdr),
+        [&](Ctx& ctx) {
+          auto* flag = static_cast<std::uint64_t*>(
+              ctx.shmalloc(sizeof(std::uint64_t), Domain::kHost));
+          *flag = 0;
+          ctx.barrier_all();
+          if (ctx.my_pe() == 0) {
+            ctx.compute(sim::Duration::us(20));
+            std::uint64_t one = 1;
+            ctx.putmem(flag, &one, sizeof(one), 1);
+            ctx.quiet();
+          } else {
+            auto arrived = [&] { return *flag == 1; };
+            if (never) {
+              EXPECT_EQ(ctx.runtime().deadline_after(sim::Duration::us(1)),
+                        sim::Time::never());
+              EXPECT_TRUE(ctx.wait_for_deadline(arrived, sim::Time::never()));
+            } else {
+              ctx.wait_for(arrived);
+            }
+          }
+          ctx.barrier_all();
+        });
+    return std::pair{rt->engine().now(), rt->engine().events_executed()};
+  };
+  const auto with_never = run(true);
+  EXPECT_EQ(with_never, run(false));
+  EXPECT_LT(with_never.first, sim::Time::zero() + sim::Duration::ms(1));
+}
+
+TEST(DeadlineWait, PastDeadlineReturnsFalseAtOnce) {
+  run_spmd(make_cluster(1, 1), make_options(TransportKind::kEnhancedGdr),
+           [&](Ctx& ctx) {
+             ctx.compute(sim::Duration::us(5));
+             const sim::Time t = ctx.now();
+             EXPECT_FALSE(ctx.wait_for_deadline(
+                 [] { return false; }, sim::Time::zero() + sim::Duration::us(1)));
+             EXPECT_EQ(ctx.now(), t);
+           });
+}
+
 TEST(FaultInjection, ReportAndTracerSurfaceFaultCounters) {
   hw::ClusterConfig cluster = make_cluster(2, 2);
   RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);

@@ -173,6 +173,36 @@ TEST(TransportDiff, RunsAreDeterministicPerTransport) {
   }
 }
 
+TEST(TransportDiff, ProxyGetLandsEveryChunkBeforeReturn) {
+  // A blocking D-D inter-node get served by the proxy's reverse pipeline
+  // (Fig 5): three full chunks plus a tail below rail_stripe_min_bytes. On
+  // 2 rails the unstriped tail can complete before the striped chunk ahead
+  // of it; on srd any chunk can. Whatever the completion order, every byte
+  // must be in place the moment getmem returns.
+  const std::size_t n = 3 * (256u << 10) + (64u << 10);
+  for (DiffConfig cfg : {DiffConfig{ib::QpKind::kRc, 2},
+                         DiffConfig{ib::QpKind::kSrd, 1}}) {
+    RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
+    opts.ib_transport = cfg.kind;
+    opts.ib_rails = cfg.rails;
+    run_spmd(make_cluster(2, 1), opts, [&](Ctx& ctx) {
+      auto* sym = static_cast<unsigned char*>(ctx.shmalloc(n, Domain::kGpu));
+      for (std::size_t i = 0; i < n; ++i) sym[i] = pattern(ctx.my_pe(), n, i);
+      auto* dst = static_cast<unsigned char*>(ctx.cuda_malloc(n));
+      ctx.barrier_all();
+      if (ctx.my_pe() == 0) {
+        ctx.getmem(dst, sym, n, 1);
+        EXPECT_EQ(ctx.last_protocol(), Protocol::kProxyGet);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(dst[i], pattern(1, n, i))
+              << ib::to_string(cfg.kind) << " x" << cfg.rails << " byte " << i;
+        }
+      }
+      ctx.barrier_all();
+    });
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Env validation for the new keys.
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -361,6 +362,62 @@ TEST_P(EngineBackendTest, MailboxPostThenReceive) {
   });
   eng.run();
   EXPECT_EQ(got, (std::vector<int>{10, 20, 30}));
+}
+
+TEST_P(EngineBackendTest, ReceiveUntilNeverIsPlainReceive) {
+  // An infinite deadline schedules no wake event: the same events as
+  // receive(), and nothing parked at the end of time once the run drains.
+  auto run = [&](bool never) {
+    Engine eng(GetParam());
+    Mailbox<int> box;
+    std::vector<int> got;
+    eng.spawn("consumer", [&](Process& p) {
+      for (int i = 0; i < 3; ++i) {
+        if (never) {
+          std::optional<int> v = box.receive_until(p, Time::never());
+          ASSERT_TRUE(v.has_value());
+          got.push_back(*v);
+        } else {
+          got.push_back(box.receive(p));
+        }
+      }
+    });
+    eng.spawn("producer", [&](Process& p) {
+      for (int i = 1; i <= 3; ++i) {
+        p.delay(Duration::us(1));
+        box.post(i * 10);
+      }
+    });
+    eng.run();
+    EXPECT_EQ(got, (std::vector<int>{10, 20, 30}));
+    EXPECT_EQ(eng.now(), Time::zero() + Duration::us(3));
+    return eng.events_executed();
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
+TEST_P(EngineBackendTest, ReceiveUntilFiniteDeadlineExpires) {
+  Engine eng(GetParam());
+  Mailbox<int> box;
+  std::optional<int> late, past;
+  Time expired, returned;
+  eng.spawn("consumer", [&](Process& p) {
+    late = box.receive_until(p, Time::zero() + Duration::us(4));
+    expired = eng.now();
+    // A deadline already behind us returns at once.
+    past = box.receive_until(p, Time::zero() + Duration::us(1));
+    returned = eng.now();
+  });
+  eng.spawn("producer", [&](Process& p) {
+    p.delay(Duration::us(10));
+    box.post(7);
+  });
+  eng.run();
+  EXPECT_FALSE(late.has_value());
+  EXPECT_FALSE(past.has_value());
+  EXPECT_EQ(expired, Time::zero() + Duration::us(4));
+  EXPECT_EQ(returned, expired);
+  EXPECT_EQ(box.size(), 1u);  // posted after the consumer gave up
 }
 
 TEST(Mailbox, TryReceiveNonBlocking) {

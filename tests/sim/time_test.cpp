@@ -43,5 +43,10 @@ TEST(Duration, ScaleMatchesUsConversion) {
   }
 }
 
+TEST(Time, NeverIsLaterThanEveryReachableInstant) {
+  EXPECT_GT(Time::never(), Time::zero() + Duration::ms(1e12));
+  EXPECT_EQ(max(Time::never(), Time::zero()), Time::never());
+}
+
 }  // namespace
 }  // namespace gdrshmem::sim
