@@ -68,12 +68,12 @@ double message_rate_mmps(QpKind kind, int nodes) {
   }
   double us = 0;
   f.eng.spawn("pe0", [&](sim::Process& p) {
-    auto& ep = f.transport->endpoint(0);
+    auto& ib = *f.transport;
     sim::Time t0 = f.eng.now();
     for (int w = 0; w < kWindows; ++w) {
       std::vector<sim::CompletionPtr> comps;
       for (int t = 0; t < kTargets; ++t) {
-        comps.push_back(ep.rdma_write(p, src.data(), targets[t],
+        comps.push_back(ib.rdma_write(p, 0, src.data(), targets[t],
                                       dst[t].data(), sizeof(std::uint64_t)));
       }
       for (auto& c : comps) c->wait(p);
@@ -96,7 +96,7 @@ double bandwidth_gbps(QpKind kind, int rails, std::size_t n,
   double us = 0;
   f.eng.spawn("pe0", [&](sim::Process& p) {
     sim::Time t0 = f.eng.now();
-    f.transport->endpoint(0).rdma_write(p, src.data(), 2, dst.data(), n)
+    f.transport->rdma_write(p, 0, src.data(), 2, dst.data(), n)
         ->wait(p);
     us = (f.eng.now() - t0).to_us();
   });

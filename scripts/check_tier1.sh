@@ -32,6 +32,12 @@ for ib_transport in rc dc srd; do
      ctest --output-on-failure -R 'TransportDiff|Fuzz|OddSizes')
 done
 
+# Benchmark build + smoke: perfbench compiles ../src on its own and reads
+# Runtime::stats(), registry counter names and RuntimeOptions fields, none of
+# which ctest builds against. Its self-test runs every workload at tiny
+# scale, traced and untraced (~50 s cold including the build, ~8 s warm).
+python3 perfbench/selftest.py
+
 scripts/check_sanitize.sh
 
 # Scale smoke: one 1K-PE barrier+message-rate round under a loose wall

@@ -6,38 +6,22 @@
 // Every hardware atomic is posted and awaited reliably: under a fault plan
 // an error completion means the request was lost *before* the RMW executed,
 // so re-posting the identical descriptor is exact (never double-applies).
-#include "core/ctx.hpp"
+#include "core/transport_util.hpp"
 
 namespace gdrshmem::core {
 
 using sim::Duration;
-
-namespace {
-
-/// Resolve a symmetric 64-bit word for hardware atomics.
-std::uint64_t* resolve_word(Runtime& rt, int owner_pe, int target_pe,
-                            const void* sym) {
-  Domain dom;
-  void* remote = rt.translate(sym, owner_pe, target_pe, sizeof(std::uint64_t), &dom);
-  if (reinterpret_cast<std::uintptr_t>(remote) % 8 != 0) {
-    throw ShmemError("atomic target must be 8-byte aligned");
-  }
-  return static_cast<std::uint64_t*>(remote);
-}
-
-}  // namespace
+using detail::resolve_word;
 
 std::int64_t Ctx::atomic_fetch_add(std::int64_t* sym, std::int64_t value, int pe) {
-  rt_->stats().atomics++;
-  op_kind_ = TraceEvent::Kind::kAtomic;
-  sim::Time t0 = now();
+  sim::Time t0 = begin_op(TraceEvent::Kind::kAtomic);
   count_protocol(Protocol::kAtomicHw, 8);
   proc().delay(Duration::us(rt_->cluster().params().shmem_sw_overhead_us));
   std::uint64_t* word = resolve_word(*rt_, pe_, pe, sym);
   std::uint64_t old = 0;
   await_reliable(proc(), [&] {
-    return rt_->endpoint(pe_).atomic_fadd64(
-        proc(), pe, word, static_cast<std::uint64_t>(value), &old);
+    return rt_->ib().atomic_fadd64(
+        proc(), pe_, pe, word, static_cast<std::uint64_t>(value), &old);
   });
   finish_op(TraceEvent::Kind::kAtomic, pe, 8, t0);
   return static_cast<std::int64_t>(old);
@@ -49,16 +33,14 @@ void Ctx::atomic_add(std::int64_t* sym, std::int64_t value, int pe) {
 
 std::int64_t Ctx::atomic_compare_swap(std::int64_t* sym, std::int64_t cond,
                                       std::int64_t value, int pe) {
-  rt_->stats().atomics++;
-  op_kind_ = TraceEvent::Kind::kAtomic;
-  sim::Time t0 = now();
+  sim::Time t0 = begin_op(TraceEvent::Kind::kAtomic);
   count_protocol(Protocol::kAtomicHw, 8);
   proc().delay(Duration::us(rt_->cluster().params().shmem_sw_overhead_us));
   std::uint64_t* word = resolve_word(*rt_, pe_, pe, sym);
   std::uint64_t old = 0;
   await_reliable(proc(), [&] {
-    return rt_->endpoint(pe_).atomic_cswap64(
-        proc(), pe, word, static_cast<std::uint64_t>(cond),
+    return rt_->ib().atomic_cswap64(
+        proc(), pe_, pe, word, static_cast<std::uint64_t>(cond),
         static_cast<std::uint64_t>(value), &old);
   });
   finish_op(TraceEvent::Kind::kAtomic, pe, 8, t0);
@@ -99,9 +81,7 @@ Lane32 resolve_lane32(Runtime& rt, int owner_pe, int target_pe, const void* sym)
 }  // namespace
 
 std::int32_t Ctx::atomic_fetch_add32(std::int32_t* sym, std::int32_t value, int pe) {
-  rt_->stats().atomics++;
-  op_kind_ = TraceEvent::Kind::kAtomic;
-  sim::Time t0 = now();
+  sim::Time t0 = begin_op(TraceEvent::Kind::kAtomic);
   proc().delay(Duration::us(rt_->cluster().params().shmem_sw_overhead_us));
   Lane32 lane = resolve_lane32(*rt_, pe_, pe, sym);
   const std::uint64_t mask = std::uint64_t{0xffffffffu} << lane.shift;
@@ -110,7 +90,7 @@ std::int32_t Ctx::atomic_fetch_add32(std::int32_t* sym, std::int32_t value, int 
     std::uint64_t cur = 0;
     count_protocol(Protocol::kAtomicHw, 8);
     await_reliable(proc(), [&] {
-      return rt_->endpoint(pe_).atomic_fadd64(proc(), pe, lane.word, 0, &cur);
+      return rt_->ib().atomic_fadd64(proc(), pe_, pe, lane.word, 0, &cur);
     });
     auto lane_val = static_cast<std::uint32_t>((cur & mask) >> lane.shift);
     auto updated = static_cast<std::uint32_t>(
@@ -120,8 +100,8 @@ std::int32_t Ctx::atomic_fetch_add32(std::int32_t* sym, std::int32_t value, int 
     std::uint64_t old = 0;
     count_protocol(Protocol::kAtomicHw, 8);
     await_reliable(proc(), [&] {
-      return rt_->endpoint(pe_).atomic_cswap64(proc(), pe, lane.word, cur,
-                                               desired, &old);
+      return rt_->ib().atomic_cswap64(proc(), pe_, pe, lane.word, cur,
+                                      desired, &old);
     });
     if (old == cur) {
       // One user-level op, however many hardware attempts the race cost.
@@ -134,9 +114,7 @@ std::int32_t Ctx::atomic_fetch_add32(std::int32_t* sym, std::int32_t value, int 
 
 std::int32_t Ctx::atomic_compare_swap32(std::int32_t* sym, std::int32_t cond,
                                         std::int32_t value, int pe) {
-  rt_->stats().atomics++;
-  op_kind_ = TraceEvent::Kind::kAtomic;
-  sim::Time t0 = now();
+  sim::Time t0 = begin_op(TraceEvent::Kind::kAtomic);
   proc().delay(Duration::us(rt_->cluster().params().shmem_sw_overhead_us));
   Lane32 lane = resolve_lane32(*rt_, pe_, pe, sym);
   const std::uint64_t mask = std::uint64_t{0xffffffffu} << lane.shift;
@@ -144,7 +122,7 @@ std::int32_t Ctx::atomic_compare_swap32(std::int32_t* sym, std::int32_t cond,
     std::uint64_t cur = 0;
     count_protocol(Protocol::kAtomicHw, 8);
     await_reliable(proc(), [&] {
-      return rt_->endpoint(pe_).atomic_fadd64(proc(), pe, lane.word, 0, &cur);
+      return rt_->ib().atomic_fadd64(proc(), pe_, pe, lane.word, 0, &cur);
     });
     auto lane_val = static_cast<std::uint32_t>((cur & mask) >> lane.shift);
     if (static_cast<std::int32_t>(lane_val) != cond) {
@@ -157,8 +135,8 @@ std::int32_t Ctx::atomic_compare_swap32(std::int32_t* sym, std::int32_t cond,
     std::uint64_t old = 0;
     count_protocol(Protocol::kAtomicHw, 8);
     await_reliable(proc(), [&] {
-      return rt_->endpoint(pe_).atomic_cswap64(proc(), pe, lane.word, cur,
-                                               desired, &old);
+      return rt_->ib().atomic_cswap64(proc(), pe_, pe, lane.word, cur,
+                                      desired, &old);
     });
     if (old == cur) {
       finish_op(TraceEvent::Kind::kAtomic, pe, 4, t0);

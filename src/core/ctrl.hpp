@@ -19,7 +19,6 @@ struct CtrlMsg {
     kEagerGetReq,    // baseline small get: please eager-send me this range
     kRendezvousRts,  // baseline large transfer: request to send
     kRendezvousChunk,// baseline: one pipeline chunk has landed in staging
-    kRendezvousFin,  // baseline: all chunks posted
     kRendezvousGetReq,  // baseline large get: please rendezvous-send me this
     kProxyGet,       // enhanced: proxy, reverse-pipeline this device range
     kProxyPutReq,    // enhanced: proxy, I will stream into your staging

@@ -87,10 +87,20 @@ Ctx::OpHists& Ctx::op_hists(TraceEvent::Kind kind, Protocol proto) {
   return slot;
 }
 
-void Ctx::count_protocol(Protocol proto, std::size_t bytes) {
-  rt_->stats().count(proto, bytes);
+sim::Time Ctx::begin_op(TraceEvent::Kind kind) {
+  op_kind_ = kind;
+  Counter*& ops = op_counts_[static_cast<std::size_t>(kind)];
+  if (ops == nullptr) {
+    ops = &rt_->metrics().counter(std::string("ops/") + to_string(kind));
+  }
+  ops->add();
+  return now();
+}
+
+void Ctx::count_protocol(TraceEvent::Kind kind, Protocol proto,
+                         std::size_t bytes) {
   last_protocol_ = proto;
-  op_hists(op_kind_, proto).bytes->record(bytes);
+  op_hists(kind, proto).bytes->record(bytes);
 }
 
 void Ctx::finish_op(TraceEvent::Kind kind, int target_pe, std::size_t bytes,
@@ -128,9 +138,7 @@ RmaOp Ctx::make_op(void* remote_sym, void* local, std::size_t n, int pe,
 
 void Ctx::putmem(void* dst_sym, const void* src, std::size_t n, int pe) {
   if (n == 0) return;
-  rt_->stats().puts++;
-  op_kind_ = TraceEvent::Kind::kPut;
-  sim::Time t0 = now();
+  sim::Time t0 = begin_op(TraceEvent::Kind::kPut);
   proc().delay(Duration::us(rt_->cluster().params().shmem_sw_overhead_us));
   RmaOp op = make_op(dst_sym, const_cast<void*>(src), n, pe, /*blocking=*/true);
   rt_->transport().put(*this, op);
@@ -139,8 +147,7 @@ void Ctx::putmem(void* dst_sym, const void* src, std::size_t n, int pe) {
 
 void Ctx::putmem_nbi(void* dst_sym, const void* src, std::size_t n, int pe) {
   if (n == 0) return;
-  rt_->stats().puts++;
-  op_kind_ = TraceEvent::Kind::kPut;
+  begin_op(TraceEvent::Kind::kPut);
   proc().delay(Duration::us(rt_->cluster().params().shmem_sw_overhead_us));
   RmaOp op = make_op(dst_sym, const_cast<void*>(src), n, pe, /*blocking=*/false);
   rt_->transport().put(*this, op);
@@ -148,9 +155,7 @@ void Ctx::putmem_nbi(void* dst_sym, const void* src, std::size_t n, int pe) {
 
 void Ctx::getmem(void* dst, const void* src_sym, std::size_t n, int pe) {
   if (n == 0) return;
-  rt_->stats().gets++;
-  op_kind_ = TraceEvent::Kind::kGet;
-  sim::Time t0 = now();
+  sim::Time t0 = begin_op(TraceEvent::Kind::kGet);
   proc().delay(Duration::us(rt_->cluster().params().shmem_sw_overhead_us));
   RmaOp op = make_op(const_cast<void*>(src_sym), dst, n, pe, /*blocking=*/true);
   rt_->transport().get(*this, op);
@@ -159,8 +164,7 @@ void Ctx::getmem(void* dst, const void* src_sym, std::size_t n, int pe) {
 
 void Ctx::getmem_nbi(void* dst, const void* src_sym, std::size_t n, int pe) {
   if (n == 0) return;
-  rt_->stats().gets++;
-  op_kind_ = TraceEvent::Kind::kGet;
+  begin_op(TraceEvent::Kind::kGet);
   proc().delay(Duration::us(rt_->cluster().params().shmem_sw_overhead_us));
   RmaOp op = make_op(const_cast<void*>(src_sym), dst, n, pe, /*blocking=*/false);
   rt_->transport().get(*this, op);
@@ -177,7 +181,6 @@ void Ctx::quiet() {
     std::erase_if(pending_, [](const PendingOp& p) { return p.comp->ok(); });
     return pending_.empty();
   });
-  snapshots_.clear();
 }
 
 sim::Duration Ctx::replay_backoff(int replays) const {
@@ -328,7 +331,7 @@ void Ctx::compute(sim::Duration d) {
 
 void Ctx::barrier_all() {
   quiet();
-  rt_->stats().barriers++;
+  rt_->metrics().counter("ops/barrier").add();
   coll::sync(*this, world_team_);
 }
 

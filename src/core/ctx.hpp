@@ -326,11 +326,16 @@ class Ctx {
   }
   void progress();
   void notify_progress() { progress_note_.notify(); }
-  /// Account an operation under `proto`: runtime-wide stats, the per-kind x
-  /// per-protocol message-size histogram in the metrics registry, and a
-  /// per-PE note for the tracer. The registry's histogram totals therefore
-  /// match the protocol table by construction.
-  void count_protocol(Protocol proto, std::size_t bytes);
+  /// Account one protocol execution in the op_bytes/<kind>/<protocol>
+  /// histogram, under the kind of the op this PE is issuing, and note the
+  /// protocol for the tracer. Runtime::stats() derives the protocol table
+  /// from these histograms.
+  void count_protocol(Protocol proto, std::size_t bytes) {
+    count_protocol(op_kind_, proto, bytes);
+  }
+  /// The same under an explicit kind, for work another process (the proxy
+  /// serving a device command) does on this PE's behalf.
+  void count_protocol(TraceEvent::Kind kind, Protocol proto, std::size_t bytes);
   Protocol last_protocol() const { return last_protocol_; }
   sim::Mailbox<CtrlMsg>& rx() { return rx_; }
   void track(sim::CompletionPtr c) {
@@ -374,10 +379,6 @@ class Ctx {
                       sim::Time deadline);
   /// Backoff before software replay number `replays` (1-based).
   sim::Duration replay_backoff(int replays) const;
-  /// Keep a snapshot buffer alive until pending ops drain (inline puts).
-  void keep_alive(std::shared_ptr<std::vector<std::byte>> buf) {
-    snapshots_.push_back(std::move(buf));
-  }
   /// Host bounce buffer (registered at init) for staging pipelines.
   std::byte* bounce(std::size_t min_bytes);
   /// Acquire a pre-registered inline-send slot (second member is the slot's
@@ -403,8 +404,8 @@ class Ctx {
  private:
   friend class Runtime;
   /// The device-initiated surface mirrors this Ctx's accounting brackets
-  /// (op_kind_, make_op, finish_op) so host- and device-issued operations
-  /// land in the same stats, histograms, and traces.
+  /// (begin_op, make_op, finish_op) so host- and device-issued operations
+  /// land in the same counters, histograms, and traces.
   friend class DeviceCtx;
 
   /// One tracked non-blocking operation. `repost` is null for ops whose
@@ -428,7 +429,6 @@ class Ctx {
   sim::Process* proc_ = nullptr;  // bound by Runtime::run
 
   std::vector<PendingOp> pending_;
-  std::vector<std::shared_ptr<std::vector<std::byte>>> snapshots_;
   sim::Mailbox<CtrlMsg> rx_;
   sim::Notification progress_note_;
 
@@ -444,17 +444,21 @@ class Ctx {
   std::map<int, sim::CompletionPtr> eager_outstanding_;
   std::map<int, std::vector<std::byte>> eager_src_slots_;
 
+  /// Open a user-level put, get or atomic: key this PE's following
+  /// count_protocol calls by `kind`, bump the ops/<kind> counter, and return
+  /// the start instant for finish_op.
+  sim::Time begin_op(TraceEvent::Kind kind);
   /// Record the just-finished blocking op's latency in the metrics registry
   /// (keyed kind x protocol) and, when enabled, the tracer.
   void finish_op(TraceEvent::Kind kind, int target_pe, std::size_t bytes,
                  sim::Time t0);
 
   Protocol last_protocol_ = Protocol::kCount_;
-  /// Kind of the operation currently being issued by this PE; consumed by
-  /// count_protocol for histogram keying. All count_protocol calls happen on
-  /// the initiator's Ctx inside the put/get/atomic entry points, so this is
-  /// always current.
+  /// Kind of the operation this PE is issuing (set by begin_op); keys the
+  /// count_protocol calls made inside the op's entry point.
   TraceEvent::Kind op_kind_ = TraceEvent::Kind::kPut;
+  /// ops/<kind> counters, indexed by put/get/atomic.
+  std::array<Counter*, 3> op_counts_{};
   /// Cache of histogram slots so the hot path does one map lookup per
   /// (kind, protocol) pair per Ctx lifetime, not per operation.
   struct OpHists {

@@ -8,6 +8,7 @@
 namespace gdrshmem::core {
 
 using sim::Duration;
+using detail::resolve_word;
 
 namespace {
 
@@ -21,18 +22,6 @@ double wqe_divisor(DeviceScope scope, const hw::SystemParams& p) {
     case DeviceScope::kBlock: return p.wqe_block_divisor;
   }
   return 1.0;
-}
-
-/// Resolve a symmetric 64-bit word for hardware atomics (same contract as
-/// the host atomic path in atomics.cpp).
-std::uint64_t* resolve_word(Runtime& rt, int owner_pe, int target_pe,
-                            const void* sym) {
-  Domain dom;
-  void* remote = rt.translate(sym, owner_pe, target_pe, sizeof(std::uint64_t), &dom);
-  if (reinterpret_cast<std::uintptr_t>(remote) % 8 != 0) {
-    throw ShmemError("atomic target must be 8-byte aligned");
-  }
-  return static_cast<std::uint64_t*>(remote);
 }
 
 }  // namespace
@@ -213,10 +202,9 @@ class GpuIbBackend final : public DeviceBackend {
     std::uint64_t old = 0;
     auto post = [this, &ctx, me, pe, word, is_cswap, a, b, &old] {
       if (is_cswap) {
-        return rt_.endpoint(me).atomic_cswap64(ctx.proc(), pe, word, a, b,
-                                               &old);
+        return rt_.ib().atomic_cswap64(ctx.proc(), me, pe, word, a, b, &old);
       }
-      return rt_.endpoint(me).atomic_fadd64(ctx.proc(), pe, word, a, &old);
+      return rt_.ib().atomic_fadd64(ctx.proc(), me, pe, word, a, &old);
     };
     // An error completion means the request was lost before the RMW
     // executed (see atomics.cpp), so re-posting is exact.
@@ -313,16 +301,9 @@ std::unique_ptr<DeviceBackend> make_device_backend(Runtime& rt,
 void DeviceCtx::rma_entry(void* remote_sym, void* local, std::size_t n, int pe,
                           bool is_get, bool blocking) {
   if (n == 0) return;
-  Runtime& rt = ctx_.runtime();
   const TraceEvent::Kind kind =
       is_get ? TraceEvent::Kind::kGet : TraceEvent::Kind::kPut;
-  if (is_get) {
-    rt.stats().gets++;
-  } else {
-    rt.stats().puts++;
-  }
-  ctx_.op_kind_ = kind;
-  sim::Time t0 = ctx_.now();
+  sim::Time t0 = ctx_.begin_op(kind);
   // No host software overhead here — the device-side issue costs (WQE +
   // doorbell, or descriptor write) are charged by the backend instead.
   RmaOp op = ctx_.make_op(remote_sym, local, n, pe, blocking);
@@ -354,10 +335,7 @@ void DeviceCtx::getmem_nbi(void* dst, const void* src_sym, std::size_t n,
 
 std::int64_t DeviceCtx::atomic_fetch_add(std::int64_t* sym, std::int64_t value,
                                          int pe) {
-  Runtime& rt = ctx_.runtime();
-  rt.stats().atomics++;
-  ctx_.op_kind_ = TraceEvent::Kind::kAtomic;
-  sim::Time t0 = ctx_.now();
+  sim::Time t0 = ctx_.begin_op(TraceEvent::Kind::kAtomic);
   std::int64_t old = backend_.amo_fetch_add(*this, sym, value, pe);
   ctx_.finish_op(TraceEvent::Kind::kAtomic, pe, 8, t0);
   return old;
@@ -366,10 +344,7 @@ std::int64_t DeviceCtx::atomic_fetch_add(std::int64_t* sym, std::int64_t value,
 std::int64_t DeviceCtx::atomic_compare_swap(std::int64_t* sym,
                                             std::int64_t cond,
                                             std::int64_t value, int pe) {
-  Runtime& rt = ctx_.runtime();
-  rt.stats().atomics++;
-  ctx_.op_kind_ = TraceEvent::Kind::kAtomic;
-  sim::Time t0 = ctx_.now();
+  sim::Time t0 = ctx_.begin_op(TraceEvent::Kind::kAtomic);
   std::int64_t old = backend_.amo_compare_swap(*this, sym, cond, value, pe);
   ctx_.finish_op(TraceEvent::Kind::kAtomic, pe, 8, t0);
   return old;

@@ -49,6 +49,12 @@ struct DeviceCmd {
   /// command the requester has already reissued.
   std::shared_ptr<sim::Completion> done = std::make_shared<sim::Completion>();
   int requester = -1;
+
+  /// The op kind the command is accounted under.
+  TraceEvent::Kind kind() const {
+    if (op == Op::kPut) return TraceEvent::Kind::kPut;
+    return op == Op::kGet ? TraceEvent::Kind::kGet : TraceEvent::Kind::kAtomic;
+  }
 };
 
 /// Engine behind DeviceCtx operations. One instance per Runtime, selected by

@@ -181,15 +181,11 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
   // attempt is reissued from scratch.
   detail::reissue_until_done(ctx, "proxy put", [&] {
     auto st = std::make_shared<ProxyPutState>();
-    st->requester = me;
-    CtrlMsg req;
-    req.kind = CtrlMsg::Kind::kProxyPutReq;
-    req.from = me;
-    req.remote = op.remote;
-    req.bytes = op.bytes;
-    req.state = st;
-    rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 32,
-                       [&proxy, req] { proxy.mailbox().post(req); });
+    proxy.post_request(ctx, 32,
+                       {.kind = CtrlMsg::Kind::kProxyPutReq,
+                        .remote = op.remote,
+                        .bytes = op.bytes,
+                        .state = st});
     if (!ctx.wait_for_deadline([&] { return st->cts.done(); },
                                rt_.deadline_after(timeout))) {
       return false;
@@ -212,15 +208,12 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
         return rt_.ib().rdma_write(ctx.proc(), me, src, proxy.endpoint(),
                                    staging, w);
       });
-      CtrlMsg fin;
-      fin.kind = CtrlMsg::Kind::kProxyPutFin;
-      fin.from = me;
-      fin.remote = op.remote;
-      fin.bytes = w;
-      fin.offset = off;
-      fin.state = st;
-      rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 0,
-                         [&proxy, fin] { proxy.mailbox().post(fin); });
+      proxy.post_request(ctx, 0,
+                         {.kind = CtrlMsg::Kind::kProxyPutFin,
+                          .remote = op.remote,
+                          .bytes = w,
+                          .offset = off,
+                          .state = st});
     }
     return ctx.finish_attempt(st->done, op.blocking,
                               rt_.deadline_after(timeout));
@@ -237,19 +230,15 @@ void EnhancedGdrTransport::proxy_get(Ctx& ctx, const RmaOp& op) {
     // The proxy RDMA-writes into our buffer: it must be registered under
     // our endpoint (the registration cache softens the cost).
     rt_.verbs().reg_cache().get_or_register(ctx.proc(), me, op.local, op.bytes);
-    auto st = std::make_shared<ProxyGetState>();
-    st->requester = me;
-    CtrlMsg req;
-    req.kind = CtrlMsg::Kind::kProxyGet;
-    req.from = me;
-    req.local = op.local;    // our destination buffer
-    req.remote = op.remote;  // device range on the proxy's node
-    req.bytes = op.bytes;
-    req.state = st;
-    rt_.ib().post_send(ctx.proc(), me, proxy.endpoint(), 32,
-                       [&proxy, req] { proxy.mailbox().post(req); });
+    auto done = std::make_shared<sim::Completion>();
+    proxy.post_request(ctx, 32,
+                       {.kind = CtrlMsg::Kind::kProxyGet,
+                        .local = op.local,    // our destination buffer
+                        .remote = op.remote,  // device range on the proxy's node
+                        .bytes = op.bytes,
+                        .state = done});
     return ctx.finish_attempt(
-        st->done, op.blocking,
+        done, op.blocking,
         rt_.deadline_after(sim::Duration::us(rt_.tuning().proxy_timeout_us)));
   });
 }

@@ -31,6 +31,10 @@ struct RndvState {
 
 // ---------------------------------------------------------------------------
 // dispatch
+//
+// These two functions are the guard for everything below: inter-node H-H
+// goes to direct RDMA and mixed domains throw, so the eager and rendezvous
+// paths only ever move device buffers on both ends.
 
 void HostPipelineTransport::put(Ctx& ctx, const RmaOp& op) {
   if (op.same_node) return put_intra(ctx, op);
@@ -135,14 +139,9 @@ void HostPipelineTransport::eager_put(Ctx& ctx, const RmaOp& op) {
     return it == out.end() || it->second->done();
   });
 
-  // Source staging: D->H bounce for device sources, small copy for host
-  // sources — either way the user buffer is immediately reusable.
+  // Source staging: D->H bounce, so the user buffer is immediately reusable.
   std::byte* slot_src = ctx.eager_src_slot(dst);
-  if (op.local_is_device) {
-    rt_.cuda().memcpy_sync(ctx.proc(), slot_src, op.local, op.bytes);
-  } else {
-    detail::host_shm_copy(ctx, slot_src, op.local, op.bytes, -1);
-  }
+  rt_.cuda().memcpy_sync(ctx.proc(), slot_src, op.local, op.bytes);
 
   void* remote_slot = rt_.eager_slot(dst, me);
   auto data_post = [this, &ctx, me, slot_src, dst, remote_slot,
@@ -158,17 +157,11 @@ void HostPipelineTransport::eager_put(Ctx& ctx, const RmaOp& op) {
   ctx.issue(ctx.proc(), data_post);
 
   auto done = std::make_shared<sim::Completion>();
-  CtrlMsg msg;
-  msg.kind = CtrlMsg::Kind::kEagerData;
-  msg.from = me;
-  msg.remote = op.remote;
-  msg.bytes = op.bytes;
-  msg.state = done;
-  Runtime& rt = rt_;
-  rt_.ib().post_send(ctx.proc(), me, dst, 32, [&rt, dst, msg] {
-    rt.ctx(dst).rx().post(msg);
-    rt.ctx(dst).notify_progress();
-  });
+  detail::send_ctrl(ctx, ctx.proc(), dst, 32,
+                    {.kind = CtrlMsg::Kind::kEagerData,
+                     .remote = op.remote,
+                     .bytes = op.bytes,
+                     .state = done});
   out[dst] = done;
   ctx.track(std::move(done));
 }
@@ -176,14 +169,8 @@ void HostPipelineTransport::eager_put(Ctx& ctx, const RmaOp& op) {
 void HostPipelineTransport::on_eager_data(Ctx& ctx, CtrlMsg& msg,
                                           sim::Process& worker) {
   // Last pipeline hop, executed by the TARGET: eager slot -> final buffer.
-  void* slot = rt_.eager_slot(ctx.my_pe(), msg.from);
-  bool dst_dev =
-      rt_.cuda().attributes(msg.remote).space == cudart::MemSpace::kDevice;
-  if (dst_dev) {
-    rt_.cuda().memcpy_sync(worker, msg.remote, slot, msg.bytes);
-  } else {
-    detail::host_shm_copy_by(ctx, worker, msg.remote, slot, msg.bytes, -1);
-  }
+  rt_.cuda().memcpy_sync(worker, msg.remote,
+                         rt_.eager_slot(ctx.my_pe(), msg.from), msg.bytes);
   auto done = std::static_pointer_cast<sim::Completion>(msg.state);
   if (msg.is_reply) {
     // We are the get requester: data is local, complete in place.
@@ -192,13 +179,7 @@ void HostPipelineTransport::on_eager_data(Ctx& ctx, CtrlMsg& msg,
     return;
   }
   // ACK back to the source so its quiet() can retire the put.
-  Runtime& rt = rt_;
-  int requester = msg.from;
-  rt_.ib().post_send(worker, ctx.my_pe(), requester, 0,
-                        [done, &rt, requester] {
-                          done->fire();
-                          rt.notify_pe(requester);
-                        });
+  detail::send_done(rt_, worker, ctx.my_pe(), msg.from, std::move(done));
 }
 
 void HostPipelineTransport::on_eager_get_req(Ctx& ctx, CtrlMsg& msg,
@@ -207,13 +188,7 @@ void HostPipelineTransport::on_eager_get_req(Ctx& ctx, CtrlMsg& msg,
   const int requester = msg.from;
   const int me = ctx.my_pe();
   std::byte* slot_src = ctx.eager_src_slot(requester);
-  bool src_dev =
-      rt_.cuda().attributes(msg.remote).space == cudart::MemSpace::kDevice;
-  if (src_dev) {
-    rt_.cuda().memcpy_sync(worker, slot_src, msg.remote, msg.bytes);
-  } else {
-    detail::host_shm_copy_by(ctx, worker, slot_src, msg.remote, msg.bytes, -1);
-  }
+  rt_.cuda().memcpy_sync(worker, slot_src, msg.remote, msg.bytes);
   auto data_post = [this, &worker, me, slot_src, requester,
                     remote_slot = rt_.eager_slot(requester, me),
                     bytes = msg.bytes] {
@@ -223,18 +198,12 @@ void HostPipelineTransport::on_eager_get_req(Ctx& ctx, CtrlMsg& msg,
   // Same data-before-notification requirement as eager_put. The requester
   // awaits the reply, so the write stays out of our pending set.
   ctx.issue(worker, data_post, /*tracked=*/false);
-  CtrlMsg reply;
-  reply.kind = CtrlMsg::Kind::kEagerData;
-  reply.from = me;
-  reply.remote = msg.local;  // requester's final destination
-  reply.bytes = msg.bytes;
-  reply.is_reply = true;
-  reply.state = msg.state;
-  Runtime& rt = rt_;
-  rt_.ib().post_send(worker, me, requester, 32, [&rt, requester, reply] {
-    rt.ctx(requester).rx().post(reply);
-    rt.ctx(requester).notify_progress();
-  });
+  detail::send_ctrl(ctx, worker, requester, 32,
+                    {.kind = CtrlMsg::Kind::kEagerData,
+                     .remote = msg.local,  // requester's final destination
+                     .bytes = msg.bytes,
+                     .is_reply = true,
+                     .state = msg.state});
 }
 
 // ---------------------------------------------------------------------------
@@ -267,22 +236,16 @@ void HostPipelineTransport::rendezvous_put(Ctx& ctx, const RmaOp& op) {
   ctx.count_protocol(Protocol::kRendezvous, op.bytes);
   const int me = ctx.my_pe();
   const int dst = op.target_pe;
-  Runtime& rt = rt_;
 
   auto st = std::make_shared<RndvState>();
   st->total = op.bytes;
   st->requester = me;
 
-  CtrlMsg rts;
-  rts.kind = CtrlMsg::Kind::kRendezvousRts;
-  rts.from = me;
-  rts.remote = op.remote;
-  rts.bytes = op.bytes;
-  rts.state = st;
-  rt_.ib().post_send(ctx.proc(), me, dst, 32, [&rt, dst, rts] {
-    rt.ctx(dst).rx().post(rts);
-    rt.ctx(dst).notify_progress();
-  });
+  detail::send_ctrl(ctx, ctx.proc(), dst, 32,
+                    {.kind = CtrlMsg::Kind::kRendezvousRts,
+                     .remote = op.remote,
+                     .bytes = op.bytes,
+                     .state = st});
   ctx.wait_for([&] { return st->cts.done(); });
 
   // Inter-node rendezvous is D-D only (see put()), so every chunk stages
@@ -303,17 +266,12 @@ void HostPipelineTransport::rendezvous_put(Ctx& ctx, const RmaOp& op) {
     // (the target copies out of staging on receipt) wherever the wire's FIFO
     // can't sequence write vs. notify.
     pipe.record(s, ctx.issue(ctx.proc(), data_post), data_post);
-    CtrlMsg chunk_msg;
-    chunk_msg.kind = CtrlMsg::Kind::kRendezvousChunk;
-    chunk_msg.from = me;
-    chunk_msg.remote = op.remote;
-    chunk_msg.bytes = c;
-    chunk_msg.offset = off;
-    chunk_msg.state = st;
-    rt_.ib().post_send(ctx.proc(), me, dst, 0, [&rt, dst, chunk_msg] {
-      rt.ctx(dst).rx().post(chunk_msg);
-      rt.ctx(dst).notify_progress();
-    });
+    detail::send_ctrl(ctx, ctx.proc(), dst, 0,
+                      {.kind = CtrlMsg::Kind::kRendezvousChunk,
+                       .remote = op.remote,
+                       .bytes = c,
+                       .offset = off,
+                       .state = st});
   });
   ctx.track(st->done);
 }
@@ -321,14 +279,8 @@ void HostPipelineTransport::rendezvous_put(Ctx& ctx, const RmaOp& op) {
 void HostPipelineTransport::on_chunk(Ctx& ctx, CtrlMsg& msg,
                                      sim::Process& worker) {
   auto st = std::static_pointer_cast<RndvState>(msg.state);
-  auto* dst = static_cast<std::byte*>(msg.remote) + msg.offset;
-  bool dst_dev = rt_.cuda().attributes(dst).space == cudart::MemSpace::kDevice;
-  if (dst_dev) {
-    rt_.cuda().memcpy_sync(worker, dst, st->staging + msg.offset, msg.bytes);
-  } else {
-    detail::host_shm_copy_by(ctx, worker, dst, st->staging + msg.offset,
-                             msg.bytes, -1);
-  }
+  rt_.cuda().memcpy_sync(worker, static_cast<std::byte*>(msg.remote) + msg.offset,
+                         st->staging + msg.offset, msg.bytes);
   st->copied += msg.bytes;
   if (st->copied < st->total) return;
 
@@ -345,14 +297,7 @@ void HostPipelineTransport::on_chunk(Ctx& ctx, CtrlMsg& msg,
     ctx.notify_progress();
     return;
   }
-  Runtime& rt = rt_;
-  auto done = st->done;
-  const int requester = st->requester;
-  rt_.ib().post_send(worker, ctx.my_pe(), requester, 0,
-                        [done, &rt, requester] {
-                          done->fire();
-                          rt.notify_pe(requester);
-                        });
+  detail::send_done(rt_, worker, ctx.my_pe(), st->requester, st->done);
 }
 
 // ---------------------------------------------------------------------------
@@ -361,22 +306,16 @@ void HostPipelineTransport::on_chunk(Ctx& ctx, CtrlMsg& msg,
 void HostPipelineTransport::remote_request_get(Ctx& ctx, const RmaOp& op) {
   const int me = ctx.my_pe();
   const int target = op.target_pe;
-  Runtime& rt = rt_;
 
   if (op.bytes <= rt_.tuning().eager_limit) {
     ctx.count_protocol(Protocol::kEager, op.bytes);
     auto done = std::make_shared<sim::Completion>();
-    CtrlMsg req;
-    req.kind = CtrlMsg::Kind::kEagerGetReq;
-    req.from = me;
-    req.local = op.local;
-    req.remote = op.remote;
-    req.bytes = op.bytes;
-    req.state = done;
-    rt_.ib().post_send(ctx.proc(), me, target, 32, [&rt, target, req] {
-      rt.ctx(target).rx().post(req);
-      rt.ctx(target).notify_progress();
-    });
+    detail::send_ctrl(ctx, ctx.proc(), target, 32,
+                      {.kind = CtrlMsg::Kind::kEagerGetReq,
+                       .local = op.local,
+                       .remote = op.remote,
+                       .bytes = op.bytes,
+                       .state = done});
     if (op.blocking) {
       ctx.wait_for([&] { return done->done(); });
     } else {
@@ -394,17 +333,12 @@ void HostPipelineTransport::remote_request_get(Ctx& ctx, const RmaOp& op) {
   st->staging = ctx.rendezvous_staging(op.bytes);
   ctx.set_staging_busy(true);
 
-  CtrlMsg req;
-  req.kind = CtrlMsg::Kind::kRendezvousGetReq;
-  req.from = me;
-  req.local = op.local;   // final destination at the requester
-  req.remote = op.remote; // source range at the target
-  req.bytes = op.bytes;
-  req.state = st;
-  rt_.ib().post_send(ctx.proc(), me, target, 32, [&rt, target, req] {
-    rt.ctx(target).rx().post(req);
-    rt.ctx(target).notify_progress();
-  });
+  detail::send_ctrl(ctx, ctx.proc(), target, 32,
+                    {.kind = CtrlMsg::Kind::kRendezvousGetReq,
+                     .local = op.local,    // final destination at the requester
+                     .remote = op.remote,  // source range at the target
+                     .bytes = op.bytes,
+                     .state = st});
   if (op.blocking) {
     ctx.wait_for([&] { return st->done->done(); });
   } else {
@@ -419,7 +353,6 @@ void HostPipelineTransport::on_get_req(Ctx& ctx, CtrlMsg& msg,
   auto st = std::static_pointer_cast<RndvState>(msg.state);
   const int me = ctx.my_pe();
   const int requester = msg.from;
-  Runtime& rt = rt_;
   // The source is GPU-resident (inter-node gets are D-D only, see get()),
   // so every chunk stages D->H through our bounce slots.
   const std::size_t chunk = rt_.tuning().pipeline_chunk;
@@ -435,19 +368,13 @@ void HostPipelineTransport::on_get_req(Ctx& ctx, CtrlMsg& msg,
       return rt_.ib().rdma_write(worker, me, slot, requester, staging, c);
     };
     pipe.record(s, ctx.issue(worker, data_post), data_post);
-
-    CtrlMsg chunk_msg;
-    chunk_msg.kind = CtrlMsg::Kind::kRendezvousChunk;
-    chunk_msg.from = me;
-    chunk_msg.remote = msg.local;  // requester's final destination
-    chunk_msg.bytes = c;
-    chunk_msg.offset = off;
-    chunk_msg.is_reply = true;
-    chunk_msg.state = st;
-    rt_.ib().post_send(worker, me, requester, 0, [&rt, requester, chunk_msg] {
-      rt.ctx(requester).rx().post(chunk_msg);
-      rt.ctx(requester).notify_progress();
-    });
+    detail::send_ctrl(ctx, worker, requester, 0,
+                      {.kind = CtrlMsg::Kind::kRendezvousChunk,
+                       .remote = msg.local,  // requester's final destination
+                       .bytes = c,
+                       .offset = off,
+                       .is_reply = true,
+                       .state = st});
   });
 }
 

@@ -20,6 +20,12 @@ ProxyDaemon::ProxyDaemon(Runtime& rt, int node, std::size_t staging_bytes)
 
 int ProxyDaemon::endpoint() const { return rt_.cluster().service_endpoint(node_); }
 
+void ProxyDaemon::post_request(Ctx& ctx, std::size_t n, CtrlMsg msg) {
+  msg.from = ctx.my_pe();
+  rt_.ib().post_send(ctx.proc(), msg.from, endpoint(), n,
+                     [this, msg] { mb_.post(msg); });
+}
+
 void ProxyDaemon::start() {
   proc_ = &rt_.engine().spawn(
       "proxy-node" + std::to_string(node_),
@@ -103,7 +109,6 @@ void ProxyDaemon::do_get(sim::Process& self, CtrlMsg& msg) {
   // GPU heap into proxy staging, RDMA-write chunks to the requester. The
   // owning PE never participates.
   ++gets_served_;
-  auto st = std::static_pointer_cast<ProxyGetState>(msg.state);
   const int requester = msg.from;
   const std::size_t chunk =
       std::min(rt_.tuning().pipeline_chunk, staging_.size() / 2);
@@ -117,11 +122,8 @@ void ProxyDaemon::do_get(sim::Process& self, CtrlMsg& msg) {
   // done must not fire before every chunk landed in the requester's buffer
   // — whatever order the wire completes them in.
   pipe.drain();
-  Runtime& rt = rt_;
-  rt_.ib().post_send(self, endpoint(), requester, 0, [st, &rt, requester] {
-    st->done->fire();
-    rt.notify_pe(requester);
-  });
+  detail::send_done(rt_, self, endpoint(), requester,
+                    std::static_pointer_cast<sim::Completion>(msg.state));
 }
 
 void ProxyDaemon::do_put(sim::Process& self, CtrlMsg& req) {
@@ -172,28 +174,26 @@ void ProxyDaemon::do_put(sim::Process& self, CtrlMsg& req) {
     ++st->windows_done;
     rt_.notify_pe(requester);
   }
-  rt_.ib().post_send(self, endpoint(), requester, 0, [st, &rt, requester] {
-    st->done->fire();
-    rt.notify_pe(requester);
-  });
+  detail::send_done(rt_, self, endpoint(), requester, st->done);
 }
 
 void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
   // Reverse offload: a local PE's kernel wrote this command descriptor into
   // our ring; execute it on the kernel's behalf. Protocol accounting runs on
-  // the requester's Ctx (its op_kind_ was set by the issuing DeviceCtx), so
-  // device-initiated ops land in the same tables as host-initiated ones.
+  // the requester's Ctx under the kind the command names — the kernel may
+  // have issued other ops since — so device-initiated ops land in the same
+  // tables as host-initiated ones.
   ++device_cmds_served_;
   auto cmd = std::static_pointer_cast<DeviceCmd>(msg.state);
   const int requester = cmd->requester;
   Ctx& rctx = rt_.ctx(requester);
-  Runtime& rt = rt_;
   const RmaOp& op = cmd->rma;
+  const TraceEvent::Kind kind = cmd->kind();
 
   switch (cmd->op) {
     case DeviceCmd::Op::kAmoFadd:
     case DeviceCmd::Op::kAmoCswap: {
-      rctx.count_protocol(Protocol::kAtomicHw, sizeof(std::uint64_t));
+      rctx.count_protocol(kind, Protocol::kAtomicHw, sizeof(std::uint64_t));
       std::uint64_t* result = cmd->amo_result.get();
       auto post = [this, &self, cmd, result] {
         if (cmd->op == DeviceCmd::Op::kAmoFadd) {
@@ -217,8 +217,8 @@ void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
         // Peer copy through our IPC mappings — one hop, no network.
         void* dst = is_get ? op.local : op.remote;
         const void* src = is_get ? op.remote : op.local;
-        rctx.count_protocol(dev_leg ? Protocol::kIpcCopy : Protocol::kHostShm,
-                            op.bytes);
+        rctx.count_protocol(
+            kind, dev_leg ? Protocol::kIpcCopy : Protocol::kHostShm, op.bytes);
         rt_.cuda().memcpy_sync(self, dst, src, op.bytes);
         rt_.notify_pe(op.target_pe);
       } else if (!rt_.selector().offload_staged(op, is_get, requester)) {
@@ -228,7 +228,8 @@ void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
         rt_.verbs().reg_cache().get_or_register(self, requester, op.local,
                                                 op.bytes);
         rctx.count_protocol(
-            dev_leg ? Protocol::kDirectGdr : Protocol::kDirectRdma, op.bytes);
+            kind, dev_leg ? Protocol::kDirectGdr : Protocol::kDirectRdma,
+            op.bytes);
         auto post = [this, &self, requester, &op, is_get] {
           if (is_get) {
             return rt_.ib().rdma_read(self, requester, op.local,
@@ -249,10 +250,7 @@ void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
   // Completion notification: the CQ entry (or ring status word) the kernel
   // polls. Fires even for commands the requester already reissued — the
   // stale `done` is simply never looked at again.
-  rt_.ib().post_send(self, endpoint(), requester, 0, [cmd, &rt, requester] {
-    cmd->done->fire();
-    rt.notify_pe(requester);
-  });
+  detail::send_done(rt_, self, endpoint(), requester, cmd->done);
 }
 
 void ProxyDaemon::staged_device_put(sim::Process& self, Ctx& rctx,
@@ -263,7 +261,7 @@ void ProxyDaemon::staged_device_put(sim::Process& self, Ctx& rctx,
   // the target heap (a GDR leg when the target is GPU-resident).
   const std::size_t chunk =
       std::min(rt_.tuning().pipeline_chunk, staging_.size() / 2);
-  rctx.count_protocol(Protocol::kProxyPut, op.bytes);
+  rctx.count_protocol(TraceEvent::Kind::kPut, Protocol::kProxyPut, op.bytes);
   rt_.metrics()
       .gauge("proxy/staging_used_bytes")
       .set(std::min(2 * chunk, op.bytes));
@@ -282,7 +280,7 @@ void ProxyDaemon::staged_device_get(sim::Process& self, Ctx& rctx,
   const int requester = rctx.my_pe();
   const std::size_t chunk =
       std::min(rt_.tuning().pipeline_chunk, staging_.size());
-  rctx.count_protocol(Protocol::kProxyGet, op.bytes);
+  rctx.count_protocol(TraceEvent::Kind::kGet, Protocol::kProxyGet, op.bytes);
   rt_.metrics()
       .gauge("proxy/staging_used_bytes")
       .set(std::min(chunk, op.bytes));

@@ -8,6 +8,7 @@
 // serves requests FIFO:
 //   * kProxyGet: reverse pipeline — IPC cudaMemcpy D->H from the local PE's
 //     GPU heap into proxy staging, then RDMA-write chunks to the requester.
+//     The message's state is the completion fired once every chunk landed.
 //   * kProxyPutReq/kProxyPutFin: the requester streams windows into proxy
 //     staging over RDMA; the proxy performs the final H->D IPC copy.
 #pragma once
@@ -38,13 +39,6 @@ struct ProxyPutState {
   std::uint64_t windows_done = 0;  // windows the proxy has drained to the GPU
   std::shared_ptr<sim::Completion> done =
       std::make_shared<sim::Completion>();  // all bytes at final destination
-  int requester = -1;
-};
-
-/// Shared state of one proxy-get transfer.
-struct ProxyGetState {
-  std::shared_ptr<sim::Completion> done = std::make_shared<sim::Completion>();
-  int requester = -1;
 };
 
 class ProxyDaemon {
@@ -62,6 +56,9 @@ class ProxyDaemon {
   int node() const { return node_; }
   int endpoint() const;
   sim::Mailbox<CtrlMsg>& mailbox() { return mb_; }
+  /// Send request `msg` from `ctx`'s PE into this daemon's mailbox (an
+  /// `n`-byte IB send to the service endpoint).
+  void post_request(Ctx& ctx, std::size_t n, CtrlMsg msg);
   std::size_t staging_bytes() const { return staging_.size(); }
 
   // Diagnostics.

@@ -1,6 +1,7 @@
 #include "core/runtime.hpp"
 
 #include <cstring>
+#include <string_view>
 
 #include "core/ctx.hpp"
 #include "core/device_api.hpp"
@@ -32,10 +33,9 @@ Runtime::Runtime(const hw::ClusterConfig& cluster_cfg, const RuntimeOptions& opt
   ib_ = ib::make_transport(verbs_, ib_cfg);
 
   verbs_.set_fault_injector(&injector_);
-  // Mirror fault/recovery events into the metrics registry and — when
-  // enabled — the operation tracer.
+  // Mirror fault/recovery events into the operation tracer when it is
+  // enabled. The injector keeps the counts; snapshot_metrics copies them.
   injector_.set_hook([this](sim::FaultEvent ev, int endpoint) {
-    metrics_.counter(std::string("faults/") + sim::to_string(ev)).add();
     if (!tracer_.enabled()) return;
     TraceEvent::Kind kind;
     switch (ev) {
@@ -281,6 +281,39 @@ void Runtime::snapshot_metrics() {
   metrics_.gauge("engine/retained_bytes").set(engine_.retained_bytes());
   metrics_.counter("trace/recorded").set(tracer_.size());
   metrics_.counter("trace/dropped").set(tracer_.dropped());
+  if (faults_enabled()) {
+    for (std::size_t i = 0;
+         i < static_cast<std::size_t>(sim::FaultEvent::kCount_); ++i) {
+      auto ev = static_cast<sim::FaultEvent>(i);
+      metrics_.counter(std::string("faults/") + sim::to_string(ev))
+          .set(injector_.count(ev));
+    }
+  }
+}
+
+OpStats Runtime::stats() const {
+  OpStats st;
+  const std::string prefix = "op_bytes/";
+  const auto& hists = metrics_.histograms();
+  for (auto it = hists.lower_bound(prefix);
+       it != hists.end() && it->first.starts_with(prefix); ++it) {
+    std::string_view proto =
+        std::string_view(it->first).substr(it->first.rfind('/') + 1);
+    for (std::size_t p = 0; p < st.ops_by_protocol.size(); ++p) {
+      if (proto != to_string(static_cast<Protocol>(p))) continue;
+      st.ops_by_protocol[p] += it->second.count();
+      st.bytes_by_protocol[p] += it->second.sum();
+    }
+  }
+  auto counter = [this](const char* name) -> std::uint64_t {
+    auto it = metrics_.counters().find(name);
+    return it == metrics_.counters().end() ? 0 : it->second.value();
+  };
+  st.puts = counter("ops/put");
+  st.gets = counter("ops/get");
+  st.atomics = counter("ops/atomic");
+  st.barriers = counter("ops/barrier");
+  return st;
 }
 
 void Runtime::check_symmetric_alloc(std::uint64_t seq, std::size_t bytes, Domain d) {

@@ -103,7 +103,11 @@ struct RuntimeOptions {
   static RuntimeOptions from_env();
 };
 
-/// Operation accounting, mostly consumed by tests and the benchmark tables.
+/// Operation totals, a read-only view of the metrics registry (see
+/// Runtime::stats). `puts`/`gets`/`atomics` count API calls, the
+/// collectives' own puts included; the protocol table counts protocol
+/// executions, so a 32-bit atomic that races is one of `atomics` but two
+/// kAtomicHw ops per attempt.
 struct OpStats {
   std::array<std::uint64_t, static_cast<std::size_t>(Protocol::kCount_)>
       ops_by_protocol{};
@@ -114,13 +118,6 @@ struct OpStats {
   std::uint64_t atomics = 0;
   std::uint64_t barriers = 0;
 
-  Protocol last_protocol = Protocol::kCount_;
-
-  void count(Protocol p, std::size_t bytes) {
-    ops_by_protocol[static_cast<std::size_t>(p)] += 1;
-    bytes_by_protocol[static_cast<std::size_t>(p)] += bytes;
-    last_protocol = p;
-  }
   std::uint64_t ops(Protocol p) const {
     return ops_by_protocol[static_cast<std::size_t>(p)];
   }
@@ -143,22 +140,24 @@ class Runtime {
   hw::Cluster& cluster() { return cluster_; }
   cudart::CudaRuntime& cuda() { return cuda_; }
   /// The low-level verbs engine (registration cache, op diagnostics).
-  /// Protocol code posts operations through ib() / endpoint(), not here.
+  /// Protocol code posts operations through ib(), not here.
   ib::Verbs& verbs() { return verbs_; }
-  /// The selected queue-pair transport (rc | ud | dc) behind the endpoint
-  /// API; every RDMA/send/atomic the runtime issues routes through it.
+  /// The selected queue-pair transport (rc | ud | dc | srd); every
+  /// RDMA/send/atomic the runtime issues routes through it.
   ib::Transport& ib() { return *ib_; }
-  /// Per-endpoint handle binding the source id (PEs and service endpoints).
-  ib::Endpoint& endpoint(int id) { return ib_->endpoint(id); }
   const RuntimeOptions& options() const { return opts_; }
   const Tuning& tuning() const { return opts_.tuning; }
   Transport& transport() { return *transport_; }
-  OpStats& stats() { return stats_; }
+  /// Operation totals computed from the registry: the protocol table from
+  /// the op_bytes/<kind>/<protocol> histograms, the op counts from the
+  /// ops/<kind> counters.
+  OpStats stats() const;
   Tracer& tracer() { return tracer_; }
   Metrics& metrics() { return metrics_; }
-  /// Mirror pull-style diagnostics (registration cache, verbs, proxies,
-  /// heaps, tracer drops) into the metrics registry. Called by the report
-  /// formatters; cheap and idempotent.
+  /// Mirror the counters components keep themselves (registration cache,
+  /// verbs, transport, proxies, heaps, tracer, fault injector) into the
+  /// metrics registry — the only code that copies a count in. Called by the
+  /// report formatters; cheap and idempotent.
   void snapshot_metrics();
   int num_pes() const { return cluster_.num_pes(); }
   Ctx& ctx(int pe) { return *ctxs_.at(static_cast<std::size_t>(pe)); }
@@ -242,7 +241,6 @@ class Runtime {
   ib::Verbs verbs_;
   std::unique_ptr<ib::Transport> ib_;
   sim::FaultInjector injector_;
-  OpStats stats_;
   Tracer tracer_;
   Metrics metrics_;
 

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "core/ctx.hpp"
@@ -12,19 +13,49 @@ namespace gdrshmem::core::detail {
 
 /// Process-to-process copy through host shared memory on the caller's node,
 /// charged to the caller.
-inline void host_shm_copy_by(Ctx& ctx, sim::Process& worker, void* dst,
-                             const void* src, std::size_t n, int wake_pe) {
+inline void host_shm_copy(Ctx& ctx, void* dst, const void* src, std::size_t n,
+                          int wake_pe) {
   Runtime& rt = ctx.runtime();
   sim::Path p = rt.cluster().host_copy(rt.cluster().placement(ctx.my_pe()).node);
   sim::Time done = p.schedule(rt.engine().now(), n);
-  worker.delay(done - rt.engine().now());
+  ctx.proc().delay(done - rt.engine().now());
   std::memcpy(dst, src, n);
   if (wake_pe >= 0) rt.notify_pe(wake_pe);
 }
 
-inline void host_shm_copy(Ctx& ctx, void* dst, const void* src, std::size_t n,
-                          int wake_pe) {
-  host_shm_copy_by(ctx, ctx.proc(), dst, src, n, wake_pe);
+/// Resolve a symmetric 64-bit word for hardware atomics.
+inline std::uint64_t* resolve_word(Runtime& rt, int owner_pe, int target_pe,
+                                   const void* sym) {
+  Domain dom;
+  void* remote =
+      rt.translate(sym, owner_pe, target_pe, sizeof(std::uint64_t), &dom);
+  if (reinterpret_cast<std::uintptr_t>(remote) % 8 != 0) {
+    throw ShmemError("atomic target must be 8-byte aligned");
+  }
+  return static_cast<std::uint64_t*>(remote);
+}
+
+/// Send `msg` from `ctx`'s PE to PE `to` as an `n`-byte IB send posted by
+/// `worker`. On delivery it lands in the target's rx() mailbox and wakes the
+/// target's progress engine, which does the work the message asks for.
+inline void send_ctrl(Ctx& ctx, sim::Process& worker, int to, std::size_t n,
+                      CtrlMsg msg) {
+  Runtime& rt = ctx.runtime();
+  msg.from = ctx.my_pe();
+  rt.ib().post_send(worker, msg.from, to, n, [&rt, to, msg] {
+    rt.ctx(to).rx().post(msg);
+    rt.ctx(to).notify_progress();
+  });
+}
+
+/// Fire `done` at requester PE `to` through a zero-byte send from endpoint
+/// `from` posted by `worker` — the ACK or CQ entry the requester waits on.
+inline void send_done(Runtime& rt, sim::Process& worker, int from, int to,
+                      std::shared_ptr<sim::Completion> done) {
+  rt.ib().post_send(worker, from, to, 0, [&rt, to, done = std::move(done)] {
+    done->fire();
+    rt.notify_pe(to);
+  });
 }
 
 /// Post an RDMA op that reads or writes the user buffer in place: a
@@ -55,16 +86,15 @@ inline void rdma_put(Ctx& ctx, const RmaOp& op, Protocol proto) {
       op.bytes <= rt.tuning().inline_put_limit) {
     auto [slot, comp_entry] = ctx.inline_slot();
     std::memcpy(slot, op.local, op.bytes);
-    auto comp = rt.endpoint(ctx.my_pe())
-                    .rdma_write(ctx.proc(), slot, op.target_pe, op.remote,
-                                op.bytes);
+    auto comp = rt.ib().rdma_write(ctx.proc(), ctx.my_pe(), slot,
+                                   op.target_pe, op.remote, op.bytes);
     *comp_entry = comp;
     ctx.track(std::move(comp));
     return;
   }
   post_rma(ctx, op.blocking, [&ctx, &rt, op] {
-    return rt.endpoint(ctx.my_pe())
-        .rdma_write(ctx.proc(), op.local, op.target_pe, op.remote, op.bytes);
+    return rt.ib().rdma_write(ctx.proc(), ctx.my_pe(), op.local, op.target_pe,
+                              op.remote, op.bytes);
   });
 }
 
@@ -74,8 +104,8 @@ inline void rdma_get(Ctx& ctx, const RmaOp& op, Protocol proto) {
   Runtime& rt = ctx.runtime();
   ctx.count_protocol(proto, op.bytes);
   post_rma(ctx, op.blocking, [&ctx, &rt, op] {
-    return rt.endpoint(ctx.my_pe())
-        .rdma_read(ctx.proc(), op.local, op.target_pe, op.remote, op.bytes);
+    return rt.ib().rdma_read(ctx.proc(), ctx.my_pe(), op.local, op.target_pe,
+                             op.remote, op.bytes);
   });
 }
 

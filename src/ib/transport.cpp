@@ -36,19 +36,12 @@ int rails_from_env() {
 }
 
 // ---------------------------------------------------------------------------
-// Transport base: endpoint registry + 2-rail striping shared by RC and DC.
+// Transport base: 2-rail striping shared by RC and DC.
 
 Transport::Transport(Verbs& verbs, const TransportConfig& cfg)
     : verbs_(verbs), cfg_(cfg) {}
 
 Transport::~Transport() = default;
-
-Endpoint& Transport::endpoint(int id) {
-  auto idx = static_cast<std::size_t>(id);
-  if (idx >= endpoints_.size()) endpoints_.resize(idx + 1);
-  if (!endpoints_[idx]) endpoints_[idx] = std::make_unique<Endpoint>(*this, id);
-  return *endpoints_[idx];
-}
 
 bool Transport::stripe_eligible(std::size_t n) const {
   return cfg_.rails >= 2 && n >= params().rail_stripe_min_bytes &&

@@ -2,7 +2,8 @@
 // ib::Transport per job models the queue-pair discipline every endpoint
 // uses — RC (connected mesh), UD (datagram), or DC (dynamically connected)
 // — plus shared receive queues and optional 2-rail striping across the node
-// model's two HCAs. ib::Endpoint is the per-PE handle call sites hold.
+// model's two HCAs. Every op names its source endpoint id (a PE or a node's
+// service endpoint) explicitly.
 //
 // All three transports produce identical application results per seed: data
 // lands bytewise the same, only the modeled cost differs. The default
@@ -73,8 +74,6 @@ struct QpFootprint {
   std::uint64_t total_bytes() const { return context_bytes + recv_bytes; }
 };
 
-class Endpoint;
-
 /// The op surface mirrors Verbs (same signatures, same completion
 /// semantics) so the protocol layers above — Ctx, the core transports, the
 /// proxy, both device backends — swap in transparently; the fault
@@ -93,10 +92,6 @@ class Transport {
   Verbs& verbs() { return verbs_; }
   RegistrationCache& reg_cache() { return verbs_.reg_cache(); }
   std::uint64_t ops_posted() const { return verbs_.ops_posted(); }
-
-  /// The per-endpoint handle for `id` (PE or service endpoint), created on
-  /// first use.
-  Endpoint& endpoint(int id);
 
   /// Memory model: what one endpoint pins when `num_endpoints` communicate
   /// all-to-all. Pure arithmetic — usable at any scale without simulating.
@@ -160,45 +155,6 @@ class Transport {
   std::uint64_t striped_ops_ = 0;
   std::uint64_t srd_segments_ = 0;
   std::uint64_t srd_ooo_deliveries_ = 0;
-
- private:
-  std::vector<std::unique_ptr<Endpoint>> endpoints_;
-};
-
-/// Per-PE facade binding the source endpoint id — the handle protocol code
-/// holds so op call sites never thread their own id around.
-class Endpoint {
- public:
-  Endpoint(Transport& transport, int id) : t_(transport), id_(id) {}
-  int id() const { return id_; }
-  Transport& transport() { return t_; }
-
-  sim::CompletionPtr rdma_write(sim::Process& proc, const void* lbuf,
-                                int dst_pe, void* rbuf, std::size_t n) {
-    return t_.rdma_write(proc, id_, lbuf, dst_pe, rbuf, n);
-  }
-  sim::CompletionPtr rdma_read(sim::Process& proc, void* lbuf, int dst_pe,
-                               const void* rbuf, std::size_t n) {
-    return t_.rdma_read(proc, id_, lbuf, dst_pe, rbuf, n);
-  }
-  sim::CompletionPtr post_send(sim::Process& proc, int dst_pe, std::size_t n,
-                               std::function<void()> deliver) {
-    return t_.post_send(proc, id_, dst_pe, n, std::move(deliver));
-  }
-  sim::CompletionPtr atomic_fadd64(sim::Process& proc, int dst_pe,
-                                   std::uint64_t* raddr, std::uint64_t add,
-                                   std::uint64_t* result) {
-    return t_.atomic_fadd64(proc, id_, dst_pe, raddr, add, result);
-  }
-  sim::CompletionPtr atomic_cswap64(sim::Process& proc, int dst_pe,
-                                    std::uint64_t* raddr, std::uint64_t compare,
-                                    std::uint64_t swap, std::uint64_t* result) {
-    return t_.atomic_cswap64(proc, id_, dst_pe, raddr, compare, swap, result);
-  }
-
- private:
-  Transport& t_;
-  int id_;
 };
 
 /// Build the transport selected by `cfg` over the shared verbs engine.

@@ -4,6 +4,7 @@
 // kernel crashes mid-flight.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -139,6 +140,54 @@ TEST(DeviceApi, NbiPutsDrainThroughBoundedRing) {
     }
     ctx.barrier_all();
   });
+}
+
+/// op_bytes/<kind>/* histogram totals {ops, bytes} for put, get, atomic.
+std::array<std::array<std::uint64_t, 2>, 3> op_bytes_by_kind(core::Runtime& rt) {
+  std::array<std::array<std::uint64_t, 2>, 3> out{};
+  for (const auto& [name, h] : rt.metrics().histograms()) {
+    if (name.rfind("op_bytes/", 0) != 0) continue;
+    const std::string kind = name.substr(9, name.find('/', 9) - 9);
+    auto& slot = out[kind == "put" ? 0 : kind == "get" ? 1 : 2];
+    slot[0] += h.count();
+    slot[1] += h.sum();
+  }
+  return out;
+}
+
+TEST(DeviceApi, ProxyAccountsEachCommandUnderItsOwnKind) {
+  // The reverse-offload proxy runs commands after the kernel has moved on:
+  // here it serves the nbi puts while the kernel has already issued the get
+  // and the atomic behind them. Each command must still land in its own op
+  // kind's op_bytes histograms. PE 1 stays idle, so the deltas around the
+  // kernel are the kernel's alone.
+  RuntimeOptions opts = device_options(DeviceBackendKind::kReverseOffload);
+  const std::size_t n = 256u << 10;
+  std::array<std::array<std::uint64_t, 2>, 3> before{}, after{};
+  run_spmd(make_cluster(2, 1), opts, [&](Ctx& ctx) {
+    auto* dev = static_cast<unsigned char*>(ctx.shmalloc(4 * n, Domain::kGpu));
+    auto* word = static_cast<std::int64_t*>(
+        ctx.shmalloc(sizeof(std::int64_t), Domain::kGpu));
+    if (ctx.my_pe() != 0) return;
+    auto* local = static_cast<unsigned char*>(ctx.cuda_malloc(4 * n));
+    before = op_bytes_by_kind(ctx.runtime());
+    ctx.launch_kernel_device(1.0, core::DeviceScope::kThread,
+                             [&](DeviceCtx& d) {
+      for (std::size_t k = 0; k < 3; ++k) {
+        d.putmem_nbi(dev + k * n, local + k * n, n, 1);
+      }
+      d.getmem_nbi(local + 3 * n, dev + 3 * n, 8, 1);
+      d.atomic_add(word, 1, 1);
+      d.quiet();
+    });
+    after = op_bytes_by_kind(ctx.runtime());
+  });
+  EXPECT_EQ(after[0][0] - before[0][0], 3u);
+  EXPECT_EQ(after[0][1] - before[0][1], 3 * n);
+  EXPECT_EQ(after[1][0] - before[1][0], 1u);
+  EXPECT_EQ(after[1][1] - before[1][1], 8u);
+  EXPECT_EQ(after[2][0] - before[2][0], 1u);
+  EXPECT_EQ(after[2][1] - before[2][1], 8u);
 }
 
 // ---------------------------------------------------------------------------

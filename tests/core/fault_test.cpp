@@ -364,6 +364,17 @@ TEST(FaultInjection, ReportAndTracerSurfaceFaultCounters) {
   EXPECT_EQ(traced_retransmits,
             rt.faults().count(sim::FaultEvent::kRetransmit))
       << "every injector event must be mirrored into the tracer";
+
+  // The injector is the one store; the report's snapshot mirrors every kind,
+  // including those that never fired.
+  for (std::size_t i = 0; i < static_cast<std::size_t>(sim::FaultEvent::kCount_);
+       ++i) {
+    auto ev = static_cast<sim::FaultEvent>(i);
+    auto it = rt.metrics().counters().find(std::string("faults/") +
+                                           sim::to_string(ev));
+    ASSERT_NE(it, rt.metrics().counters().end()) << sim::to_string(ev);
+    EXPECT_EQ(it->second.value(), rt.faults().count(ev)) << sim::to_string(ev);
+  }
 }
 
 }  // namespace

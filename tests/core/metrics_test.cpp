@@ -98,7 +98,7 @@ TEST(HistogramPercentileTest, ReportJsonCarriesPercentiles) {
   EXPECT_NE(json.find("\"p50\""), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
   EXPECT_NE(json.find("\"p999\""), std::string::npos);
-  EXPECT_NE(json.find("\"pmem_used_bytes\""), std::string::npos);
+  EXPECT_NE(json.find("\"heap/pmem_used_bytes\""), std::string::npos);
 }
 
 }  // namespace

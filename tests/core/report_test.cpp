@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/device_api.hpp"
 #include "core/report.hpp"
 #include "test_util.hpp"
 
@@ -68,15 +69,22 @@ TEST(ReportJson, WellFormedWithStableFieldOrder) {
   // Top-level sections appear in their documented order.
   std::size_t last = 0;
   for (const char* key :
-       {"\"schema\":1", "\"transport\":\"enhanced-gdr\"", "\"pes\":2",
-        "\"virtual_time_us\":", "\"ops\":", "\"protocols\":[",
-        "\"reg_cache\":", "\"proxy\":", "\"heap\":", "\"trace\":",
-        "\"metrics\":", "\"counters\":", "\"gauges\":", "\"histograms\":"}) {
+       {"\"schema\":2", "\"transport\":\"enhanced-gdr\"", "\"pes\":2",
+        "\"virtual_time_us\":", "\"ib\":", "\"trace\":", "\"metrics\":",
+        "\"counters\":", "\"gauges\":", "\"histograms\":"}) {
     std::size_t pos = json.find(key, last);
     ASSERT_NE(pos, std::string::npos) << "missing or out of order: " << key;
     last = pos;
   }
+  // Schema 2 carries every count once, in the registry: no top-level
+  // section repeats a registry value.
+  for (const char* key : {"\"ops\":", "\"protocols\":", "\"reg_cache\":",
+                          "\"proxy\":", "\"heap\":", "\"recorded\":",
+                          "\"dropped\":"}) {
+    EXPECT_EQ(json.find(key), std::string::npos) << "duplicate section " << key;
+  }
   // The observability counters/gauges/histograms made it in.
+  EXPECT_NE(json.find("\"ops/put\":"), std::string::npos);
   EXPECT_NE(json.find("\"reg_cache/hits\":"), std::string::npos);
   EXPECT_NE(json.find("\"proxy/queue_depth\":"), std::string::npos);
   EXPECT_NE(json.find("\"op_bytes/get/proxy-get\":"), std::string::npos);
@@ -85,48 +93,46 @@ TEST(ReportJson, WellFormedWithStableFieldOrder) {
   EXPECT_EQ(json, format_report_json(rt));
 }
 
-TEST(ReportJson, HistogramTotalsMatchProtocolTable) {
+TEST(OpStats, UserOpsCountedApartFromProtocolExecutions) {
+  // stats() is a view of the registry: puts/gets/atomics/barriers count API
+  // calls (ops/<kind> counters), the protocol table counts protocol
+  // executions (op_bytes/<kind>/<protocol> histograms). A contended 32-bit
+  // atomic is one call but two hardware atomics per attempt, and a
+  // device-initiated put is a put like a host one.
   Runtime rt(make_cluster(2, 2), make_options(TransportKind::kEnhancedGdr));
   rt.run([&](Ctx& ctx) {
-    void* g = ctx.shmalloc(512u << 10, Domain::kGpu);
-    void* h = ctx.shmalloc(4096);
-    void* local = ctx.cuda_malloc(512u << 10);
-    std::vector<std::byte> hbuf(4096);
-    int peer = (ctx.my_pe() + 1) % ctx.n_pes();
-    ctx.putmem(g, local, 8, peer);
-    ctx.putmem(g, local, 512u << 10, peer);
-    ctx.getmem(local, g, 64u << 10, peer);
-    ctx.putmem(h, hbuf.data(), hbuf.size(), peer);
-    auto* ctr = static_cast<std::int64_t*>(ctx.shmalloc(8));
-    ctx.atomic_fetch_add(ctr, 1, peer);
-    ctx.barrier_all();
-  });
-  (void)format_report_json(rt);  // snapshots metrics as a side effect
-  // Every operation counted in the protocol table is recorded in exactly one
-  // op_bytes histogram (count_protocol is the single chokepoint for both),
-  // so per-protocol totals must agree.
-  const OpStats& st = rt.stats();
-  std::array<std::uint64_t, static_cast<std::size_t>(Protocol::kCount_)>
-      hist_ops{};
-  std::array<std::uint64_t, static_cast<std::size_t>(Protocol::kCount_)>
-      hist_bytes{};
-  for (const auto& [name, h] : rt.metrics().histograms()) {
-    if (name.rfind("op_bytes/", 0) != 0) continue;
-    std::string proto_name = name.substr(name.rfind('/') + 1);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(Protocol::kCount_);
-         ++i) {
-      if (proto_name == to_string(static_cast<Protocol>(i))) {
-        hist_ops[i] += h.count();
-        hist_bytes[i] += h.sum();
-      }
+    auto* ctr = static_cast<std::int32_t*>(ctx.shmalloc(8));
+    void* g = ctx.shmalloc(4096, Domain::kGpu);
+    void* local = ctx.cuda_malloc(4096);
+    const int peer = (ctx.my_pe() + 1) % ctx.n_pes();
+    ctx.atomic_fetch_add32(ctr, 1, 0);  // all four PEs race on PE 0's word
+    ctx.putmem(g, local, 4096, peer);
+    if (ctx.my_pe() == 0) {
+      ctx.launch_kernel_device(1.0, DeviceScope::kThread,
+                               [&](DeviceCtx& d) { d.putmem(g, local, 8, 2); });
     }
-  }
-  for (std::size_t i = 0; i < static_cast<std::size_t>(Protocol::kCount_); ++i) {
-    EXPECT_EQ(hist_ops[i], st.ops_by_protocol[i])
-        << "op count mismatch for " << to_string(static_cast<Protocol>(i));
-    EXPECT_EQ(hist_bytes[i], st.bytes_by_protocol[i])
-        << "byte count mismatch for " << to_string(static_cast<Protocol>(i));
-  }
+    ctx.barrier_all();
+    if (ctx.my_pe() == 0) {
+      EXPECT_EQ(*ctr, 4);
+    }
+  });
+  const OpStats st = rt.stats();
+  // Five user puts (four host, one device) plus the barriers' flag puts:
+  // three barriers (two shmallocs, one barrier_all) x 4 PEs x 2 rounds.
+  EXPECT_EQ(st.puts, 5u + 24u);
+  EXPECT_EQ(st.gets, 0u);
+  EXPECT_EQ(st.atomics, 4u);
+  EXPECT_EQ(st.barriers, 12u);  // three barrier entries x 4 PEs
+  // Each attempt is a fetch plus a compare-and-swap: 7 attempts for 4 ops.
+  EXPECT_EQ(st.ops(Protocol::kAtomicHw), 14u);
+  EXPECT_EQ(st.bytes_by_protocol[static_cast<std::size_t>(Protocol::kAtomicHw)],
+            14u * 8);
+  EXPECT_EQ(st.ops(Protocol::kLoopbackGdr), 2u);
+  EXPECT_EQ(st.ops(Protocol::kDirectGdr), 3u);
+  EXPECT_EQ(st.ops(Protocol::kHostShm) + st.ops(Protocol::kDirectRdma), 24u);
+  std::uint64_t total = 0;
+  for (std::uint64_t n : st.ops_by_protocol) total += n;
+  EXPECT_EQ(total, 14u + 5u + 24u);
 }
 
 }  // namespace

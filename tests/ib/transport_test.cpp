@@ -43,7 +43,7 @@ struct Fixture {
     verbs.reg_cache().register_at_init(2, dst.data(), n);
     sim::Time done;
     eng.spawn("pe0", [&](sim::Process& p) {
-      auto c = transport->endpoint(0).rdma_write(p, src.data(), 2, dst.data(), n);
+      auto c = transport->rdma_write(p, 0, src.data(), 2, dst.data(), n);
       c->wait(p);
       done = eng.now();
       EXPECT_EQ(dst.front(), std::byte{0x2a});
@@ -156,7 +156,7 @@ TEST(RcTransport, LoopbackPaysNoQpCachePenalty) {
     sim::Time done;
     f.eng.spawn("pe0", [&](sim::Process& p) {
       // PE 1 is on-node.
-      f.transport->endpoint(0).rdma_write(p, src.data(), 1, dst.data(), 4096)
+      f.transport->rdma_write(p, 0, src.data(), 1, dst.data(), 4096)
           ->wait(p);
       done = f.eng.now();
     });
@@ -201,7 +201,7 @@ TEST(UdTransport, OversizeSendThrows) {
   bool threw = false;
   ud.eng.spawn("pe0", [&](sim::Process& p) {
     try {
-      ud.transport->endpoint(0).post_send(p, 2, 8192, [] {});
+      ud.transport->post_send(p, 0, 2, 8192, [] {});
     } catch (const IbError&) {
       threw = true;
     }
@@ -216,7 +216,7 @@ TEST(UdTransport, AtomicsStillWorkViaServiceQp) {
   ud.verbs.reg_cache().register_at_init(2, &word, sizeof(word));
   std::uint64_t old = 0;
   ud.eng.spawn("pe0", [&](sim::Process& p) {
-    ud.transport->endpoint(0).atomic_fadd64(p, 2, &word, 3, &old)->wait(p);
+    ud.transport->atomic_fadd64(p, 0, 2, &word, 3, &old)->wait(p);
   });
   ud.eng.run();
   EXPECT_EQ(old, 5u);
@@ -238,14 +238,14 @@ TEST(DcTransport, ReconnectsOnlyWhenPoolThrashes) {
     dc.verbs.reg_cache().register_at_init(pe, dst.data(), dst.size());
   }
   dc.eng.spawn("pe0", [&](sim::Process& p) {
-    auto& ep = dc.transport->endpoint(0);
+    auto& ib = *dc.transport;
     // Working set of 2 targets fits the pool: 2 connects, then all hits.
     for (int i = 0; i < 4; ++i) {
-      ep.rdma_write(p, src.data(), 1 + (i % 2), dst.data(), 64)->wait(p);
+      ib.rdma_write(p, 0, src.data(), 1 + (i % 2), dst.data(), 64)->wait(p);
     }
     EXPECT_EQ(dc.transport->dc_reconnects(), 2u);
     // A third target evicts the LRU initiator; cycling all three thrashes.
-    ep.rdma_write(p, src.data(), 3, dst.data(), 64)->wait(p);
+    ib.rdma_write(p, 0, src.data(), 3, dst.data(), 64)->wait(p);
     EXPECT_EQ(dc.transport->dc_reconnects(), 3u);
   });
   dc.eng.run();
@@ -258,7 +258,7 @@ TEST(DcTransport, LoopbackNeedsNoInitiator) {
   dc.verbs.reg_cache().register_at_init(1, dst.data(), dst.size());
   dc.eng.spawn("pe0", [&](sim::Process& p) {
     // PE 1 is on-node: the op never leaves the adapter.
-    dc.transport->endpoint(0).rdma_write(p, src.data(), 1, dst.data(), 64)
+    dc.transport->rdma_write(p, 0, src.data(), 1, dst.data(), 64)
         ->wait(p);
   });
   dc.eng.run();
@@ -276,11 +276,11 @@ TEST(DcTransport, StripedOpAcquiresBothRailsDcis) {
     dc.verbs.reg_cache().register_at_init(0, src.data(), n);
     dc.verbs.reg_cache().register_at_init(2, dst.data(), n);
     dc.eng.spawn("pe0", [&](sim::Process& p) {
-      auto& ep = dc.transport->endpoint(0);
-      ep.rdma_write(p, src.data(), 2, dst.data(), n)->wait(p);
+      auto& ib = *dc.transport;
+      ib.rdma_write(p, 0, src.data(), 2, dst.data(), n)->wait(p);
       // Both rails now hold the target: a second striped op reconnects
       // nothing.
-      ep.rdma_write(p, src.data(), 2, dst.data(), n)->wait(p);
+      ib.rdma_write(p, 0, src.data(), 2, dst.data(), n)->wait(p);
     });
     dc.eng.run();
     return dc.transport->dc_reconnects();
@@ -341,7 +341,7 @@ TEST(Striping, OddSizeLandsEveryByte) {
   f.verbs.reg_cache().register_at_init(0, src.data(), n);
   f.verbs.reg_cache().register_at_init(2, dst.data(), n);
   f.eng.spawn("pe0", [&](sim::Process& p) {
-    f.transport->endpoint(0).rdma_write(p, src.data(), 2, dst.data(), n)->wait(p);
+    f.transport->rdma_write(p, 0, src.data(), 2, dst.data(), n)->wait(p);
   });
   f.eng.run();
   EXPECT_EQ(dst, src);
@@ -364,7 +364,7 @@ TEST(Striping, ReadsStripeToo) {
   f.verbs.reg_cache().register_at_init(0, local.data(), n);
   f.verbs.reg_cache().register_at_init(2, remote.data(), n);
   f.eng.spawn("pe0", [&](sim::Process& p) {
-    f.transport->endpoint(0).rdma_read(p, local.data(), 2, remote.data(), n)
+    f.transport->rdma_read(p, 0, local.data(), 2, remote.data(), n)
         ->wait(p);
   });
   f.eng.run();
@@ -497,7 +497,7 @@ TEST(SrdTransport, LandsEveryByteDespiteReordering) {
   f.verbs.reg_cache().register_at_init(0, src.data(), n);
   f.verbs.reg_cache().register_at_init(2, dst.data(), n);
   f.eng.spawn("pe0", [&](sim::Process& p) {
-    f.transport->endpoint(0).rdma_write(p, src.data(), 2, dst.data(), n)
+    f.transport->rdma_write(p, 0, src.data(), 2, dst.data(), n)
         ->wait(p);
   });
   f.eng.run();
@@ -523,7 +523,7 @@ TEST(SrdTransport, ZeroJitterDeliversInOrder) {
   f.verbs.reg_cache().register_at_init(0, src.data(), n);
   f.verbs.reg_cache().register_at_init(2, dst.data(), n);
   f.eng.spawn("pe0", [&](sim::Process& p) {
-    f.transport->endpoint(0).rdma_write(p, src.data(), 2, dst.data(), n)
+    f.transport->rdma_write(p, 0, src.data(), 2, dst.data(), n)
         ->wait(p);
   });
   f.eng.run();
@@ -544,7 +544,7 @@ TEST(SrdTransport, ReorderingIsBitIdenticalPerSeed) {
     f.verbs.reg_cache().register_at_init(2, dst.data(), n);
     sim::Time done;
     f.eng.spawn("pe0", [&](sim::Process& p) {
-      f.transport->endpoint(0).rdma_write(p, src.data(), 2, dst.data(), n)
+      f.transport->rdma_write(p, 0, src.data(), 2, dst.data(), n)
           ->wait(p);
       done = f.eng.now();
     });
@@ -583,10 +583,8 @@ TEST(SrdTransport, AtomicsAndSendsStayOrdered) {
   std::uint64_t old = 0;
   bool delivered = false;
   f.eng.spawn("pe0", [&](sim::Process& p) {
-    f.transport->endpoint(0).atomic_fadd64(p, 2, &word, 3, &old)->wait(p);
-    f.transport->endpoint(0)
-        .post_send(p, 2, 64, [&] { delivered = true; })
-        ->wait(p);
+    f.transport->atomic_fadd64(p, 0, 2, &word, 3, &old)->wait(p);
+    f.transport->post_send(p, 0, 2, 64, [&] { delivered = true; })->wait(p);
   });
   f.eng.run();
   EXPECT_EQ(old, 5u);
