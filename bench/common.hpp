@@ -7,7 +7,11 @@
 // `--out <path>`. scripts/check_perf.sh compares the deterministic
 // virtual_us points in these files against the committed baselines in
 // bench/baselines/; scripts/bench_identical.py compares two runs exactly.
+// The file also records the process's host cost so far (wall, CPU, minor
+// faults, peak RSS) under "host"; neither script reads it.
 #pragma once
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdint>
@@ -86,6 +90,10 @@ inline double wall_now() {
       .count();
 }
 
+/// Stamp taken during static initialization: the start of the "host" wall
+/// time in BENCH_<tag>.json.
+inline const double process_start = wall_now();
+
 // ---------------------------------------------------------------------------
 // JSON output.
 
@@ -132,6 +140,18 @@ inline void write_bench_json(const std::string& tag, std::string path = "") {
   w.end_array();
   w.key("metrics").begin_object();
   for (const auto& [k, v] : scalar_metrics()) w.field(k, v);
+  w.end_object();
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  w.key("host").begin_object();
+  w.field_fixed("wall_seconds", wall_now() - process_start, 6);
+  w.field_fixed("user_seconds", seconds(ru.ru_utime), 6);
+  w.field_fixed("sys_seconds", seconds(ru.ru_stime), 6);
+  w.field("minflt", static_cast<std::uint64_t>(ru.ru_minflt));
+  w.field_fixed("peak_rss_mb", static_cast<double>(ru.ru_maxrss) / 1024.0, 1);
   w.end_object();
   w.end_object();
   std::ofstream os(path);

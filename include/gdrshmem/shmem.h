@@ -90,6 +90,11 @@ int shmemx_rail_count();
 /// shmem_malloc(size): collective symmetric allocation on the host heap.
 /// The two-argument overload is this runtime's GPU extension — the paper's
 /// Domain-aware shmalloc under the modern name.
+///
+/// Contents: heap space never allocated before reads zero, but a block
+/// reclaimed by shmem_free (LIFO: the most recent live block) keeps its old
+/// bytes, and the next shmem_malloc of that space returns them unchanged.
+/// Use shmem_calloc when the block must start zeroed.
 void* shmem_malloc(std::size_t size);
 void* shmem_malloc(std::size_t size, core::Domain domain);
 /// Zero-initialized symmetric allocation (every PE's copy is zeroed).

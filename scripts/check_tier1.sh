@@ -67,6 +67,8 @@ for bench in "$repo"/build/bench/bench_*; do
     exit 1
   }
 done
+# What each bench cost the host (wall, CPU, minor faults, peak RSS).
+scripts/bench_host_cost.py "$smoke_dir"
 scripts/check_perf.sh "$smoke_dir" bench/baselines
 
 echo "tier-1 check passed"

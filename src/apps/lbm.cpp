@@ -79,15 +79,7 @@ LbmResult run_lbm(const hw::ClusterConfig& cluster,
     auto plane = [&](float* fld, std::size_t zz) { return fld + zz * P; };
 
     // ---- initialization ----------------------------------------------------
-    for (std::size_t s = 0; s < S; ++s) {
-      for (int i = 0; i < kQ; ++i) {
-        f[i][s] = 0;
-        g[i][s] = 0;
-        fn[i][s] = 0;
-        gn[i][s] = 0;
-      }
-      phi[s] = lap[s] = rho[s] = ux[s] = uy[s] = uz[s] = mu[s] = 0;
-    }
+    // Never-used heap space reads zero (core/heap.hpp), so no clearing pass.
     if (cfg.functional) {
       for (std::size_t zz = 1; zz <= lz; ++zz) {
         std::size_t gz = static_cast<std::size_t>(me) * lz + zz - 1;

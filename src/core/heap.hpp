@@ -16,6 +16,15 @@ namespace gdrshmem::core {
 /// collective), offsets — and therefore symmetric addresses — line up.
 /// shfree supports LIFO (stack) discipline; non-LIFO frees are deferred
 /// until the whole region above them is freed.
+///
+/// Contents contract (the Runtime backs every heap with sim::ZeroPages):
+///   * heap space that was never allocated before reads zero — the
+///     collectives sync pool and apps that build their own Runtime rely on
+///     this;
+///   * a block reclaimed by the LIFO rule keeps its old bytes, so the next
+///     allocation over it sees whatever the previous owner wrote;
+///   * shmem_calloc is the zeroing allocator (OpenSHMEM promises zeroes only
+///     for calloc).
 class SymmetricHeap {
  public:
   SymmetricHeap(Domain domain, std::byte* base, std::size_t size)

@@ -15,12 +15,12 @@
 
 #include <cstddef>
 #include <deque>
-#include <vector>
 
 #include "core/ctrl.hpp"
 #include "sim/engine.hpp"
 #include "sim/future.hpp"
 #include "sim/mailbox.hpp"
+#include "sim/zero_pages.hpp"
 
 namespace gdrshmem::core {
 
@@ -59,7 +59,7 @@ class ProxyDaemon {
   /// Send request `msg` from `ctx`'s PE into this daemon's mailbox (an
   /// `n`-byte IB send to the service endpoint).
   void post_request(Ctx& ctx, std::size_t n, CtrlMsg msg);
-  std::size_t staging_bytes() const { return staging_.size(); }
+  const sim::ZeroPages& staging() const { return staging_; }
 
   // Diagnostics.
   std::uint64_t gets_served() const { return gets_served_; }
@@ -91,7 +91,7 @@ class ProxyDaemon {
 
   Runtime& rt_;
   int node_;
-  std::vector<std::byte> staging_;
+  sim::ZeroPages staging_;
   sim::Mailbox<CtrlMsg> mb_;
   std::deque<CtrlMsg> stash_;  // messages deferred while a put is active
   sim::Process* proc_ = nullptr;  // live daemon process (null while crashed)

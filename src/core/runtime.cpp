@@ -1,6 +1,5 @@
 #include "core/runtime.hpp"
 
-#include <cstring>
 #include <string_view>
 
 #include "core/ctx.hpp"
@@ -58,24 +57,22 @@ Runtime::Runtime(const hw::ClusterConfig& cluster_cfg, const RuntimeOptions& opt
   });
 
   // Symmetric heaps: one host + one GPU heap per PE, registered with the HCA
-  // at init (III-A). make_unique<T[]> value-initializes, so heaps are zeroed.
+  // at init (III-A). Both are sim::ZeroPages (malloc_device's backing store
+  // included): they read zero and commit a page at its first touch.
   heaps_.reserve(static_cast<std::size_t>(np));
   for (int pe = 0; pe < np; ++pe) {
     hw::PePlacement pl = cluster_.placement(pe);
-    host_heap_storage_.push_back(std::make_unique<std::byte[]>(opts_.host_heap_bytes));
-    std::byte* host_base = host_heap_storage_.back().get();
+    std::byte* host_base =
+        host_heap_storage_.emplace_back(opts_.host_heap_bytes).data();
     auto* gpu_base = static_cast<std::byte*>(
         cuda_.malloc_device(pl.node, pl.gpu, opts_.gpu_heap_bytes));
-    std::memset(gpu_base, 0, opts_.gpu_heap_bytes);
     // Optional pmem heap (off by default): plain host memory in the model —
     // host-like on the wire — with durable semantics asserted by the
     // checkpoint service. Zero size leaves a null heap so contains() is
     // always false and shmalloc(kPmem) reports exhaustion.
     std::byte* pmem_base = nullptr;
     if (opts_.pmem_heap_bytes > 0) {
-      pmem_heap_storage_.push_back(
-          std::make_unique<std::byte[]>(opts_.pmem_heap_bytes));
-      pmem_base = pmem_heap_storage_.back().get();
+      pmem_base = pmem_heap_storage_.emplace_back(opts_.pmem_heap_bytes).data();
     }
     heaps_.push_back(PeHeaps{
         SymmetricHeap(Domain::kHost, host_base, opts_.host_heap_bytes),
@@ -88,13 +85,12 @@ Runtime::Runtime(const hw::ClusterConfig& cluster_cfg, const RuntimeOptions& opt
     }
   }
 
-  // Eager slot regions (baseline transport): one slot per source PE.
-  const std::size_t slot = opts_.tuning.eager_limit;
+  // Eager slot regions (baseline transport): one slot per source PE. An
+  // eager limit of 0 gives empty regions: puts and gets then take rendezvous.
+  const std::size_t region = opts_.tuning.eager_limit * static_cast<std::size_t>(np);
   for (int pe = 0; pe < np; ++pe) {
-    eager_storage_.push_back(
-        std::make_unique<std::byte[]>(slot * static_cast<std::size_t>(np)));
-    verbs_.reg_cache().register_at_init(pe, eager_storage_.back().get(),
-                                        slot * static_cast<std::size_t>(np));
+    const sim::ZeroPages& slots = eager_storage_.emplace_back(region);
+    verbs_.reg_cache().register_at_init(pe, slots.data(), slots.size());
   }
 
   // Per-PE contexts. Each reserves the runtime-internal sync region as the
@@ -214,7 +210,7 @@ bool Runtime::gdr_inter_socket(int pe) const {
 }
 
 void* Runtime::eager_slot(int dst_pe, int src_pe) {
-  return eager_storage_.at(static_cast<std::size_t>(dst_pe)).get() +
+  return eager_storage_.at(static_cast<std::size_t>(dst_pe)).data() +
          static_cast<std::size_t>(src_pe) * opts_.tuning.eager_limit;
 }
 

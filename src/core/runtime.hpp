@@ -23,6 +23,7 @@
 #include "ib/verbs.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
+#include "sim/zero_pages.hpp"
 
 namespace gdrshmem::core {
 
@@ -244,10 +245,10 @@ class Runtime {
   Tracer tracer_;
   Metrics metrics_;
 
-  std::vector<std::unique_ptr<std::byte[]>> host_heap_storage_;
-  std::vector<std::unique_ptr<std::byte[]>> pmem_heap_storage_;
+  std::vector<sim::ZeroPages> host_heap_storage_;
+  std::vector<sim::ZeroPages> pmem_heap_storage_;
   std::vector<PeHeaps> heaps_;
-  std::vector<std::unique_ptr<std::byte[]>> eager_storage_;
+  std::vector<sim::ZeroPages> eager_storage_;
   std::vector<std::unique_ptr<Ctx>> ctxs_;
   std::vector<std::unique_ptr<ProxyDaemon>> proxies_;
   std::unique_ptr<Transport> transport_;

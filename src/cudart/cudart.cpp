@@ -55,8 +55,8 @@ void* CudaRuntime::malloc_device(int node, int gpu, std::size_t bytes) {
   if (node < 0 || node >= cluster_.num_nodes()) throw CudaError("bad node id");
   if (gpu < 0 || gpu >= cluster_.config().gpus_per_node) throw CudaError("bad GPU id");
   if (bytes == 0) throw CudaError("cudaMalloc of zero bytes");
-  auto buf = std::make_unique<std::byte[]>(bytes);
-  void* p = buf.get();
+  sim::ZeroPages buf(bytes);
+  void* p = buf.data();
   registry_.insert(p, bytes, node, gpu);
   allocation_index_.emplace(p, bytes);
   allocations_.push_back(std::move(buf));

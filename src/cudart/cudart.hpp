@@ -26,6 +26,7 @@
 
 #include "hw/topology.hpp"
 #include "sim/engine.hpp"
+#include "sim/zero_pages.hpp"
 
 namespace gdrshmem::cudart {
 
@@ -139,7 +140,9 @@ class CudaRuntime {
   hw::Cluster& cluster() { return cluster_; }
 
   // ---- memory -------------------------------------------------------------
-  /// cudaMalloc on a specific GPU. Backing store is real host memory.
+  /// cudaMalloc on a specific GPU. Backing store is real host memory: a
+  /// sim::ZeroPages mapping that reads zero and commits pages on first
+  /// touch, with a guard page past its page-rounded end.
   void* malloc_device(int node, int gpu, std::size_t bytes);
   void free_device(void* p);
   /// UVA classification (cudaPointerGetAttributes analog). Never fails:
@@ -190,7 +193,7 @@ class CudaRuntime {
   sim::Engine& eng_;
   hw::Cluster& cluster_;
   PointerRegistry registry_;
-  std::vector<std::unique_ptr<std::byte[]>> allocations_;
+  std::vector<sim::ZeroPages> allocations_;
   std::map<void*, std::size_t> allocation_index_;
   std::set<std::pair<int, const void*>> ipc_opened_;  // (opener_pe, base)
 };

@@ -1,13 +1,20 @@
 // SymmetricHeap unit coverage (non-LIFO deferred reclaim, exhaustion
-// diagnostics) and end-to-end coverage of the pmem symmetric-heap domain:
+// diagnostics), end-to-end coverage of the pmem symmetric-heap domain:
 // collective allocation on every PE, one-sided writes into it, exhaustion,
-// and the GDRSHMEM_PMEM_HEAP environment knob.
+// and the GDRSHMEM_PMEM_HEAP environment knob; the heap-contents contract
+// (fresh space reads zero, LIFO-reclaimed blocks keep their bytes) and lazy
+// commit of the runtime's fixed-size buffers.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "core/heap.hpp"
+#include "core/proxy.hpp"
 #include "test_util.hpp"
 
 namespace gdrshmem::core {
@@ -202,6 +209,103 @@ TEST(PmemDomainTest, FromEnvParsesPmemHeap) {
   ::setenv("GDRSHMEM_PMEM_HEAP", "1K", 1);  // below the 64K floor
   EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
   ::unsetenv("GDRSHMEM_PMEM_HEAP");
+}
+
+// ---- heap contents contract ------------------------------------------------
+
+TEST(HeapContents, FreshBuffersReadZero) {
+  auto opts = make_options(TransportKind::kEnhancedGdr);
+  opts.pmem_heap_bytes = 1u << 16;
+  Runtime rt(make_cluster(2, 2), opts);
+  auto first_and_last = [](const std::byte* p, std::size_t n) {
+    return std::to_integer<int>(p[0]) | std::to_integer<int>(p[n - 1]);
+  };
+  const int np = rt.num_pes();
+  for (int pe = 0; pe < np; ++pe) {
+    for (Domain d : {Domain::kHost, Domain::kGpu, Domain::kPmem}) {
+      const SymmetricHeap& h = rt.heap(pe, d);
+      EXPECT_EQ(first_and_last(h.base(), h.size()), 0)
+          << "PE " << pe << " " << to_string(d) << " heap";
+    }
+    const auto* slots = static_cast<const std::byte*>(rt.eager_slot(pe, 0));
+    EXPECT_EQ(first_and_last(slots, rt.eager_slot_bytes() *
+                                        static_cast<std::size_t>(np)),
+              0)
+        << "PE " << pe << " eager region";
+  }
+  for (int node = 0; node < rt.cluster().num_nodes(); ++node) {
+    const sim::ZeroPages& staging = rt.proxy(node).staging();
+    EXPECT_EQ(first_and_last(staging.data(), staging.size()), 0)
+        << "node " << node << " proxy staging";
+  }
+}
+
+TEST(HeapContents, LifoReclaimedBlockKeepsItsBytes) {
+  auto opts = make_options(TransportKind::kEnhancedGdr);
+  opts.pmem_heap_bytes = 1u << 16;
+  run_spmd(make_cluster(2, 1), opts, [](Ctx& ctx) {
+    constexpr std::size_t kBytes = 256;
+    const auto pattern = static_cast<unsigned char>(0xa0 + ctx.my_pe());
+    for (Domain d : {Domain::kHost, Domain::kGpu, Domain::kPmem}) {
+      auto* p = static_cast<unsigned char*>(ctx.shmalloc(kBytes, d));
+      std::memset(p, pattern, kBytes);
+      ctx.shfree(p);
+      auto* q = static_cast<unsigned char*>(ctx.shmalloc(kBytes, d));
+      ASSERT_EQ(q, p) << to_string(d);
+      EXPECT_TRUE(std::all_of(q, q + kBytes,
+                              [&](unsigned char c) { return c == pattern; }))
+          << to_string(d) << " block was cleared on reuse";
+      ctx.shfree(q);
+    }
+  });
+}
+
+TEST(HeapContents, ZeroEagerLimitConstructsAndPutsDeviceToDevice) {
+  auto opts = make_options(TransportKind::kHostPipeline);
+  opts.tuning.eager_limit = 0;
+  auto rt = run_spmd(make_cluster(2, 1), opts, [](Ctx& ctx) {
+    constexpr std::size_t kBytes = 4096;
+    const int peer = 1 - ctx.my_pe();
+    auto* dst = ctx.shmalloc(kBytes, Domain::kGpu);
+    void* src = ctx.cuda_malloc(kBytes);
+    std::vector<std::byte> out(kBytes, std::byte(0x40 + ctx.my_pe()));
+    ctx.cuda_memcpy(src, out.data(), kBytes);
+    ctx.putmem(dst, src, kBytes, peer);
+    ctx.quiet();
+    ctx.barrier_all();
+    std::vector<std::byte> in(kBytes);
+    ctx.cuda_memcpy(in.data(), dst, kBytes);
+    EXPECT_EQ(in, std::vector<std::byte>(kBytes, std::byte(0x40 + peer)));
+  });
+  EXPECT_EQ(rt->eager_slot_bytes(), 0u);
+  EXPECT_EQ(rt->stats().ops(Protocol::kEager), 0u);
+  EXPECT_EQ(rt->stats().ops(Protocol::kRendezvous), 2u);
+}
+
+// ---- lazy commit -----------------------------------------------------------
+
+std::size_t resident_pages(const std::byte* base, std::size_t len) {
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> vec((len + page - 1) / page);
+  EXPECT_EQ(::mincore(const_cast<std::byte*>(base), len, vec.data()), 0);
+  return static_cast<std::size_t>(
+      std::count_if(vec.begin(), vec.end(), [](unsigned char v) { return v & 1; }));
+}
+
+TEST(LazyHeaps, ConstructionCommitsNoHeapPage) {
+  Runtime rt(make_cluster(2, 2), make_options(TransportKind::kEnhancedGdr));
+  auto resident = [&] {
+    std::size_t n = 0;
+    for (int pe = 0; pe < rt.num_pes(); ++pe) {
+      for (Domain d : {Domain::kHost, Domain::kGpu}) {
+        n += resident_pages(rt.heap(pe, d).base(), rt.heap(pe, d).size());
+      }
+    }
+    return n;
+  };
+  EXPECT_EQ(resident(), 0u);
+  rt.heap(1, Domain::kGpu).base()[12345] = std::byte{1};
+  EXPECT_EQ(resident(), 1u);
 }
 
 }  // namespace

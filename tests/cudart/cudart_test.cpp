@@ -3,6 +3,7 @@
 #include "cudart/cudart.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <numeric>
@@ -71,6 +72,14 @@ TEST(CudaRuntime, MallocValidatesArguments) {
   EXPECT_THROW(f.cuda.malloc_device(-1, 0, 16), CudaError);
   EXPECT_THROW(f.cuda.malloc_device(0, 99, 16), CudaError);
   EXPECT_THROW(f.cuda.malloc_device(0, 0, 0), CudaError);
+}
+
+TEST(CudaRuntimeDeathTest, WritePastPageRoundedEndHitsGuardPage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Fixture f;
+  auto* d = static_cast<volatile char*>(f.cuda.malloc_device(0, 0, 100));
+  d[99] = 1;  // the last requested byte is writable
+  EXPECT_DEATH(d[::sysconf(_SC_PAGESIZE)] = 1, "");
 }
 
 TEST(CudaRuntime, MemcpyMovesBytesAndChargesTime) {
