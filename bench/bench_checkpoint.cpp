@@ -67,7 +67,7 @@ CheckpointConfig service_config(const BenchCase& c) {
   cfg.pool_bytes = c.pool_bytes;
   cfg.chunk_bytes = 4096;
   cfg.dir_slots = 4;
-  cfg.verify_restores = false;  // crc always checked; skip the byte compare
+  cfg.verify_restores = false;  // sum always checked; skip the byte compare
   cfg.traffic.seed = 2015;
   cfg.traffic.mean_interarrival_us = 60.0;
   cfg.traffic.requests_per_client = c.requests_per_client;

@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "apps/checkpoint/payload.hpp"
 #include "apps/checkpoint/pool.hpp"
 #include "core/ctx.hpp"
 
@@ -23,7 +24,7 @@ struct alignas(64) ReqSlot {
   std::uint64_t kind;     // 1 = checkpoint request, 2 = commit, 3 = done
   std::uint64_t version;
   std::uint64_t bytes;
-  std::uint64_t crc;      // payload crc (commit only)
+  std::uint64_t sum;      // payload sum (commit only)
   std::uint64_t seq;      // signal: strictly increasing per client
 };
 
@@ -46,7 +47,7 @@ struct alignas(64) DirEntry {
   std::uint64_t server;   // home server PE owning the extent
   std::uint64_t offset;   // offset inside the home server's arena
   std::uint64_t bytes;    // exact payload bytes
-  std::uint64_t crc;
+  std::uint64_t sum;
 };
 
 constexpr std::uint64_t kKindRequest = 1;
@@ -55,38 +56,6 @@ constexpr std::uint64_t kKindDone = 3;
 constexpr std::uint64_t kStatusGrant = 1;
 constexpr std::uint64_t kStatusReject = 2;
 constexpr std::uint64_t kStatusAck = 3;
-
-std::uint64_t fnv1a64(const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t mix64(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-/// The deterministic "model state" of (client, version): both the
-/// checkpoint fill and the restore verification regenerate it from the seed.
-void fill_model_state(std::uint64_t seed, int ci, std::uint64_t version,
-                      std::vector<std::byte>& buf, std::size_t bytes) {
-  sim::Rng rng(seed ^ mix64(static_cast<std::uint64_t>(ci) + 1) ^
-               mix64(version * 0x9e3779b97f4a7c15ULL + 7));
-  buf.resize(bytes);
-  std::size_t i = 0;
-  while (i < bytes) {
-    std::uint64_t w = rng.next_u64();
-    std::size_t n = std::min<std::size_t>(8, bytes - i);
-    std::memcpy(buf.data() + i, &w, n);
-    i += n;
-  }
-}
 
 std::uint64_t make_key(int ci, std::uint64_t version) {
   return (static_cast<std::uint64_t>(ci) << 32) | (version & 0xffffffffULL);
@@ -319,12 +288,12 @@ class Server {
     const std::uint64_t key = make_key(ci, p.version);
     pending_keys_.erase(key);
     // The client's quiet() before the commit guarantees the payload is fully
-    // delivered; a crc mismatch here would mean the transport lost or
+    // delivered; a sum mismatch here would mean the transport lost or
     // corrupted acknowledged bytes — surface it, never ack it.
-    std::uint64_t crc = fnv1a64(a_.arena + p.offset, p.bytes);
-    if (crc != rq.crc) {
+    std::uint64_t sum = xxh64(a_.arena + p.offset, p.bytes);
+    if (sum != rq.sum) {
       throw core::ShmemError(
-          "checkpoint server: payload crc mismatch at commit (client " +
+          "checkpoint server: payload sum mismatch at commit (client " +
           std::to_string(ci) + " version " + std::to_string(p.version) + ")");
     }
     // If this version's dir slot still holds an older live version, it is
@@ -338,7 +307,7 @@ class Server {
     e.server = static_cast<std::uint64_t>(ctx_.my_pe());
     e.offset = p.offset;
     e.bytes = p.bytes;
-    e.crc = crc;
+    e.sum = sum;
     publish_entry(e);
     if (displaced != 0) {
       // The older version in this dir slot is no longer reachable; free its
@@ -415,12 +384,12 @@ class Client {
 
  private:
   void send(std::uint64_t kind, std::uint64_t version, std::uint64_t bytes,
-            std::uint64_t crc) {
+            std::uint64_t sum) {
     ReqSlot rq;
     rq.kind = kind;
     rq.version = version;
     rq.bytes = bytes;
-    rq.crc = crc;
+    rq.sum = sum;
     rq.seq = ++req_seq_;
     ReqSlot* dst = a_.req + ci_;
     ctx_.put_signal(dst, &rq, offsetof(ReqSlot, seq), &dst->seq, rq.seq, home_);
@@ -437,17 +406,17 @@ class Client {
     return r;
   }
 
-  void fold(std::uint64_t kind, std::uint64_t version, std::uint64_t crc,
+  void fold(std::uint64_t kind, std::uint64_t version, std::uint64_t sum,
             std::uint64_t latency_ns) {
     out_->digest = mix64(out_->digest ^ mix64(kind * 0x9e3779b97f4a7c15ULL +
                                               version) ^
-                         mix64(crc) ^ mix64(latency_ns + 1));
+                         mix64(sum) ^ mix64(latency_ns + 1));
   }
 
   void do_checkpoint(sim::Time arrival, std::size_t bytes) {
     const std::uint64_t version = ++next_version_;
     fill_model_state(sh_.cfg->traffic.seed, ci_, version, host_, bytes);
-    const std::uint64_t crc = fnv1a64(host_.data(), bytes);
+    const std::uint64_t sum = xxh64(host_.data(), bytes);
     ctx_.cuda_memcpy(dev_src_, host_.data(), bytes);  // model state on GPU
     send(kKindRequest, version, bytes, 0);
     RespSlot grant = await_resp(0);
@@ -462,7 +431,7 @@ class Client {
     // bytes (and any fault-plan replays) are remotely complete.
     ctx_.putmem(a_.arena + grant.offset, dev_src_, bytes, home_);
     ctx_.quiet();
-    send(kKindCommit, version, bytes, crc);
+    send(kKindCommit, version, bytes, sum);
     RespSlot ack = await_resp(1);
     if (ack.status != kStatusAck) {
       throw core::ShmemError("checkpoint client: commit not acked");
@@ -473,8 +442,8 @@ class Client {
     out_->bytes_acked += bytes;
     latest_version_ = version;
     latest_bytes_ = bytes;
-    latest_crc_ = crc;
-    fold(1, version, crc, lat);
+    latest_sum_ = sum;
+    fold(1, version, sum, lat);
   }
 
   void do_restore(sim::Time arrival) {
@@ -512,10 +481,9 @@ class Client {
       verify_.resize(static_cast<std::size_t>(e.bytes));
       ctx_.cuda_memcpy(verify_.data(), dev_rst_,
                        static_cast<std::size_t>(e.bytes));
-      std::uint64_t crc = fnv1a64(verify_.data(),
-                                  static_cast<std::size_t>(e.bytes));
-      ok = crc == e.crc && crc == latest_crc_ &&
-           e.bytes == latest_bytes_;
+      std::uint64_t sum =
+          xxh64(verify_.data(), static_cast<std::size_t>(e.bytes));
+      ok = sum == e.sum && sum == latest_sum_ && e.bytes == latest_bytes_;
       if (ok && sh_.cfg->verify_restores) {
         fill_model_state(sh_.cfg->traffic.seed, ci_, version, host_,
                          latest_bytes_);
@@ -532,7 +500,7 @@ class Client {
       // anything else is a lost checkpoint.
       ++out_->lost;
     }
-    fold(2, version, latest_crc_, lat);
+    fold(2, version, latest_sum_, lat);
   }
 
   core::Ctx& ctx_;
@@ -550,7 +518,7 @@ class Client {
   std::uint64_t next_version_ = 0;
   std::uint64_t latest_version_ = 0;
   std::size_t latest_bytes_ = 0;
-  std::uint64_t latest_crc_ = 0;
+  std::uint64_t latest_sum_ = 0;
   ClientOut* out_;
 };
 

@@ -6,14 +6,15 @@
 // one-sided get — the server never touches payload bytes on the data path.
 //
 // Protocol per checkpoint (client c, home server h = c % S):
-//   1. c -> h   put_signal request {version, bytes, crc} into c's ReqSlot
+//   1. c -> h   put_signal request {version, bytes} into c's ReqSlot
 //   2. h        reserves a pool extent (LRU-evicting cold checkpoints and
 //               repacking the arena when fragmented), put_signals a grant
 //               {arena offset} — or a reject when nothing can make room
 //   3. c -> h   putmem of the GPU payload into arena + offset, quiet()
-//   4. c -> h   put_signal commit; h verifies the payload crc in its arena,
-//               publishes the (client, version) -> extent directory entry to
-//               the replica server (h + 1) % S, and put_signals the ack.
+//   4. c -> h   put_signal commit {payload sum}; h re-sums the payload in its
+//               arena and checks it, publishes the (client, version) -> extent
+//               directory entry to the replica server (h + 1) % S, and
+//               put_signals the ack.
 //               Only then is the checkpoint acknowledged — and an
 //               acknowledged latest version is never evicted.
 // Restore is fully one-sided: the client gets the directory entry from the
@@ -47,7 +48,7 @@ struct CheckpointConfig {
   int dir_slots = 4;
   OpenLoopParams traffic;
   /// Byte-compare every restore against the regenerated model state (tests);
-  /// crc verification always runs.
+  /// the payload sum (XXH64) is checked on every restore regardless.
   bool verify_restores = true;
 };
 
@@ -72,7 +73,7 @@ struct CheckpointResult {
   // arrival so queueing is included), from core::Metrics histograms.
   std::uint64_t ckpt_p50_ns = 0, ckpt_p99_ns = 0, ckpt_p999_ns = 0;
   std::uint64_t restore_p50_ns = 0, restore_p99_ns = 0, restore_p999_ns = 0;
-  /// Order-independent fold of every client's (version, crc, latency)
+  /// Order-independent fold of every client's (version, sum, latency)
   /// stream: equal digests mean bit-identical application behavior AND
   /// bit-identical virtual-time latencies.
   std::uint64_t digest = 0;

@@ -556,7 +556,6 @@ void ring_allreduce(TeamCtx& tc, void* dst, const void* src,
   tc.wait_flag(tc.aflag(right), tc.fv(total_send + 1));
   for (int s = 1; s < np; ++s) {
     const int sc = (me + 2 - s + 2 * np) % np;
-    const int rc = (me + 1 - s + 2 * np) % np;
     tc.put_data(d + chunk_lo(sc) * elsize, d + chunk_lo(sc) * elsize,
                 chunk_elems(sc) * elsize, right);
     tc.put_flag(tc.dflag(me), tc.fv(total_send + 1 + static_cast<std::size_t>(s)),

@@ -1,14 +1,19 @@
 // Checkpoint/restore service coverage: the pmem pool allocator (first fit,
 // keyed release, repack with pinning), the open-loop traffic generator's
-// determinism, and the end-to-end service — fault-free, under eviction
+// determinism, the payload sum (XXH64) and model-state fill, and the
+// end-to-end service — fault-free, under eviction
 // pressure, and under a seeded fault plan (proxy crash + P2P revocation
 // mid-checkpoint) where the durability contract is zero lost acknowledged
 // checkpoints and bit-identical digests on both engine backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <numeric>
 #include <set>
 #include <vector>
 
+#include "apps/checkpoint/payload.hpp"
 #include "apps/checkpoint/pool.hpp"
 #include "apps/checkpoint/service.hpp"
 #include "apps/checkpoint/traffic.hpp"
@@ -182,6 +187,81 @@ TEST(TrafficTest, ShapeRespectsParams) {
   EXPECT_LT(restores, 100);
 }
 
+// ---- payload sum and model-state fill ---------------------------------------
+
+std::vector<unsigned char> iota_bytes(std::size_t n) {
+  std::vector<unsigned char> v(n);
+  std::iota(v.begin(), v.end(), static_cast<unsigned char>(0));
+  return v;
+}
+
+TEST(PayloadSumTest, MatchesPublishedXxh64Vectors) {
+  // Seed 0. Together these reach every path: the short-input start ("",
+  // "abc"), one stripe plus the 8-, 4- and 1-byte tails (47), three stripes
+  // plus a 4-byte tail (100), and whole stripes only (256).
+  EXPECT_EQ(xxh64("", 0), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(xxh64("abc", 3), 0x44BC2CF5AD770999ULL);
+  EXPECT_EQ(xxh64(iota_bytes(47).data(), 47), 0x0D9883A03E7BFBB8ULL);
+  EXPECT_EQ(xxh64(iota_bytes(100).data(), 100), 0x6AC1E58032166597ULL);
+  EXPECT_EQ(xxh64(iota_bytes(256).data(), 256), 0x1FACBE8406CD904BULL);
+}
+
+TEST(PayloadSumTest, EverySingleBitFlipChangesTheSum) {
+  std::vector<unsigned char> buf = iota_bytes(257);  // 8 stripes + 1 byte
+  const std::uint64_t clean = xxh64(buf.data(), buf.size());
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {  // 257 x 8 = 2,056 flips
+      buf[i] ^= static_cast<unsigned char>(1u << bit);
+      EXPECT_NE(xxh64(buf.data(), buf.size()), clean)
+          << "byte " << i << " bit " << bit;
+      buf[i] ^= static_cast<unsigned char>(1u << bit);
+    }
+  }
+}
+
+TEST(PayloadSumTest, UnalignedStartGivesTheAlignedSum) {
+  const std::vector<unsigned char> src = iota_bytes(257);
+  alignas(8) unsigned char shifted[257 + 8];
+  for (std::size_t n : {0u, 3u, 47u, 100u, 257u}) {
+    const std::uint64_t aligned = xxh64(src.data(), n);
+    for (std::size_t off = 1; off <= 7; ++off) {
+      std::memcpy(shifted + off, src.data(), n);
+      EXPECT_EQ(xxh64(shifted + off, n), aligned)
+          << "length " << n << " offset " << off;
+    }
+  }
+}
+
+/// Reference model-state fill, straight from the definition: one splitmix64
+/// draw per 8 bytes, each copied with a length clamped to what is left.
+std::vector<std::byte> reference_model_state(std::uint64_t seed, int ci,
+                                            std::uint64_t version,
+                                            std::size_t bytes) {
+  sim::Rng rng(seed ^ mix64(static_cast<std::uint64_t>(ci) + 1) ^
+               mix64(version * 0x9e3779b97f4a7c15ULL + 7));
+  std::vector<std::byte> buf(bytes);
+  std::size_t i = 0;
+  while (i < bytes) {
+    std::uint64_t w = rng.next_u64();
+    std::size_t n = std::min<std::size_t>(8, bytes - i);
+    std::memcpy(buf.data() + i, &w, n);
+    i += n;
+  }
+  return buf;
+}
+
+TEST(ModelStateTest, WordWideFillMatchesReferenceLoop) {
+  std::vector<std::size_t> lengths(131);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{0});
+  lengths.push_back(32768);
+  std::vector<std::byte> buf;
+  for (std::size_t n : lengths) {
+    // Reuse one buffer across lengths, as the client does.
+    fill_model_state(7, 3, n + 1, buf, n);
+    EXPECT_EQ(buf, reference_model_state(7, 3, n + 1, n)) << "length " << n;
+  }
+}
+
 // ---- service end-to-end -----------------------------------------------------
 
 TEST(CheckpointServiceTest, FaultFreeServesAndRestores) {
@@ -258,6 +338,32 @@ TEST(CheckpointServiceTest, FaultPlanDeterministicAcrossBackends) {
   EXPECT_EQ(a.lost_acked, 0u);
   EXPECT_EQ(b.lost_acked, 0u);
   EXPECT_EQ(a.makespan_ms, b.makespan_ms);
+}
+
+TEST(CheckpointServiceTest, RestoreByteCompareIsACheckOnly) {
+  // verify_restores only adds a byte compare on top of the payload sums; it
+  // must not change what the service does, fault plan or not.
+  sim::FaultPlan faulted =
+      sim::FaultPlan::parse("seed=5,crash=1@400,revoke=2@300");
+  std::vector<std::uint64_t> digests;
+  for (const sim::FaultPlan& plan : {sim::FaultPlan{}, faulted}) {
+    SCOPED_TRACE(plan.enabled() ? "faulted" : "fault-free");
+    auto opts = service_options();
+    opts.faults = plan;
+    auto cfg = small_config();
+    cfg.verify_restores = true;
+    auto checked = run_checkpoint_service(cluster(3, 4), opts, cfg);
+    cfg.verify_restores = false;
+    auto unchecked = run_checkpoint_service(cluster(3, 4), opts, cfg);
+    EXPECT_GT(checked.restores_ok, 0u);
+    EXPECT_EQ(checked.lost_acked, 0u);
+    EXPECT_EQ(checked.checkpoints_acked, unchecked.checkpoints_acked);
+    EXPECT_EQ(checked.restores_ok, unchecked.restores_ok);
+    EXPECT_EQ(checked.lost_acked, unchecked.lost_acked);
+    EXPECT_EQ(checked.digest, unchecked.digest);
+    digests.push_back(checked.digest);
+  }
+  EXPECT_NE(digests[0], digests[1]);  // the crash and revoke do land mid-run
 }
 
 TEST(CheckpointServiceTest, RequiresPmemHeapAndServers) {
