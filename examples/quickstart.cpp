@@ -27,7 +27,8 @@ int main() {
   opts.transport = core::TransportKind::kEnhancedGdr;
 
   core::Runtime rt(cluster, opts);
-  rt.run([](core::Ctx& ctx) {
+  int wrong = 0;
+  rt.run([&](core::Ctx& ctx) {
     Bind bind(ctx);  // enable the shmem_* calls on this PE
 
     const int me = shmem_my_pe();
@@ -54,10 +55,11 @@ int main() {
     char expected[64];
     std::snprintf(expected, sizeof expected, "hello from PE %d's GPU", left);
 
+    const bool correct = std::strcmp(inbox, expected) == 0;
+    if (!correct) ++wrong;
     std::printf("PE %d received \"%s\" (%s) — put+quiet took %.2f us\n", me,
-                inbox, std::strcmp(inbox, expected) == 0 ? "correct" : "WRONG",
-                put_us);
+                inbox, correct ? "correct" : "WRONG", put_us);
     shmem_barrier_all();
   });
-  return 0;
+  return wrong == 0 ? 0 : 1;
 }

@@ -27,6 +27,7 @@ int main() {
               cluster.num_nodes * cluster.pes_per_node, cfg.px, cfg.py);
   std::printf("serial reference checksum: %.10g\n\n", reference);
 
+  bool mismatch = false;
   for (auto kind : {core::TransportKind::kHostPipeline,
                     core::TransportKind::kEnhancedGdr}) {
     core::RuntimeOptions opts;
@@ -35,9 +36,11 @@ int main() {
     auto res = run_stencil2d(cluster, opts, cfg);
     double rel_err = std::abs(res.checksum - reference) /
                      std::max(1.0, std::abs(reference));
+    const bool matches = rel_err < 1e-9;
+    mismatch |= !matches;
     std::printf("%-16s exec %8.2f ms   checksum %.10g (rel err %.1e, %s)\n",
                 core::to_string(kind), res.exec_time_ms, res.checksum, rel_err,
-                rel_err < 1e-9 ? "matches" : "MISMATCH");
+                matches ? "matches" : "MISMATCH");
   }
-  return 0;
+  return mismatch ? 1 : 0;
 }

@@ -11,24 +11,12 @@
 //     shmem_barrier_all();
 //   });
 //
-// The primary surface uses the OpenSHMEM 1.4 names (shmem_malloc,
+// Every operation has one spelling: the OpenSHMEM 1.4 name (shmem_malloc,
 // shmem_atomic_fetch_add, typed shmem_put/shmem_get overloads). The pre-1.4
-// classic names (shmalloc, shmem_longlong_fadd, ...) remain as deprecated
-// aliases; migrate as follows and define GDRSHMEM_NO_DEPRECATE to silence
-// the warnings meanwhile:
-//
-//   shmalloc(n, dom)          -> shmem_malloc(n, dom)
-//   shfree(p)                 -> shmem_free(p)
-//   shmem_double_put/get      -> shmem_put / shmem_get (typed overloads)
-//   shmem_float_put/get       -> shmem_put / shmem_get
-//   shmem_longlong_put/get    -> shmem_put / shmem_get
-//   shmem_longlong_fadd       -> shmem_atomic_fetch_add
-//   shmem_longlong_add        -> shmem_atomic_add
-//   shmem_longlong_finc       -> shmem_atomic_fetch_inc
-//   shmem_longlong_cswap      -> shmem_atomic_compare_swap
-//   shmem_longlong_swap       -> shmem_atomic_swap
-//   shmem_int_fadd            -> shmem_atomic_fetch_add (int overload)
-//   shmem_longlong_max_to_all -> shmem_long_max_to_all
+// classic names (shmalloc, shfree, shmem_longlong_fadd, shmem_double_put,
+// ...) were removed as of GDRSHMEM_API_VERSION_MAJOR 3. The world-team
+// collectives (shmem_broadcastmem without a team, the _to_all reductions)
+// forward to their team forms on shmem_team_world().
 //
 // Every function forwards to the bound Ctx; calling without a bound context
 // throws ShmemError. The device-initiated (in-kernel) surface lives in
@@ -72,8 +60,8 @@ core::Ctx& current();
 int shmem_my_pe();
 int shmem_n_pes();
 
-/// OpenSHMEM 1.5 runtime queries: the specification version the primary
-/// spellings follow and the vendor name string (null-terminated, at most
+/// OpenSHMEM 1.5 runtime queries: the specification version the spellings
+/// follow and the vendor name string (null-terminated, at most
 /// SHMEM_MAX_NAME_LEN bytes including the terminator).
 inline constexpr int SHMEM_MAX_NAME_LEN = 64;
 void shmem_info_get_version(int* major, int* minor);
@@ -97,17 +85,13 @@ int shmemx_rail_count();
 /// Use shmem_calloc when the block must start zeroed.
 void* shmem_malloc(std::size_t size);
 void* shmem_malloc(std::size_t size, core::Domain domain);
-/// Zero-initialized symmetric allocation (every PE's copy is zeroed).
+/// Zero-initialized symmetric allocation: every PE zeroes its copy before
+/// the allocation's barrier, so a put that arrives once the call returns is
+/// never wiped. Throws ShmemError when count * size overflows.
 void* shmem_calloc(std::size_t count, std::size_t size,
                    core::Domain domain = core::Domain::kHost);
 void shmem_free(void* p);
 void* shmem_ptr(const void* sym, int pe);
-
-/// Classic pre-1.2 names, kept as deprecated aliases.
-GDRSHMEM_DEPRECATED("use shmem_malloc(size, domain)")
-void* shmalloc(std::size_t bytes, core::Domain domain = core::Domain::kHost);
-GDRSHMEM_DEPRECATED("use shmem_free")
-void shfree(void* p);
 
 // ---- RMA --------------------------------------------------------------------
 void shmem_putmem(void* dst, const void* src, std::size_t n, int pe);
@@ -129,20 +113,6 @@ void shmem_put_nbi(double* dst, const double* src, std::size_t nelems, int pe);
 void shmem_put_nbi(long long* dst, const long long* src, std::size_t nelems, int pe);
 void shmem_get_nbi(double* dst, const double* src, std::size_t nelems, int pe);
 void shmem_get_nbi(long long* dst, const long long* src, std::size_t nelems, int pe);
-
-/// Classic typed names, kept as deprecated aliases.
-GDRSHMEM_DEPRECATED("use the shmem_put typed overload")
-void shmem_double_put(double* dst, const double* src, std::size_t n, int pe);
-GDRSHMEM_DEPRECATED("use the shmem_get typed overload")
-void shmem_double_get(double* dst, const double* src, std::size_t n, int pe);
-GDRSHMEM_DEPRECATED("use the shmem_put typed overload")
-void shmem_float_put(float* dst, const float* src, std::size_t n, int pe);
-GDRSHMEM_DEPRECATED("use the shmem_get typed overload")
-void shmem_float_get(float* dst, const float* src, std::size_t n, int pe);
-GDRSHMEM_DEPRECATED("use the shmem_put typed overload")
-void shmem_longlong_put(long long* dst, const long long* src, std::size_t n, int pe);
-GDRSHMEM_DEPRECATED("use the shmem_get typed overload")
-void shmem_longlong_get(long long* dst, const long long* src, std::size_t n, int pe);
 
 // ---- ordering ----------------------------------------------------------------
 void shmem_quiet();
@@ -172,20 +142,6 @@ long long shmem_atomic_fetch(const long long* sym, int pe);
 int shmem_atomic_fetch_add(int* sym, int value, int pe);
 int shmem_atomic_compare_swap(int* sym, int cond, int value, int pe);
 
-/// Classic pre-1.4 atomic names, kept as deprecated aliases.
-GDRSHMEM_DEPRECATED("use shmem_atomic_fetch_add")
-long long shmem_longlong_fadd(long long* sym, long long value, int pe);
-GDRSHMEM_DEPRECATED("use shmem_atomic_add")
-void shmem_longlong_add(long long* sym, long long value, int pe);
-GDRSHMEM_DEPRECATED("use shmem_atomic_fetch_inc")
-long long shmem_longlong_finc(long long* sym, int pe);
-GDRSHMEM_DEPRECATED("use shmem_atomic_compare_swap")
-long long shmem_longlong_cswap(long long* sym, long long cond, long long value, int pe);
-GDRSHMEM_DEPRECATED("use shmem_atomic_swap")
-long long shmem_longlong_swap(long long* sym, long long value, int pe);
-GDRSHMEM_DEPRECATED("use the shmem_atomic_fetch_add int overload")
-int shmem_int_fadd(int* sym, int value, int pe);
-
 // ---- teams (OpenSHMEM 1.5 shapes) ------------------------------------------
 /// A team handle is a pointer to the per-PE core::Team object; PEs outside a
 /// split's new team hold SHMEM_TEAM_INVALID.
@@ -210,6 +166,7 @@ void shmem_team_destroy(shmem_team_t team);
 void shmem_team_sync(shmem_team_t team);
 
 // ---- collectives --------------------------------------------------------------------
+/// The teamless forms run on shmem_team_world().
 void shmem_broadcastmem(void* dst, const void* src, std::size_t n, int root);
 void shmem_broadcastmem(shmem_team_t team, void* dst, const void* src,
                         std::size_t n, int root);
@@ -221,7 +178,8 @@ void shmem_alltoallmem(shmem_team_t team, void* dst, const void* src,
                        std::size_t nbytes);
 
 /// OpenSHMEM 1.4 typed active-set reductions over all PEs (no pWrk/pSync:
-/// the runtime's internal sync pool replaces them).
+/// the runtime's internal sync pool replaces them). Each forwards to its
+/// _reduce form on shmem_team_world().
 void shmem_int_sum_to_all(int* dst, const int* src, std::size_t nreduce);
 void shmem_int_min_to_all(int* dst, const int* src, std::size_t nreduce);
 void shmem_int_max_to_all(int* dst, const int* src, std::size_t nreduce);
@@ -234,9 +192,6 @@ void shmem_float_max_to_all(float* dst, const float* src, std::size_t nreduce);
 void shmem_double_sum_to_all(double* dst, const double* src, std::size_t nreduce);
 void shmem_double_min_to_all(double* dst, const double* src, std::size_t nreduce);
 void shmem_double_max_to_all(double* dst, const double* src, std::size_t nreduce);
-/// Classic alias kept as a deprecated spelling (long long variant).
-GDRSHMEM_DEPRECATED("use shmem_long_max_to_all")
-void shmem_longlong_max_to_all(long long* dst, const long long* src, std::size_t n);
 
 /// OpenSHMEM 1.5-style team reductions (shmem_int_sum_reduce, ...).
 void shmem_int_sum_reduce(shmem_team_t team, int* dst, const int* src, std::size_t n);

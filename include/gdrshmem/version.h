@@ -2,22 +2,13 @@
 //
 // GDRSHMEM_API_VERSION bumps whenever the installed surface changes shape
 // (it is NOT the package version). The SHMEM_{MAJOR,MINOR}_VERSION pair
-// reports the OpenSHMEM specification level the primary spellings follow,
-// as the spec requires of shmem.h.
+// reports the OpenSHMEM specification level the spellings follow, as the
+// spec requires of shmem.h.
 #pragma once
 
-#define GDRSHMEM_API_VERSION_MAJOR 2
+#define GDRSHMEM_API_VERSION_MAJOR 3
 #define GDRSHMEM_API_VERSION_MINOR 0
 
 #define SHMEM_MAJOR_VERSION 1
 #define SHMEM_MINOR_VERSION 4
 #define SHMEM_VENDOR_STRING "gdrshmem (simulated, Hamidouche et al. CLUSTER'15)"
-
-// Pre-1.4 classic spellings (shmalloc, shmem_longlong_fadd, ...) are kept as
-// deprecated aliases. Define GDRSHMEM_NO_DEPRECATE before including any
-// gdrshmem header to silence the warnings during migration.
-#if defined(GDRSHMEM_NO_DEPRECATE)
-#define GDRSHMEM_DEPRECATED(msg)
-#else
-#define GDRSHMEM_DEPRECATED(msg) [[deprecated(msg)]]
-#endif

@@ -38,6 +38,11 @@ done
 # scale, traced and untraced (~50 s cold including the build, ~8 s warm).
 python3 perfbench/selftest.py
 
+# Exported-surface scan: an -O0 --gc-sections build of every target into
+# build-scan/ (~2 min on 4 cores); fails when a global function defined in
+# src/ is linked into no test, bench or example binary.
+python3 scripts/api_scan.py
+
 scripts/check_sanitize.sh
 
 # Scale smoke: one 1K-PE barrier+message-rate round under a loose wall

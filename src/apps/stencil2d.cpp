@@ -59,7 +59,7 @@ double global_checksum(core::Ctx& ctx, const Stencil2DConfig& cfg,
   } else {
     // 1-D decompositions (or grids needing more team slots than the sync
     // pool holds) reduce over the world team directly.
-    ctx.sum_to_all(total, partial, 1);
+    ctx.team_reduce(ctx.team_world(), total, partial, 1, core::ReduceOp::kSum);
   }
   return *total;
 }

@@ -53,6 +53,27 @@ void* Ctx::shmalloc(std::size_t bytes, Domain domain) {
   return p;
 }
 
+void* Ctx::shcalloc(std::size_t count, std::size_t size, Domain domain) {
+  if (size != 0 && count > SIZE_MAX / size) {
+    throw ShmemError("shcalloc: count * size overflows (" +
+                     std::to_string(count) + " * " + std::to_string(size) + ")");
+  }
+  const std::size_t bytes = count * size;
+  rt_->check_symmetric_alloc(alloc_seq_++, bytes, domain);
+  void* p = rt_->heap(pe_, domain).allocate(bytes);
+  // Zero before the barrier: a peer leaves it only once every copy is zero.
+  if (domain == Domain::kGpu) {
+    // Device-domain zeroing: stage zeros through the host (the cudaMemset
+    // equivalent, charged as one H->D copy).
+    std::vector<std::byte> zeros(bytes);
+    cuda_memcpy(p, zeros.data(), bytes);
+  } else {
+    std::memset(p, 0, bytes);
+  }
+  barrier_all();  // the allocation's only barrier
+  return p;
+}
+
 void Ctx::shfree(void* p) {
   barrier_all();  // nobody may still be targeting the block
   // Freeing from whichever heap owns the pointer.
@@ -327,25 +348,12 @@ void Ctx::compute(sim::Duration d) {
 }
 
 // ---------------------------------------------------------------------------
-// Collectives: thin wrappers over the core::coll engine on TEAM_WORLD.
+// Collectives
 
 void Ctx::barrier_all() {
   quiet();
   rt_->metrics().counter("ops/barrier").add();
   coll::sync(*this, world_team_);
-}
-
-void Ctx::broadcastmem(void* dst_sym, const void* src_sym, std::size_t n,
-                       int root) {
-  coll::broadcast(*this, world_team_, dst_sym, src_sym, n, root);
-}
-
-void Ctx::fcollectmem(void* dst_sym, const void* src_sym, std::size_t nbytes) {
-  coll::fcollect(*this, world_team_, dst_sym, src_sym, nbytes);
-}
-
-void Ctx::alltoallmem(void* dst_sym, const void* src_sym, std::size_t nbytes) {
-  coll::alltoall(*this, world_team_, dst_sym, src_sym, nbytes);
 }
 
 void Ctx::record_collective(CollKind kind, CollAlgo algo, std::size_t bytes,

@@ -46,6 +46,11 @@ class Ctx {
   /// shmalloc with the paper's Domain extension. Collective: every PE must
   /// make the same call sequence; includes an implicit barrier.
   void* shmalloc(std::size_t bytes, Domain domain = Domain::kHost);
+  /// shmalloc of `count * size` zeroed bytes. Each PE zeroes its copy before
+  /// the allocation's barrier, so no peer can put into the block until every
+  /// copy is zero. Throws ShmemError when `count * size` overflows.
+  void* shcalloc(std::size_t count, std::size_t size,
+                 Domain domain = Domain::kHost);
   void shfree(void* p);
   /// Pointer to `pe`'s copy of a host-domain symmetric object, valid when
   /// `pe` is on the same node (classic shmem_ptr); nullptr otherwise.
@@ -196,31 +201,13 @@ class Ctx {
   std::int32_t atomic_compare_swap32(std::int32_t* sym, std::int32_t cond,
                                      std::int32_t value, int pe);
 
-  // ---- collectives (thin wrappers over core::coll on TEAM_WORLD) ------------
+  // ---- collectives ----------------------------------------------------------
+  /// quiet() then a sync of the world team.
   void barrier_all();
-  /// Broadcast `n` bytes from root's `src_sym` into everyone else's
-  /// `dst_sym` (root's dst untouched, per OpenSHMEM).
-  void broadcastmem(void* dst_sym, const void* src_sym, std::size_t n, int root);
-  /// Allreduce on symmetric buffers (dst may alias src).
-  template <typename T>
-  void sum_to_all(T* dst_sym, const T* src_sym, std::size_t nreduce) {
-    coll::allreduce(*this, team_world(), dst_sym, src_sym, nreduce,
-                    ReduceOp::kSum, scalar_tag<T>());
-  }
-  template <typename T>
-  void min_to_all(T* dst_sym, const T* src_sym, std::size_t nreduce) {
-    coll::allreduce(*this, team_world(), dst_sym, src_sym, nreduce,
-                    ReduceOp::kMin, scalar_tag<T>());
-  }
-  template <typename T>
-  void max_to_all(T* dst_sym, const T* src_sym, std::size_t nreduce) {
-    coll::allreduce(*this, team_world(), dst_sym, src_sym, nreduce,
-                    ReduceOp::kMax, scalar_tag<T>());
-  }
-  /// Concatenate every PE's `nbytes` block into each PE's dst (fcollect).
-  void fcollectmem(void* dst_sym, const void* src_sym, std::size_t nbytes);
 
   // ---- teams (OpenSHMEM 1.5 shapes; see core/team.hpp) ----------------------
+  // The collectives take the team explicitly; pass team_world() for the
+  // OpenSHMEM 1.4 all-PE forms.
   /// The predefined world team (every PE, slot 0 of the sync pool).
   Team& team_world() { return world_team_; }
   /// Collective over `parent`: members with parent index start + i * stride
@@ -232,20 +219,26 @@ class Ctx {
   void team_destroy(Team* team);
   /// Team-wide sync (no implicit quiet, unlike barrier_all).
   void team_sync(Team& team) { coll::sync(*this, team); }
+  /// Broadcast `nbytes` from root's `src_sym` into every other member's
+  /// `dst_sym` (root's dst untouched, per OpenSHMEM).
   void team_broadcast(Team& team, void* dst_sym, const void* src_sym,
                       std::size_t nbytes, int root) {
     coll::broadcast(*this, team, dst_sym, src_sym, nbytes, root);
   }
+  /// Allreduce on symmetric buffers (dst may alias src).
   template <typename T>
   void team_reduce(Team& team, T* dst_sym, const T* src_sym,
                    std::size_t nreduce, ReduceOp op) {
     coll::allreduce(*this, team, dst_sym, src_sym, nreduce, op,
                     scalar_tag<T>());
   }
+  /// Concatenate every member's `nbytes` block into each member's dst.
   void team_fcollect(Team& team, void* dst_sym, const void* src_sym,
                      std::size_t nbytes) {
     coll::fcollect(*this, team, dst_sym, src_sym, nbytes);
   }
+  /// All-to-all personalized exchange: block j of my src lands at block
+  /// my team index of member j's dst (both symmetric, n_pes * nbytes long).
   void team_alltoall(Team& team, void* dst_sym, const void* src_sym,
                      std::size_t nbytes) {
     coll::alltoall(*this, team, dst_sym, src_sym, nbytes);
@@ -267,14 +260,6 @@ class Ctx {
   void clear_lock(std::int64_t* lock_sym);
   /// Try-acquire; true on success.
   bool test_lock(std::int64_t* lock_sym);
-
-  /// Barrier over an arbitrary team of PEs, using a user-provided symmetric
-  /// 2-word psync array (counter + release generation). One barrier in
-  /// flight per psync, as the OpenSHMEM pSync rules require.
-  void team_barrier(const std::vector<int>& pes, std::int64_t* psync);
-  /// All-to-all personalized exchange: block j of my src lands at block
-  /// my_pe of PE j's dst (both symmetric, np * nbytes long).
-  void alltoallmem(void* dst_sym, const void* src_sym, std::size_t nbytes);
 
   // ---- CUDA-side helpers ------------------------------------------------------------
   /// cudaMalloc on this PE's GPU (non-symmetric local device memory).

@@ -1,5 +1,5 @@
-// Distributed locks and team barriers, built on the runtime's IB hardware
-// atomics — the "locks and critical regions" use case of Section II-C.
+// Distributed locks, built on the runtime's IB hardware atomics — the
+// "locks and critical regions" use case of Section II-C.
 #include "core/ctx.hpp"
 
 namespace gdrshmem::core {
@@ -24,33 +24,6 @@ void Ctx::clear_lock(std::int64_t* lock_sym) {
 
 bool Ctx::test_lock(std::int64_t* lock_sym) {
   return atomic_compare_swap(lock_sym, 0, pe_ + 1, 0) == 0;
-}
-
-void Ctx::team_barrier(const std::vector<int>& pes, std::int64_t* psync) {
-  // psync is a symmetric 2-word array: [0] arrival counter (on the team
-  // root = pes.front()), [1] release generation (on every member). Standard
-  // pSync rule: one barrier in flight per psync array.
-  if (pes.empty()) throw ShmemError("team_barrier needs at least one PE");
-  bool member = false;
-  for (int p : pes) member |= (p == pe_);
-  if (!member) throw ShmemError("calling PE is not in the team");
-  const int root = pes.front();
-  const auto size = static_cast<std::int64_t>(pes.size());
-
-  std::int64_t my_gen = psync[1];  // release generation I have seen
-  std::int64_t arrived = atomic_fetch_inc(&psync[0], root);
-  if (arrived == size - 1) {
-    // Last to arrive: reset the counter, then release everyone (self too).
-    std::int64_t zero = 0;
-    put_sync(&psync[0], &zero, sizeof(zero), root);
-    std::int64_t next = my_gen + 1;
-    for (int p : pes) {
-      putmem(&psync[1], &next, sizeof(next), p);
-    }
-    quiet();
-  } else {
-    wait_until<std::int64_t>(&psync[1], Cmp::kGt, my_gen);
-  }
 }
 
 }  // namespace gdrshmem::core

@@ -7,23 +7,6 @@
 
 namespace gdrshmem::core {
 
-const char* to_string(PathChoice c) {
-  switch (c) {
-    case PathChoice::kHostShm: return "host-shm";
-    case PathChoice::kLoopbackGdr: return "loopback-gdr";
-    case PathChoice::kIpcCopy: return "ipc-copy";
-    case PathChoice::kShmemPtrCopy: return "shmem-ptr-copy";
-    case PathChoice::kDirectRdma: return "direct-rdma";
-    case PathChoice::kDirectGdr: return "direct-gdr";
-    case PathChoice::kPipelineGdrWrite: return "pipeline-gdr-write";
-    case PathChoice::kHostStagedGet: return "host-staged-get";
-    case PathChoice::kProxyPut: return "proxy-put";
-    case PathChoice::kStagedProxyPut: return "staged-proxy-put";
-    case PathChoice::kProxyGet: return "proxy-get";
-  }
-  return "?";
-}
-
 bool ProtocolSelector::proxy_usable() const {
   return rt_.tuning().use_proxy && rt_.proxies_enabled();
 }

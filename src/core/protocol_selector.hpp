@@ -35,8 +35,6 @@ enum class PathChoice {
   kProxyGet,
 };
 
-const char* to_string(PathChoice c);
-
 class ProtocolSelector {
  public:
   explicit ProtocolSelector(Runtime& rt) : rt_(rt) {}

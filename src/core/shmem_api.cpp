@@ -1,10 +1,6 @@
-// This file implements the deprecated classic spellings too.
-#define GDRSHMEM_NO_DEPRECATE
-
 #include "gdrshmem/shmem.h"
 
 #include <cstring>
-#include <vector>
 
 #include "core/ctx.hpp"
 #include "sim/engine.hpp"
@@ -65,25 +61,9 @@ void* shmem_malloc(std::size_t size, core::Domain domain) {
   return current().shmalloc(size, domain);
 }
 void* shmem_calloc(std::size_t count, std::size_t size, core::Domain domain) {
-  const std::size_t bytes = count * size;
-  void* p = current().shmalloc(bytes, domain);
-  if (p != nullptr && bytes > 0) {
-    if (domain == core::Domain::kGpu) {
-      // Device-domain zeroing: stage zeros through the host (the cudaMemset
-      // equivalent, charged as one H->D copy).
-      std::vector<std::byte> zeros(bytes);
-      current().cuda_memcpy(p, zeros.data(), bytes);
-    } else {
-      std::memset(p, 0, bytes);
-    }
-  }
-  return p;
+  return current().shcalloc(count, size, domain);
 }
 void shmem_free(void* p) { current().shfree(p); }
-void* shmalloc(std::size_t bytes, core::Domain domain) {
-  return shmem_malloc(bytes, domain);
-}
-void shfree(void* p) { shmem_free(p); }
 void* shmem_ptr(const void* sym, int pe) { return current().shmem_ptr(sym, pe); }
 
 void shmem_putmem(void* dst, const void* src, std::size_t n, int pe) {
@@ -137,25 +117,6 @@ void shmem_get_nbi(long long* dst, const long long* src, std::size_t nelems,
   current().get_nbi(dst, src, nelems, pe);
 }
 
-void shmem_double_put(double* dst, const double* src, std::size_t n, int pe) {
-  shmem_put(dst, src, n, pe);
-}
-void shmem_double_get(double* dst, const double* src, std::size_t n, int pe) {
-  shmem_get(dst, src, n, pe);
-}
-void shmem_float_put(float* dst, const float* src, std::size_t n, int pe) {
-  shmem_put(dst, src, n, pe);
-}
-void shmem_float_get(float* dst, const float* src, std::size_t n, int pe) {
-  shmem_get(dst, src, n, pe);
-}
-void shmem_longlong_put(long long* dst, const long long* src, std::size_t n, int pe) {
-  shmem_put(dst, src, n, pe);
-}
-void shmem_longlong_get(long long* dst, const long long* src, std::size_t n, int pe) {
-  shmem_get(dst, src, n, pe);
-}
-
 void shmem_quiet() { current().quiet(); }
 void shmem_fence() { current().fence(); }
 void shmem_barrier_all() { current().barrier_all(); }
@@ -206,26 +167,6 @@ int shmem_atomic_compare_swap(int* sym, int cond, int value, int pe) {
                                          cond, value, pe);
 }
 
-long long shmem_longlong_fadd(long long* sym, long long value, int pe) {
-  return shmem_atomic_fetch_add(sym, value, pe);
-}
-void shmem_longlong_add(long long* sym, long long value, int pe) {
-  shmem_atomic_add(sym, value, pe);
-}
-long long shmem_longlong_finc(long long* sym, int pe) {
-  return shmem_atomic_fetch_inc(sym, pe);
-}
-long long shmem_longlong_cswap(long long* sym, long long cond, long long value,
-                               int pe) {
-  return shmem_atomic_compare_swap(sym, cond, value, pe);
-}
-long long shmem_longlong_swap(long long* sym, long long value, int pe) {
-  return shmem_atomic_swap(sym, value, pe);
-}
-int shmem_int_fadd(int* sym, int value, int pe) {
-  return shmem_atomic_fetch_add(sym, value, pe);
-}
-
 // ---- teams -----------------------------------------------------------------
 
 shmem_team_t shmem_team_world() { return &current().team_world(); }
@@ -271,7 +212,7 @@ core::Team& team_or_throw(shmem_team_t team, const char* what) {
 }  // namespace
 
 void shmem_broadcastmem(void* dst, const void* src, std::size_t n, int root) {
-  current().broadcastmem(dst, src, n, root);
+  shmem_broadcastmem(shmem_team_world(), dst, src, n, root);
 }
 void shmem_broadcastmem(shmem_team_t team, void* dst, const void* src,
                         std::size_t n, int root) {
@@ -279,7 +220,7 @@ void shmem_broadcastmem(shmem_team_t team, void* dst, const void* src,
                            n, root);
 }
 void shmem_fcollectmem(void* dst, const void* src, std::size_t nbytes) {
-  current().fcollectmem(dst, src, nbytes);
+  shmem_fcollectmem(shmem_team_world(), dst, src, nbytes);
 }
 void shmem_fcollectmem(shmem_team_t team, void* dst, const void* src,
                        std::size_t nbytes) {
@@ -287,7 +228,7 @@ void shmem_fcollectmem(shmem_team_t team, void* dst, const void* src,
                           nbytes);
 }
 void shmem_alltoallmem(void* dst, const void* src, std::size_t nbytes) {
-  current().alltoallmem(dst, src, nbytes);
+  shmem_alltoallmem(shmem_team_world(), dst, src, nbytes);
 }
 void shmem_alltoallmem(shmem_team_t team, void* dst, const void* src,
                        std::size_t nbytes) {
@@ -296,14 +237,8 @@ void shmem_alltoallmem(shmem_team_t team, void* dst, const void* src,
 }
 
 // The typed reduction surface is mechanical: every (type, op) pair forwards
-// to the engine on the world team (to_all) or the given team (reduce).
-#define GDRSHMEM_DEFINE_TO_ALL(name, ctype, itype, opk)                       \
-  void name(ctype* dst, const ctype* src, std::size_t nreduce) {              \
-    current().team_reduce(current().team_world(),                             \
-                          reinterpret_cast<itype*>(dst),                      \
-                          reinterpret_cast<const itype*>(src), nreduce,       \
-                          core::ReduceOp::opk);                               \
-  }
+// to the engine on the given team (reduce), and its to_all form forwards to
+// the reduce on the world team.
 #define GDRSHMEM_DEFINE_REDUCE(name, ctype, itype, opk)                       \
   void name(shmem_team_t team, ctype* dst, const ctype* src, std::size_t n) { \
     current().team_reduce(team_or_throw(team, #name),                         \
@@ -311,19 +246,10 @@ void shmem_alltoallmem(shmem_team_t team, void* dst, const void* src,
                           reinterpret_cast<const itype*>(src), n,             \
                           core::ReduceOp::opk);                               \
   }
-
-GDRSHMEM_DEFINE_TO_ALL(shmem_int_sum_to_all, int, std::int32_t, kSum)
-GDRSHMEM_DEFINE_TO_ALL(shmem_int_min_to_all, int, std::int32_t, kMin)
-GDRSHMEM_DEFINE_TO_ALL(shmem_int_max_to_all, int, std::int32_t, kMax)
-GDRSHMEM_DEFINE_TO_ALL(shmem_long_sum_to_all, long long, std::int64_t, kSum)
-GDRSHMEM_DEFINE_TO_ALL(shmem_long_min_to_all, long long, std::int64_t, kMin)
-GDRSHMEM_DEFINE_TO_ALL(shmem_long_max_to_all, long long, std::int64_t, kMax)
-GDRSHMEM_DEFINE_TO_ALL(shmem_float_sum_to_all, float, float, kSum)
-GDRSHMEM_DEFINE_TO_ALL(shmem_float_min_to_all, float, float, kMin)
-GDRSHMEM_DEFINE_TO_ALL(shmem_float_max_to_all, float, float, kMax)
-GDRSHMEM_DEFINE_TO_ALL(shmem_double_sum_to_all, double, double, kSum)
-GDRSHMEM_DEFINE_TO_ALL(shmem_double_min_to_all, double, double, kMin)
-GDRSHMEM_DEFINE_TO_ALL(shmem_double_max_to_all, double, double, kMax)
+#define GDRSHMEM_DEFINE_TO_ALL(name, reduce, ctype)                           \
+  void name(ctype* dst, const ctype* src, std::size_t nreduce) {              \
+    reduce(shmem_team_world(), dst, src, nreduce);                            \
+  }
 
 GDRSHMEM_DEFINE_REDUCE(shmem_int_sum_reduce, int, std::int32_t, kSum)
 GDRSHMEM_DEFINE_REDUCE(shmem_int_min_reduce, int, std::int32_t, kMin)
@@ -338,11 +264,20 @@ GDRSHMEM_DEFINE_REDUCE(shmem_double_sum_reduce, double, double, kSum)
 GDRSHMEM_DEFINE_REDUCE(shmem_double_min_reduce, double, double, kMin)
 GDRSHMEM_DEFINE_REDUCE(shmem_double_max_reduce, double, double, kMax)
 
-#undef GDRSHMEM_DEFINE_TO_ALL
-#undef GDRSHMEM_DEFINE_REDUCE
+GDRSHMEM_DEFINE_TO_ALL(shmem_int_sum_to_all, shmem_int_sum_reduce, int)
+GDRSHMEM_DEFINE_TO_ALL(shmem_int_min_to_all, shmem_int_min_reduce, int)
+GDRSHMEM_DEFINE_TO_ALL(shmem_int_max_to_all, shmem_int_max_reduce, int)
+GDRSHMEM_DEFINE_TO_ALL(shmem_long_sum_to_all, shmem_long_sum_reduce, long long)
+GDRSHMEM_DEFINE_TO_ALL(shmem_long_min_to_all, shmem_long_min_reduce, long long)
+GDRSHMEM_DEFINE_TO_ALL(shmem_long_max_to_all, shmem_long_max_reduce, long long)
+GDRSHMEM_DEFINE_TO_ALL(shmem_float_sum_to_all, shmem_float_sum_reduce, float)
+GDRSHMEM_DEFINE_TO_ALL(shmem_float_min_to_all, shmem_float_min_reduce, float)
+GDRSHMEM_DEFINE_TO_ALL(shmem_float_max_to_all, shmem_float_max_reduce, float)
+GDRSHMEM_DEFINE_TO_ALL(shmem_double_sum_to_all, shmem_double_sum_reduce, double)
+GDRSHMEM_DEFINE_TO_ALL(shmem_double_min_to_all, shmem_double_min_reduce, double)
+GDRSHMEM_DEFINE_TO_ALL(shmem_double_max_to_all, shmem_double_max_reduce, double)
 
-void shmem_longlong_max_to_all(long long* dst, const long long* src, std::size_t n) {
-  shmem_long_max_to_all(dst, src, n);
-}
+#undef GDRSHMEM_DEFINE_REDUCE
+#undef GDRSHMEM_DEFINE_TO_ALL
 
 }  // namespace gdrshmem::capi

@@ -41,8 +41,6 @@ int rails_from_env() {
 Transport::Transport(Verbs& verbs, const TransportConfig& cfg)
     : verbs_(verbs), cfg_(cfg) {}
 
-Transport::~Transport() = default;
-
 bool Transport::stripe_eligible(std::size_t n) const {
   return cfg_.rails >= 2 && n >= params().rail_stripe_min_bytes &&
          verbs_.cluster().config().hcas_per_node >= 2;

@@ -81,7 +81,7 @@ struct QpFootprint {
 class Transport {
  public:
   Transport(Verbs& verbs, const TransportConfig& cfg);
-  virtual ~Transport();
+  virtual ~Transport() = default;
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 

@@ -48,8 +48,6 @@ enum class FiberSwitch { kFast, kUcontext };
 /// construction (i.e. per Engine), not cached per process.
 FiberSwitch fiber_switch_from_env();
 
-const char* to_string(FiberSwitch m);
-
 /// Per-process execution state (a fiber stack + context, or an OS thread +
 /// condvar). Owned by the Process; destroyed only once the process is done.
 class ProcessExec {

@@ -88,10 +88,6 @@ FiberSwitch fiber_switch_from_env() {
   return m;
 }
 
-const char* to_string(FiberSwitch m) {
-  return m == FiberSwitch::kFast ? "fast" : "ucontext";
-}
-
 namespace {
 
 /// Usable fiber stack bytes (excluding the guard page); override with

@@ -1,8 +1,8 @@
-// The OpenSHMEM-1.4-shaped C API surface: new names vs the classic aliases
-// (same bytes, same virtual time), shmem_calloc zeroing on both heaps, and
-// RuntimeOptions::from_env validation of every GDRSHMEM_* variable.
-// This file exercises the deprecated classic spellings on purpose.
-#define GDRSHMEM_NO_DEPRECATE
+// The OpenSHMEM-1.4-shaped C API surface: shmem_calloc zeroing on both heaps
+// (before its barrier, so puts right after it survive), and
+// RuntimeOptions::from_env validation of every GDRSHMEM_* variable. Every
+// other C function is checked against the Ctx call it wraps by the
+// conformance table in api_conformance_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -26,119 +26,7 @@ using core::testing::make_cluster;
 using core::testing::make_options;
 using core::testing::run_spmd;
 
-// ---- 1.4 names vs classic aliases -----------------------------------------
-
-/// The same SPMD program written against either the 1.4 names or the classic
-/// aliases; returns the run's final virtual time so both spellings can be
-/// checked for bit-identical cost.
-std::int64_t capi_workload(bool classic) {
-  constexpr std::size_t kN = 64;
-  auto rt = run_spmd(
-      make_cluster(2, 2), make_options(TransportKind::kEnhancedGdr),
-      [&](Ctx& ctx) {
-        capi::Bind bind(ctx);
-        const int np = capi::shmem_n_pes();
-        const int me = capi::shmem_my_pe();
-        const int target = (me + 1) % np;
-        auto* d = static_cast<double*>(
-            classic ? capi::shmalloc(kN * sizeof(double))
-                    : capi::shmem_malloc(kN * sizeof(double)));
-        auto* ctr = static_cast<long long*>(
-            classic ? capi::shmalloc(sizeof(long long))
-                    : capi::shmem_malloc(sizeof(long long)));
-        *ctr = 0;
-        double vals[kN];
-        for (std::size_t i = 0; i < kN; ++i) vals[i] = me * 100.0 + i;
-        capi::shmem_barrier_all();
-
-        long long old;
-        if (classic) {
-          capi::shmem_double_put(d, vals, kN, target);
-          old = capi::shmem_longlong_fadd(ctr, 5, target);
-          capi::shmem_longlong_add(ctr, 2, target);
-        } else {
-          capi::shmem_put(d, vals, kN, target);
-          old = capi::shmem_atomic_fetch_add(ctr, 5LL, target);
-          capi::shmem_atomic_add(ctr, 2LL, target);
-        }
-        EXPECT_EQ(old, 0);
-        capi::shmem_quiet();
-        capi::shmem_barrier_all();
-
-        const int from = (me + np - 1) % np;
-        for (std::size_t i = 0; i < kN; ++i) {
-          EXPECT_DOUBLE_EQ(d[i], from * 100.0 + i);
-        }
-        EXPECT_EQ(*ctr, 7);
-        capi::shmem_barrier_all();
-        if (classic) {
-          capi::shfree(d);
-          capi::shfree(ctr);
-        } else {
-          capi::shmem_free(d);
-          capi::shmem_free(ctr);
-        }
-      });
-  return rt->engine().now().count_ns();
-}
-
-TEST(Api14, AliasesMatchNewNamesBitForBit) {
-  std::int64_t modern = capi_workload(/*classic=*/false);
-  std::int64_t classic = capi_workload(/*classic=*/true);
-  EXPECT_EQ(modern, classic)
-      << "classic aliases must be zero-cost wrappers over the 1.4 names";
-}
-
-TEST(Api14, TypedOverloadsMoveTheRightBytes) {
-  run_spmd(make_cluster(2, 1), make_options(TransportKind::kEnhancedGdr),
-           [&](Ctx& ctx) {
-             capi::Bind bind(ctx);
-             auto* ll = static_cast<long long*>(capi::shmem_malloc(4 * 8));
-             auto* f = static_cast<float*>(capi::shmem_malloc(4 * 4));
-             auto* ii = static_cast<int*>(capi::shmem_malloc(4 * 4));
-             if (capi::shmem_my_pe() == 0) {
-               long long lv[4] = {1, -2, 3, -4};
-               float fv[4] = {0.5f, 1.5f, 2.5f, 3.5f};
-               int iv[4] = {10, 20, 30, 40};
-               capi::shmem_put(ll, lv, 4, 1);
-               capi::shmem_put(f, fv, 4, 1);
-               capi::shmem_put(ii, iv, 4, 1);
-               capi::shmem_quiet();
-             }
-             capi::shmem_barrier_all();
-             if (capi::shmem_my_pe() == 1) {
-               EXPECT_EQ(ll[1], -2);
-               EXPECT_FLOAT_EQ(f[3], 3.5f);
-               EXPECT_EQ(ii[2], 30);
-               long long back[4] = {};
-               capi::shmem_get(back, ll, 4, 1);  // self-get via API
-               EXPECT_EQ(back[3], -4);
-             }
-             capi::shmem_barrier_all();
-           });
-}
-
-TEST(Api14, NbiOverloadsCompleteAtQuiet) {
-  run_spmd(make_cluster(2, 1), make_options(TransportKind::kEnhancedGdr),
-           [&](Ctx& ctx) {
-             capi::Bind bind(ctx);
-             auto* d = static_cast<double*>(capi::shmem_malloc(8 * 8));
-             if (capi::shmem_my_pe() == 0) {
-               double v[8] = {1, 2, 3, 4, 5, 6, 7, 8};
-               capi::shmem_put_nbi(d, v, 8, 1);
-               capi::shmem_quiet();
-             }
-             capi::shmem_barrier_all();
-             if (capi::shmem_my_pe() == 1) {
-               EXPECT_DOUBLE_EQ(d[7], 8.0);
-               double back[8] = {};
-               capi::shmem_get_nbi(back, d, 8, 1);
-               capi::shmem_quiet();
-               EXPECT_DOUBLE_EQ(back[0], 1.0);
-             }
-             capi::shmem_barrier_all();
-           });
-}
+// ---- shmem_calloc ----------------------------------------------------------
 
 TEST(Api14, CallocZeroesBothDomains) {
   run_spmd(make_cluster(1, 1), make_options(TransportKind::kEnhancedGdr),
@@ -160,6 +48,54 @@ TEST(Api14, CallocZeroesBothDomains) {
                }
                capi::shmem_free(z);
              }
+           });
+}
+
+TEST(Api14, CallocZeroesBeforeItsBarrier) {
+  // Each PE dirties and frees a block, callocs it back and at once puts its
+  // tag into every peer's copy. A PE that zeroed its copy after the
+  // allocation's barrier would wipe tags from peers that left it first.
+  constexpr std::size_t kWords = 64;
+  const hw::ClusterConfig shapes[] = {make_cluster(2, 2), make_cluster(2, 4),
+                                      make_cluster(3, 2), make_cluster(4, 2)};
+  for (const hw::ClusterConfig& shape : shapes) {
+    run_spmd(shape, make_options(TransportKind::kEnhancedGdr), [&](Ctx& ctx) {
+      capi::Bind bind(ctx);
+      const int me = capi::shmem_my_pe();
+      const int np = capi::shmem_n_pes();
+      auto* dirty = static_cast<long long*>(
+          capi::shmem_malloc(kWords * sizeof(long long)));
+      for (std::size_t i = 0; i < kWords; ++i) dirty[i] = -1;
+      capi::shmem_free(dirty);
+      auto* block = static_cast<long long*>(
+          capi::shmem_calloc(kWords, sizeof(long long)));
+      const long long tag = 1000 + me;
+      for (int pe = 0; pe < np; ++pe) {
+        if (pe != me) capi::shmem_putmem(&block[me], &tag, sizeof tag, pe);
+      }
+      capi::shmem_barrier_all();
+      for (int w = 0; w < static_cast<int>(kWords); ++w) {
+        const long long want = w < np && w != me ? 1000 + w : 0;
+        EXPECT_EQ(block[w], want) << shape.num_nodes << "x"
+                                  << shape.pes_per_node << ": PE " << me
+                                  << " word " << w;
+      }
+      capi::shmem_free(block);
+    });
+  }
+}
+
+TEST(Api14, CallocRejectsSizeOverflow) {
+  run_spmd(make_cluster(1, 2), make_options(TransportKind::kEnhancedGdr),
+           [&](Ctx& ctx) {
+             capi::Bind bind(ctx);
+             // (SIZE_MAX / 8 + 2) * 8 wraps around to 8 bytes.
+             EXPECT_THROW(capi::shmem_calloc(SIZE_MAX / 8 + 2, 8), ShmemError);
+             // The rejected call allocated nothing: the next one still
+             // matches on every PE.
+             void* p = capi::shmem_calloc(4, 8);
+             EXPECT_NE(p, nullptr);
+             capi::shmem_free(p);
            });
 }
 
@@ -419,7 +355,7 @@ TEST(FromEnv, CollAlgoFlowsIntoARun) {
     auto* v = static_cast<std::int64_t*>(ctx.shmalloc(8));
     *v = ctx.my_pe();
     ctx.barrier_all();
-    ctx.sum_to_all(v, v, 1);
+    ctx.team_reduce(ctx.team_world(), v, v, 1, core::ReduceOp::kSum);
     EXPECT_EQ(*v, 6);
     ctx.barrier_all();
   });

@@ -24,7 +24,9 @@ TEST(Atomics, FetchAddOnHostSymmetric) {
                EXPECT_EQ(ctx.atomic_fetch(c, 1), 108);
              }
              ctx.barrier_all();
-             if (ctx.my_pe() == 1) EXPECT_EQ(*c, 108);
+             if (ctx.my_pe() == 1) {
+               EXPECT_EQ(*c, 108);
+             }
            });
 }
 
@@ -39,7 +41,9 @@ TEST(Atomics, FetchAddOnGpuSymmetric) {
                EXPECT_EQ(ctx.atomic_fetch_add(c, 3, 1), 5);
              }
              ctx.barrier_all();
-             if (ctx.my_pe() == 1) EXPECT_EQ(*c, 8);
+             if (ctx.my_pe() == 1) {
+               EXPECT_EQ(*c, 8);
+             }
            });
 }
 
@@ -55,7 +59,9 @@ TEST(Atomics, CompareSwapAndSwap) {
                EXPECT_EQ(ctx.atomic_swap(c, 77, 1), 42);
              }
              ctx.barrier_all();
-             if (ctx.my_pe() == 1) EXPECT_EQ(*c, 77);
+             if (ctx.my_pe() == 1) {
+               EXPECT_EQ(*c, 77);
+             }
            });
 }
 
@@ -75,7 +81,9 @@ TEST(Atomics, ConcurrentFetchAddIsLinearizable) {
                EXPECT_GT(seen[i], seen[i - 1]);
              }
              ctx.barrier_all();
-             if (ctx.my_pe() == 0) EXPECT_EQ(*c, 8 * kPerPe);
+             if (ctx.my_pe() == 0) {
+               EXPECT_EQ(*c, 8 * kPerPe);
+             }
            });
 }
 

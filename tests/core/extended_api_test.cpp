@@ -1,5 +1,5 @@
 // Extended OpenSHMEM surface: strided iput/iget, put-with-signal,
-// non-blocking test, all-to-all, and the classic C API bindings.
+// non-blocking test, all-to-all, and the C API bindings.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -118,7 +118,7 @@ TEST(ExtendedApi, AlltoallExchangesBlocks) {
                }
              }
              ctx.barrier_all();
-             ctx.alltoallmem(dst, src, kBlock);
+             ctx.team_alltoall(ctx.team_world(), dst, src, kBlock);
              for (int sender = 0; sender < np; ++sender) {
                for (std::size_t i = 0; i < kBlock; ++i) {
                  ASSERT_EQ(dst[sender * kBlock + i],
@@ -144,7 +144,7 @@ TEST(ExtendedApi, AlltoallOnGpuDomainAcrossTransports) {
         src[i] = static_cast<unsigned char>((ctx.my_pe() * 131 + i) % 255);
       }
       ctx.barrier_all();
-      ctx.alltoallmem(dst, src, kBlock);
+      ctx.team_alltoall(ctx.team_world(), dst, src, kBlock);
       for (int sender = 0; sender < np; ++sender) {
         std::size_t block_in_sender = static_cast<std::size_t>(ctx.my_pe()) * kBlock;
         for (std::size_t i = 0; i < kBlock; i += 111) {
@@ -158,7 +158,7 @@ TEST(ExtendedApi, AlltoallOnGpuDomainAcrossTransports) {
   }
 }
 
-// ---- the classic C API ------------------------------------------------------
+// ---- the C API ------------------------------------------------------------
 
 TEST(CApi, RoundTripThroughClassicCalls) {
   run_spmd(make_cluster(2, 1), make_options(TransportKind::kEnhancedGdr),
@@ -166,12 +166,12 @@ TEST(CApi, RoundTripThroughClassicCalls) {
              capi::Bind bind(ctx);
              using namespace capi;
              EXPECT_EQ(shmem_n_pes(), 2);
-             auto* v = static_cast<long long*>(shmalloc(sizeof(long long)));
+             auto* v = static_cast<long long*>(shmem_malloc(sizeof(long long)));
              auto* d = static_cast<double*>(
-                 shmalloc(4 * sizeof(double), Domain::kGpu));
+                 shmem_malloc(4 * sizeof(double), Domain::kGpu));
              if (shmem_my_pe() == 0) {
                double vals[4] = {1.5, 2.5, 3.5, 4.5};
-               shmem_double_put(d, vals, 4, 1);
+               shmem_put(d, vals, 4, 1);
                shmem_quiet();
                long long one = 1;
                shmem_putmem(v, &one, sizeof(one), 1);
@@ -179,10 +179,12 @@ TEST(CApi, RoundTripThroughClassicCalls) {
              } else {
                shmem_longlong_wait_until(v, SHMEM_CMP_EQ, 1);
                EXPECT_DOUBLE_EQ(d[3], 4.5);
-               EXPECT_EQ(shmem_longlong_fadd(v, 5, 0), 0);
+               EXPECT_EQ(shmem_atomic_fetch_add(v, 5LL, 0), 0);
              }
              shmem_barrier_all();
-             if (shmem_my_pe() == 0) EXPECT_EQ(*v, 5);
+             if (shmem_my_pe() == 0) {
+               EXPECT_EQ(*v, 5);
+             }
              shmem_barrier_all();
            });
 }
@@ -204,17 +206,17 @@ TEST(CApi, ReductionsAndCollect) {
            [&](Ctx& ctx) {
              capi::Bind bind(ctx);
              using namespace capi;
-             auto* src = static_cast<double*>(shmalloc(sizeof(double)));
-             auto* dst = static_cast<double*>(shmalloc(sizeof(double)));
+             auto* src = static_cast<double*>(shmem_malloc(sizeof(double)));
+             auto* dst = static_cast<double*>(shmem_malloc(sizeof(double)));
              *src = shmem_my_pe() + 1.0;
              shmem_barrier_all();
              shmem_double_sum_to_all(dst, src, 1);
              EXPECT_DOUBLE_EQ(*dst, 1 + 2 + 3 + 4);
-             auto* mx = static_cast<long long*>(shmalloc(8));
-             auto* mxr = static_cast<long long*>(shmalloc(8));
+             auto* mx = static_cast<long long*>(shmem_malloc(8));
+             auto* mxr = static_cast<long long*>(shmem_malloc(8));
              *mx = 10 * shmem_my_pe();
              shmem_barrier_all();
-             shmem_longlong_max_to_all(mxr, mx, 1);
+             shmem_long_max_to_all(mxr, mx, 1);
              EXPECT_EQ(*mxr, 30);
              shmem_barrier_all();
            });

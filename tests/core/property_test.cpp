@@ -47,8 +47,8 @@ TEST_P(OddSizes, PutGetRoundTripAllDomains) {
 INSTANTIATE_TEST_SUITE_P(SizeSweep, OddSizes,
                          ::testing::Values(1, 3, 7, 17, 63, 127, 129, 255, 1000,
                                            4097, 8193, 65537, 300001),
-                         [](const auto& info) {
-                           return "bytes" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "bytes" + std::to_string(param_info.param);
                          });
 
 // ---------------------------------------------------------------------------
@@ -203,20 +203,22 @@ TEST_P(AwkwardPeCounts, BarrierBroadcastReduceCollect) {
         ctx.shmalloc(8 * static_cast<std::size_t>(np)));
     *v = ctx.my_pe() + 1;
     ctx.barrier_all();
-    ctx.sum_to_all(r, v, 1);
+    ctx.team_reduce(ctx.team_world(), r, v, 1, ReduceOp::kSum);
     EXPECT_EQ(*r, np * (np + 1) / 2);
-    ctx.broadcastmem(v, r, 8, np - 1);  // root = last PE
-    if (ctx.my_pe() != np - 1) EXPECT_EQ(*v, np * (np + 1) / 2);
+    ctx.team_broadcast(ctx.team_world(), v, r, 8, np - 1);  // root = last PE
+    if (ctx.my_pe() != np - 1) {
+      EXPECT_EQ(*v, np * (np + 1) / 2);
+    }
     std::int64_t mine = 100 + ctx.my_pe();
-    ctx.fcollectmem(blocks, &mine, 8);
+    ctx.team_fcollect(ctx.team_world(), blocks, &mine, 8);
     for (int i = 0; i < np; ++i) EXPECT_EQ(blocks[i], 100 + i);
     ctx.barrier_all();
   });
 }
 
 INSTANTIATE_TEST_SUITE_P(NonPow2, AwkwardPeCounts, ::testing::Values(1, 2, 3, 5, 6, 7),
-                         [](const auto& info) {
-                           return "np" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "np" + std::to_string(param_info.param);
                          });
 
 // ---------------------------------------------------------------------------

@@ -135,7 +135,9 @@ TEST(Rma, NbiCompletesAtQuiet) {
                ctx.quiet();
              }
              ctx.barrier_all();
-             if (ctx.my_pe() == 1) EXPECT_EQ(*sym, 0xdeadbeefu);
+             if (ctx.my_pe() == 1) {
+               EXPECT_EQ(*sym, 0xdeadbeefu);
+             }
            });
 }
 
@@ -219,7 +221,9 @@ TEST(Rma, NaiveTransportHostOnly) {
                EXPECT_THROW(ctx.putmem(h, dev, sizeof(int), 2), UnsupportedError);
              }
              ctx.barrier_all();
-             if (ctx.my_pe() == 2) EXPECT_EQ(*h, 5);
+             if (ctx.my_pe() == 2) {
+               EXPECT_EQ(*h, 5);
+             }
            });
 }
 

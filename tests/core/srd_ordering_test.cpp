@@ -87,7 +87,7 @@ TEST_P(SrdOrdering, GenerationTaggedCollectivesSurviveReorderAndFaults) {
         static_cast<unsigned char*>(ctx.shmalloc(kBcast, Domain::kHost));
     for (int r = 0; r < kRounds; ++r) {
       for (int i = 0; i < 16; ++i) red[i] = (me + 1) * (i + 1) + r;
-      ctx.sum_to_all(red, red, 16);
+      ctx.team_reduce(ctx.team_world(), red, red, 16, ReduceOp::kSum);
       for (int i = 0; i < 16; ++i) {
         std::int64_t want = 0;
         for (int pe = 0; pe < kNp; ++pe) want += (pe + 1) * (i + 1) + r;
@@ -99,7 +99,7 @@ TEST_P(SrdOrdering, GenerationTaggedCollectivesSurviveReorderAndFaults) {
         src[i] = static_cast<unsigned char>(i * 7 + r * 13 + root);
       }
       if (me == root) std::memcpy(bc, src.data(), kBcast);
-      ctx.broadcastmem(bc, bc, kBcast, root);
+      ctx.team_broadcast(ctx.team_world(), bc, bc, kBcast, root);
       ctx.barrier_all();
       ASSERT_EQ(std::memcmp(bc, src.data(), kBcast), 0)
           << "broadcast round " << r << " root " << root;
@@ -110,8 +110,9 @@ TEST_P(SrdOrdering, GenerationTaggedCollectivesSurviveReorderAndFaults) {
 INSTANTIATE_TEST_SUITE_P(
     EngineBackends, SrdOrdering,
     ::testing::Values(sim::BackendKind::kFibers, sim::BackendKind::kThreads),
-    [](const ::testing::TestParamInfo<sim::BackendKind>& info) {
-      return info.param == sim::BackendKind::kFibers ? "fibers" : "threads";
+    [](const ::testing::TestParamInfo<sim::BackendKind>& param_info) {
+      return param_info.param == sim::BackendKind::kFibers ? "fibers"
+                                                           : "threads";
     });
 
 }  // namespace

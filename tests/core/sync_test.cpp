@@ -19,10 +19,10 @@ class SyncBothTransports : public ::testing::TestWithParam<TransportKind> {};
 INSTANTIATE_TEST_SUITE_P(Transports, SyncBothTransports,
                          ::testing::Values(TransportKind::kHostPipeline,
                                            TransportKind::kEnhancedGdr),
-                         [](const auto& info) {
-                           return info.param == TransportKind::kHostPipeline
-                                      ? "Baseline"
-                                      : "Enhanced";
+                         [](const auto& param_info) {
+                           const bool baseline =
+                               param_info.param == TransportKind::kHostPipeline;
+                           return baseline ? "Baseline" : "Enhanced";
                          });
 
 TEST_P(SyncBothTransports, BarrierSynchronizesAllPes) {
@@ -105,7 +105,8 @@ TEST_P(SyncBothTransports, BroadcastFromEveryRoot) {
         buf[i] = 0;
       }
       ctx.barrier_all();
-      ctx.broadcastmem(buf, src, kWords * sizeof(std::uint64_t), root);
+      ctx.team_broadcast(ctx.team_world(), buf, src,
+                         kWords * sizeof(std::uint64_t), root);
       if (ctx.my_pe() != root) {
         for (std::size_t i = 0; i < kWords; ++i) {
           ASSERT_EQ(buf[i], 1000u * static_cast<unsigned>(root) + i)
@@ -124,7 +125,7 @@ TEST_P(SyncBothTransports, SumToAllDouble) {
     auto* dst = static_cast<double*>(ctx.shmalloc(kN * sizeof(double)));
     for (std::size_t i = 0; i < kN; ++i) src[i] = ctx.my_pe() + 0.25 * i;
     ctx.barrier_all();
-    ctx.sum_to_all(dst, src, kN);
+    ctx.team_reduce(ctx.team_world(), dst, src, kN, ReduceOp::kSum);
     const int np = ctx.n_pes();
     for (std::size_t i = 0; i < kN; ++i) {
       double expect = np * (np - 1) / 2.0 + np * 0.25 * i;
@@ -142,8 +143,8 @@ TEST(Sync, MinMaxToAll) {
              auto* mx = static_cast<std::int64_t*>(ctx.shmalloc(8));
              *src = 10 - 3 * ctx.my_pe();
              ctx.barrier_all();
-             ctx.min_to_all(mn, src, 1);
-             ctx.max_to_all(mx, src, 1);
+             ctx.team_reduce(ctx.team_world(), mn, src, 1, ReduceOp::kMin);
+             ctx.team_reduce(ctx.team_world(), mx, src, 1, ReduceOp::kMax);
              EXPECT_EQ(*mn, 10 - 3 * (ctx.n_pes() - 1));
              EXPECT_EQ(*mx, 10);
              ctx.barrier_all();
@@ -156,7 +157,8 @@ TEST(Sync, ReduceInPlaceAlias) {
              auto* buf = static_cast<std::int32_t*>(ctx.shmalloc(4 * sizeof(int)));
              for (int i = 0; i < 4; ++i) buf[i] = ctx.my_pe() + i;
              ctx.barrier_all();
-             ctx.sum_to_all(buf, buf, 4);  // dst aliases src
+             // dst aliases src
+             ctx.team_reduce(ctx.team_world(), buf, buf, 4, ReduceOp::kSum);
              for (int i = 0; i < 4; ++i) EXPECT_EQ(buf[i], 6 + 4 * i);
              ctx.barrier_all();
            });
@@ -175,7 +177,8 @@ TEST(Sync, ReduceLargerThanWorkspaceCompletes) {
                         static_cast<double>(i % 257);
              }
              ctx.barrier_all();
-             ctx.sum_to_all(big, big, kElems);
+             ctx.team_reduce(ctx.team_world(), big, big, kElems,
+                             ReduceOp::kSum);
              for (std::size_t i = 0; i < kElems; ++i) {
                ASSERT_EQ(big[i], 3.0 * static_cast<double>(i % 257));
              }
@@ -194,7 +197,7 @@ TEST_P(SyncBothTransports, FcollectGathersBlocks) {
       src[i] = static_cast<unsigned char>(16 * ctx.my_pe() + i);
     }
     ctx.barrier_all();
-    ctx.fcollectmem(dst, src, kBlock);
+    ctx.team_fcollect(ctx.team_world(), dst, src, kBlock);
     for (int pe = 0; pe < np; ++pe) {
       for (std::size_t i = 0; i < kBlock; ++i) {
         ASSERT_EQ(dst[pe * kBlock + i], static_cast<unsigned char>(16 * pe + i));
@@ -216,7 +219,7 @@ TEST(Sync, FcollectOnGpuDomain) {
                src[i] = static_cast<unsigned char>(ctx.my_pe() * 100 + i % 90);
              }
              ctx.barrier_all();
-             ctx.fcollectmem(dst, src, kBlock);
+             ctx.team_fcollect(ctx.team_world(), dst, src, kBlock);
              for (int pe = 0; pe < 2; ++pe) {
                for (std::size_t i = 0; i < kBlock; i += 17) {
                  ASSERT_EQ(dst[pe * kBlock + i],

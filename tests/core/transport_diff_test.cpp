@@ -94,7 +94,7 @@ std::uint64_t run_checksum(const DiffConfig& cfg) {
     auto* red = static_cast<std::int64_t*>(
         ctx.shmalloc(8 * sizeof(std::int64_t), Domain::kHost));
     for (int i = 0; i < 8; ++i) red[i] = (me + 1) * (i + 1);
-    ctx.sum_to_all(red, red, 8);
+    ctx.team_reduce(ctx.team_world(), red, red, 8, ReduceOp::kSum);
     h = fnv1a(h, reinterpret_cast<unsigned char*>(red),
               8 * sizeof(std::int64_t));
 
@@ -180,8 +180,14 @@ TEST(TransportDiff, ProxyGetLandsEveryChunkBeforeReturn) {
   // of it; on srd any chunk can. Whatever the completion order, every byte
   // must be in place the moment getmem returns.
   const std::size_t n = 3 * (256u << 10) + (64u << 10);
-  for (DiffConfig cfg : {DiffConfig{ib::QpKind::kRc, 2},
-                         DiffConfig{ib::QpKind::kSrd, 1}}) {
+  auto config = [](ib::QpKind kind, int rails) {
+    DiffConfig c;
+    c.kind = kind;
+    c.rails = rails;
+    return c;
+  };
+  for (DiffConfig cfg :
+       {config(ib::QpKind::kRc, 2), config(ib::QpKind::kSrd, 1)}) {
     RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
     opts.ib_transport = cfg.kind;
     opts.ib_rails = cfg.rails;
