@@ -4,7 +4,8 @@
 // from 30 to 248 client PEs (thousands of seeded open-loop requests) and
 // reports goodput plus p50/p99/p999 request latency measured from the
 // scheduled arrival, so server queueing, eviction, and repack stalls are all
-// visible. A faulted variant replays the same workload under a proxy crash
+// visible, next to the rejects, evictions, repacks and extent moves behind
+// them. A faulted variant replays the same workload under a proxy crash
 // plus P2P revocation mid-checkpoint; the acked-durability contract
 // (lost_acked == 0) is asserted on every run.
 //
@@ -138,9 +139,9 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "== Checkpoint/restore service: open-loop goodput and latency ==\n");
-  std::printf("%-9s %-8s %-8s %-9s %-9s %-11s %-12s %-22s %-8s\n", "config",
-              "clients", "acked", "restores", "evict", "repack/mv",
-              "goodput MB/s", "ckpt p50/p99/p999 us", "lost");
+  std::printf("%-9s %-8s %-8s %-9s %-9s %-9s %-11s %-12s %-22s %-8s\n",
+              "config", "clients", "acked", "rejected", "restores", "evict",
+              "repack/mv", "goodput MB/s", "ckpt p50/p99/p999 us", "lost");
   for (const BenchCase& c : kCases) {
     CheckpointResult r = measure(c, sim::BackendKind::kFibers);
     const int clients = c.nodes * c.ppn - c.servers;
@@ -149,10 +150,11 @@ int main(int argc, char** argv) {
                   static_cast<double>(r.ckpt_p50_ns) * 1e-3,
                   static_cast<double>(r.ckpt_p99_ns) * 1e-3,
                   static_cast<double>(r.ckpt_p999_ns) * 1e-3);
-    std::printf("%-9s %-8d %-8llu %-9llu %-9llu %llu/%-9llu %-12.1f %-22s "
-                "%-8llu\n",
+    std::printf("%-9s %-8d %-8llu %-9llu %-9llu %-9llu %llu/%-9llu %-12.1f "
+                "%-22s %-8llu\n",
                 c.name, clients,
                 static_cast<unsigned long long>(r.checkpoints_acked),
+                static_cast<unsigned long long>(r.checkpoints_rejected),
                 static_cast<unsigned long long>(r.restores_ok),
                 static_cast<unsigned long long>(r.evictions),
                 static_cast<unsigned long long>(r.repacks),
@@ -177,8 +179,13 @@ int main(int argc, char** argv) {
     bench::add_metric(base + "/goodput_mbps", r.goodput_mbps);
     bench::add_metric(base + "/acked",
                       static_cast<double>(r.checkpoints_acked));
+    bench::add_metric(base + "/rejected",
+                      static_cast<double>(r.checkpoints_rejected));
     bench::add_metric(base + "/evictions",
                       static_cast<double>(r.evictions));
+    bench::add_metric(base + "/repacks", static_cast<double>(r.repacks));
+    bench::add_metric(base + "/extents_moved",
+                      static_cast<double>(r.extents_moved));
   }
   std::printf("\n");
   return bench::report_and_run(argc, argv, "checkpoint");

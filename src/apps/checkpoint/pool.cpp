@@ -54,43 +54,63 @@ std::optional<Extent> PmemPool::find(std::uint64_t key) const {
   return Extent{it->second, by_offset_.at(it->second).bytes};
 }
 
-std::size_t PmemPool::largest_free_run() const {
-  std::size_t best = 0;
-  std::size_t gap_start = 0;
-  for (const auto& [off, live] : by_offset_) {
-    best = std::max(best, off - gap_start);
-    gap_start = off + live.bytes;
-  }
-  return std::max(best, capacity_ - gap_start);
-}
-
 std::size_t PmemPool::repack(
+    std::size_t need,
     const std::function<void(std::uint64_t, std::size_t, std::size_t,
                              std::size_t)>& on_move,
     const std::function<bool(std::uint64_t)>& is_pinned) {
-  std::size_t moved = 0;
-  std::size_t next = 0;
-  // Rebuild the offset map front-to-back. Moves are strictly downward and
-  // processed in ascending old offset, so a destination never overlaps an
-  // extent that has not been moved yet; a pinned extent keeps its offset and
-  // advances the write pointer past itself.
-  std::map<std::size_t, Live> packed;
-  for (const auto& [off, live] : by_offset_) {
-    if (is_pinned && is_pinned(live.key)) {
-      packed.emplace(off, live);
-      next = off + live.bytes;
+  using It = std::map<std::size_t, Live>::iterator;
+  // Two pointers over the offset map. The window is [lo, hi); `base` is
+  // where its first extent would slide to (the end of the extent below it)
+  // and `bytes` is what it holds. Sliding it frees (offset of hi, or
+  // capacity) - base - bytes contiguous bytes, which only grows as the
+  // window widens on either side. So for each hi the cheapest window that
+  // fits starts at the highest lo that fits, and lo never moves back.
+  It lo = by_offset_.begin();
+  std::size_t base = 0, bytes = 0, count = 0;
+  It best_lo = by_offset_.end(), best_hi = best_lo;
+  std::size_t best_base = 0, best_bytes = 0, best_count = 0;
+  for (It hi = by_offset_.begin(); hi != by_offset_.end();) {
+    if (is_pinned && is_pinned(hi->second.key)) {
+      // A pinned extent cannot move, so no window spans it.
+      base = hi->first + hi->second.bytes;
+      lo = ++hi;
+      bytes = count = 0;
       continue;
     }
-    if (off != next) {
-      on_move(live.key, off, next, live.bytes);
-      offset_of_key_[live.key] = next;
-      ++moved;
+    bytes += hi->second.bytes;
+    ++count;
+    ++hi;
+    const std::size_t limit = hi == by_offset_.end() ? capacity_ : hi->first;
+    while (count > 0 && limit - base - bytes >= need) {
+      if (best_count == 0 || bytes < best_bytes ||
+          (bytes == best_bytes && count < best_count)) {
+        best_lo = lo;
+        best_hi = hi;
+        best_base = base;
+        best_bytes = bytes;
+        best_count = count;
+      }
+      base = lo->first + lo->second.bytes;
+      bytes -= lo->second.bytes;
+      --count;
+      ++lo;
     }
-    packed.emplace(next, live);
+  }
+  // Slide the chosen window down in ascending offset order. Its first extent
+  // sits above a gap (without one, the window minus that extent would free
+  // as much and move less), so every extent in it moves.
+  std::size_t next = best_base;
+  for (It it = best_lo; it != best_hi;) {
+    auto node = by_offset_.extract(it++);
+    const Live live = node.mapped();
+    on_move(live.key, node.key(), next, live.bytes);
+    offset_of_key_[live.key] = next;
+    node.key() = next;
+    by_offset_.insert(it, std::move(node));
     next += live.bytes;
   }
-  by_offset_ = std::move(packed);
-  return moved;
+  return best_count;
 }
 
 }  // namespace gdrshmem::apps::ckpt

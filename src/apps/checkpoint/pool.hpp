@@ -2,9 +2,8 @@
 // of Portus's pool.cpp): the bump-pointer SymmetricHeap cannot reclaim out
 // of order, so the checkpoint service carves one large pmem arena and
 // manages chunk-granular extents inside it — first-fit allocation, keyed
-// release, sliding repack to squeeze out fragmentation, and enough
-// introspection (free bytes vs largest free run) for the eviction policy to
-// decide between evicting cold checkpoints and repacking.
+// release, and a windowed repack that compacts only as much of the arena as
+// one allocation needs (DESIGN §5h).
 //
 // The pool tracks offsets only; moving the bytes during repack (and
 // publishing directory updates so one-sided readers notice) is the service's
@@ -43,15 +42,22 @@ class PmemPool {
   /// The live extent for `key`, if any.
   std::optional<Extent> find(std::uint64_t key) const;
 
-  /// Slide live extents down toward offset 0, in offset order, closing the
-  /// gaps. on_move(key, old_offset, new_offset, bytes) fires for each extent
-  /// that actually moves, in ascending old_offset order — a destination
-  /// never overlaps a not-yet-moved extent, so the service can memmove
-  /// eagerly. Extents for which is_pinned(key) returns true stay put (the
-  /// checkpoint service pins granted-but-uncommitted extents a client may be
-  /// writing into), so compaction around them can be partial. Returns the
-  /// number of extents moved.
+  /// Make room for an allocation of `need` (chunk-rounded) bytes that just
+  /// failed. A window is a run of consecutive live extents, none pinned;
+  /// sliding it down onto the end of the extent before it joins the gaps
+  /// before each of its extents and after its last into one free run. Of the
+  /// windows whose gaps add up to at least `need`, repack slides the one that
+  /// moves the fewest bytes (ties: fewest extents, then the lowest), and
+  /// nothing else. on_move(key, old_offset, new_offset, bytes) fires for each
+  /// of its extents, in ascending old_offset order; every move is strictly
+  /// downward and its destination never overlaps a not-yet-moved extent, so
+  /// the service can memmove eagerly. is_pinned(key) marks extents that must
+  /// stay put (the service pins granted-but-uncommitted extents a client may
+  /// be writing into); they bound windows. Returns the number of extents
+  /// moved: 0 exactly when no window frees `need`, and otherwise
+  /// allocate(need) succeeds afterwards.
   std::size_t repack(
+      std::size_t need,
       const std::function<void(std::uint64_t key, std::size_t old_offset,
                                std::size_t new_offset, std::size_t bytes)>&
           on_move,
@@ -62,10 +68,6 @@ class PmemPool {
   std::size_t used_bytes() const { return used_; }
   std::size_t free_bytes() const { return capacity_ - used_; }
   std::size_t live_extents() const { return by_offset_.size(); }
-  /// Largest contiguous free run: allocate(bytes) succeeds iff the rounded
-  /// size fits in it. free_bytes() > largest_free_run() means fragmentation
-  /// a repack would recover.
-  std::size_t largest_free_run() const;
   /// `bytes` rounded up to whole chunks (the footprint allocate would take).
   std::size_t rounded(std::size_t bytes) const;
 

@@ -199,8 +199,12 @@ class Server {
     ctx_.quiet();
   }
 
-  void do_repack() {
+  /// Slide the window of the arena that frees `need` bytes by moving the
+  /// fewest (PmemPool::repack). Returns the number of extents moved, 0 when
+  /// no window fits.
+  std::size_t do_repack(std::size_t need) {
     auto moved = pool_.repack(
+        need,
         [&](std::uint64_t key, std::size_t old_off, std::size_t new_off,
             std::size_t bytes) {
           // Every movable extent is committed, so it has a live dir entry.
@@ -209,8 +213,11 @@ class Server {
           DirEntry& e = dir_entry(ci, version);
           e.gen += 1;  // odd: one-sided readers must retry
           publish_odd_gen(e);
-          // A restore get in flight against old_off now races this move; the
-          // even-gen publish below is what lets the reader detect it.
+          // A restore get in flight against old_off now races this move, and
+          // so does one against the old bytes of an extent this repack moved
+          // earlier, which new_off may overlap. That extent's gen already
+          // changed, so its reader retries; this one's even-gen publish
+          // below is what lets its own reader detect the move.
           std::memmove(a_.arena + new_off, a_.arena + old_off, bytes);
           ctx_.proc().delay(sim::Duration::ns(
               static_cast<std::int64_t>(bytes / 16)));  // ~16 B/ns host copy
@@ -224,7 +231,7 @@ class Server {
       ++out_->repacks;
       ctx_.runtime().metrics().counter("ckpt/repacks").add();
     }
-    last_repack_moved_ = moved;
+    return moved;
   }
 
   /// Evict the least-recently-acked checkpoint that is not some client's
@@ -256,11 +263,8 @@ class Server {
     for (;;) {
       ext = pool_.allocate(key, rq.bytes);
       if (ext) break;
-      if (pool_.free_bytes() >= need && pool_.largest_free_run() < need) {
-        // Fragmented, not full: compaction may recover a large-enough run.
-        do_repack();
-        if (last_repack_moved_ > 0) continue;
-      }
+      // Fragmented, not full: compaction may recover a large-enough run.
+      if (pool_.free_bytes() >= need && do_repack(need) > 0) continue;
       if (evict_one()) continue;
       break;  // nothing left to evict or compact — reject
     }
@@ -340,7 +344,6 @@ class Server {
   std::set<std::uint64_t> pending_keys_;
   std::map<int, std::uint64_t> latest_acked_;
   std::list<std::uint64_t> lru_;
-  std::size_t last_repack_moved_ = 0;
   ServerOut* out_;
 };
 

@@ -7,9 +7,12 @@
 //
 // Protocol per checkpoint (client c, home server h = c % S):
 //   1. c -> h   put_signal request {version, bytes} into c's ReqSlot
-//   2. h        reserves a pool extent (LRU-evicting cold checkpoints and
-//               repacking the arena when fragmented), put_signals a grant
-//               {arena offset} — or a reject when nothing can make room
+//   2. h        reserves a pool extent, put_signals a grant {arena offset}
+//               — or a reject when nothing can make room. When no free run
+//               fits, h first repacks: it slides down only the run of
+//               committed extents whose gaps join into a large-enough run
+//               at the fewest bytes moved (DESIGN §5h); when no such run
+//               exists it LRU-evicts a cold checkpoint and tries again.
 //   3. c -> h   putmem of the GPU payload into arena + offset, quiet()
 //   4. c -> h   put_signal commit {payload sum}; h re-sums the payload in its
 //               arena and checks it, publishes the (client, version) -> extent
@@ -20,7 +23,7 @@
 // Restore is fully one-sided: the client gets the directory entry from the
 // replica, gets the payload from the home arena, then re-gets the entry and
 // retries when the generation seqlock changed (repack moved the bytes
-// underneath the read).
+// underneath the read, or moved another extent onto them).
 //
 // Under a sim::FaultPlan, proxy crashes replay staged transfers and P2P
 // revocation reroutes GPU-source puts through host staging; the ack rule
@@ -64,8 +67,8 @@ struct CheckpointResult {
   std::uint64_t bytes_restored = 0;
   std::uint64_t evictions = 0;   // cold checkpoints dropped for space
   std::uint64_t supersedes = 0;  // old versions displaced by their dir slot
-  std::uint64_t repacks = 0;     // arena compactions
-  std::uint64_t extents_moved = 0;
+  std::uint64_t repacks = 0;     // arena compactions that moved something
+  std::uint64_t extents_moved = 0;  // summed over all repacks
   std::uint64_t restore_retries = 0;  // seqlock conflicts with repack
   double makespan_ms = 0;
   double goodput_mbps = 0;  // acked checkpoint bytes / makespan

@@ -1,16 +1,21 @@
 // Checkpoint/restore service coverage: the pmem pool allocator (first fit,
-// keyed release, repack with pinning), the open-loop traffic generator's
-// determinism, the payload sum (XXH64) and model-state fill, and the
-// end-to-end service — fault-free, under eviction
-// pressure, and under a seeded fault plan (proxy crash + P2P revocation
-// mid-checkpoint) where the durability contract is zero lost acknowledged
-// checkpoints and bit-identical digests on both engine backends.
+// keyed release, windowed repack with pinning, checked against a byte
+// shadow of the arena), the open-loop traffic generator's determinism, the
+// payload sum (XXH64) and model-state fill, and the end-to-end service —
+// fault-free, under eviction and repack pressure, and under a seeded fault
+// plan (proxy crash + P2P revocation mid-checkpoint) where the durability
+// contract is zero lost acknowledged checkpoints and bit-identical digests
+// on both engine backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <map>
 #include <numeric>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/checkpoint/payload.hpp"
@@ -93,22 +98,23 @@ TEST(PmemPoolTest, FragmentationAndRepack) {
   pool.release(3);
   // 4K free but split into two 2K holes: a 4K allocation needs a repack.
   EXPECT_EQ(pool.free_bytes(), 4096u);
-  EXPECT_EQ(pool.largest_free_run(), 2048u);
   EXPECT_FALSE(pool.allocate(9, 4096));
   std::vector<std::uint64_t> moved;
   std::size_t n = pool.repack(
-      [&](std::uint64_t key, std::size_t old_off, std::size_t new_off,
-          std::size_t bytes) {
+      4096, [&](std::uint64_t key, std::size_t old_off, std::size_t new_off,
+                std::size_t bytes) {
         moved.push_back(key);
         EXPECT_LT(new_off, old_off);
         EXPECT_EQ(bytes, 2048u);
       });
-  EXPECT_EQ(n, 2u);  // keys 2 and 4 slide down
-  EXPECT_EQ(moved, (std::vector<std::uint64_t>{2, 4}));
-  EXPECT_EQ(pool.largest_free_run(), 4096u);
+  // Sliding key 2 alone joins both holes; key 4 stays where it is.
+  EXPECT_EQ(n, 1u);
+  EXPECT_EQ(moved, (std::vector<std::uint64_t>{2}));
   EXPECT_EQ(pool.find(2)->offset, 0u);
-  EXPECT_EQ(pool.find(4)->offset, 2048u);
-  EXPECT_TRUE(pool.allocate(9, 4096));
+  EXPECT_EQ(pool.find(4)->offset, 6144u);
+  auto e = pool.allocate(9, 4096);
+  ASSERT_TRUE(e);
+  EXPECT_EQ(e->offset, 2048u);
 }
 
 TEST(PmemPoolTest, RepackSkipsPinnedExtents) {
@@ -119,15 +125,175 @@ TEST(PmemPoolTest, RepackSkipsPinnedExtents) {
   ASSERT_TRUE(pool.allocate(4, 1024));
   pool.release(1);
   pool.release(3);
-  std::size_t n = pool.repack(
-      [&](std::uint64_t, std::size_t, std::size_t, std::size_t) {},
-      [](std::uint64_t key) { return key == 2; });  // 2 must not move
+  auto pin2 = [](std::uint64_t key) { return key == 2; };  // 2 must not move
+  auto no_move = [](std::uint64_t, std::size_t, std::size_t, std::size_t) {
+    ADD_FAILURE() << "nothing may move";
+  };
+  // 6K are free, but only a window over pinned 2 would join them all.
+  EXPECT_EQ(pool.free_bytes(), 6144u);
+  EXPECT_EQ(pool.repack(6144, no_move, pin2), 0u);
+  EXPECT_EQ(pool.find(2)->offset, 1024u);
+  EXPECT_EQ(pool.find(4)->offset, 3072u);
   // The gap below pinned 2 stays (compaction cannot cross a pinned extent);
-  // only 4 slides into the gap freed by 3.
+  // 4 slides into the gap freed by 3.
+  std::size_t n = pool.repack(
+      5120, [&](std::uint64_t key, std::size_t, std::size_t, std::size_t) {
+        EXPECT_EQ(key, 4u);
+      },
+      pin2);
   EXPECT_EQ(n, 1u);
   EXPECT_EQ(pool.find(2)->offset, 1024u);
   EXPECT_EQ(pool.find(4)->offset, 2048u);
-  EXPECT_EQ(pool.largest_free_run(), 8 * 1024u - 3072u);
+  auto e = pool.allocate(9, 5120);  // the 5K above 4
+  ASSERT_TRUE(e);
+  EXPECT_EQ(e->offset, 3072u);
+}
+
+TEST(PmemPoolTest, RepackPrefersFewerExtentsOnEqualBytes) {
+  PmemPool pool(12 * 1024, 1024);
+  ASSERT_TRUE(pool.allocate(10, 1024));  // freed below
+  ASSERT_TRUE(pool.allocate(1, 1024));
+  ASSERT_TRUE(pool.allocate(2, 1024));
+  ASSERT_TRUE(pool.allocate(11, 1024));  // freed below
+  ASSERT_TRUE(pool.allocate(3, 2048));
+  ASSERT_TRUE(pool.allocate(12, 1024));  // freed below
+  ASSERT_TRUE(pool.allocate(4, 5120));
+  pool.release(10);
+  pool.release(11);
+  pool.release(12);
+  // Three 1K holes. Sliding {1, 2} or {3} both move 2K and free 2K; the
+  // single extent wins.
+  EXPECT_FALSE(pool.allocate(9, 2048));
+  std::vector<std::uint64_t> moved;
+  EXPECT_EQ(pool.repack(2048,
+                        [&](std::uint64_t key, std::size_t, std::size_t,
+                            std::size_t) { moved.push_back(key); }),
+            1u);
+  EXPECT_EQ(moved, (std::vector<std::uint64_t>{3}));
+  EXPECT_EQ(pool.find(3)->offset, 3072u);
+  auto e = pool.allocate(9, 2048);
+  ASSERT_TRUE(e);
+  EXPECT_EQ(e->offset, 5120u);
+}
+
+/// The cheapest window a repack for `need` may slide, found by trying every
+/// run of consecutive unpinned extents: {bytes moved, extents moved}, or
+/// {0, 0} when none frees `need`. `live` is sorted by offset.
+std::pair<std::size_t, std::size_t> cheapest_window(
+    const std::vector<std::pair<Extent, bool>>& live, std::size_t capacity,
+    std::size_t need) {
+  std::pair<std::size_t, std::size_t> best{0, 0};
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    const std::size_t base =
+        i == 0 ? 0 : live[i - 1].first.offset + live[i - 1].first.bytes;
+    std::size_t bytes = 0;
+    for (std::size_t j = i; j < live.size() && !live[j].second; ++j) {
+      bytes += live[j].first.bytes;
+      const std::size_t limit =
+          j + 1 == live.size() ? capacity : live[j + 1].first.offset;
+      const std::pair<std::size_t, std::size_t> cost{bytes, j - i + 1};
+      if (limit - base - bytes >= need && (best.second == 0 || cost < best)) {
+        best = cost;
+      }
+    }
+  }
+  return best;
+}
+
+TEST(PmemPoolTest, RepackPropertiesOnRandomSequences) {
+  // Random allocate/release/pin sequences over a small arena, shadowed byte
+  // for byte: every allocation gets random contents, and on_move memmoves
+  // the shadow exactly as the service memmoves its pmem arena. Whenever an
+  // allocation fails, repack must move the cheapest window that frees the
+  // request (brute force above), only strictly downward in ascending old
+  // offset and never a pinned extent, and the allocation must then succeed.
+  constexpr std::size_t kChunk = 64;
+  constexpr std::size_t kCapacity = 48 * kChunk;
+  std::size_t repacks_moved = 0, repacks_blocked = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Rng rng(seed);
+    PmemPool pool(kCapacity, kChunk);
+    std::vector<unsigned char> arena(kCapacity);
+    std::map<std::uint64_t, std::vector<unsigned char>> contents;
+    std::set<std::uint64_t> pinned;
+    std::uint64_t next_key = 1;
+    auto random_live_key = [&] {
+      auto it = contents.begin();
+      std::advance(it, static_cast<long>(rng.next_below(contents.size())));
+      return it->first;
+    };
+    for (int step = 0; step < 300; ++step) {
+      const std::uint64_t op = rng.next_below(10);
+      if (op < 5) {
+        const std::uint64_t key = next_key++;
+        const std::size_t bytes = 1 + rng.next_below(8 * kChunk);
+        const std::size_t need = pool.rounded(bytes);
+        auto ext = pool.allocate(key, bytes);
+        if (!ext) {
+          std::vector<std::pair<Extent, bool>> live;
+          for (const auto& [k, v] : contents) {
+            live.emplace_back(*pool.find(k), pinned.count(k) != 0);
+          }
+          std::sort(live.begin(), live.end(), [](const auto& a, const auto& b) {
+            return a.first.offset < b.first.offset;
+          });
+          const auto want = cheapest_window(live, kCapacity, need);
+          std::size_t moved_bytes = 0, last_old = 0;
+          const std::size_t n = pool.repack(
+              need,
+              [&](std::uint64_t k, std::size_t old_off, std::size_t new_off,
+                  std::size_t b) {
+                EXPECT_LT(new_off, old_off);
+                if (moved_bytes > 0) {
+                  EXPECT_GT(old_off, last_old);
+                }
+                EXPECT_EQ(pinned.count(k), 0u) << "pinned key " << k;
+                EXPECT_EQ(b, contents.at(k).size());
+                std::memmove(arena.data() + new_off, arena.data() + old_off, b);
+                moved_bytes += b;
+                last_old = old_off;
+              },
+              [&](std::uint64_t k) { return pinned.count(k) != 0; });
+          EXPECT_EQ(n > 0, want.second > 0);
+          EXPECT_EQ(moved_bytes, want.first);
+          EXPECT_EQ(n, want.second);
+          if (n > 0) {
+            ++repacks_moved;
+            ext = pool.allocate(key, bytes);
+            EXPECT_TRUE(ext) << "repack for " << need << " bytes left no room";
+          } else if (pool.free_bytes() >= need) {
+            ++repacks_blocked;  // enough free bytes, but pins split them
+          }
+        }
+        if (ext) {
+          std::vector<unsigned char>& c = contents[key];
+          c.resize(ext->bytes);
+          for (auto& byte : c) byte = static_cast<unsigned char>(rng.next_u64());
+          std::memcpy(arena.data() + ext->offset, c.data(), c.size());
+          if (rng.next_below(3) == 0) pinned.insert(key);
+        }
+      } else if (op < 8 && !contents.empty()) {
+        const std::uint64_t key = random_live_key();
+        EXPECT_TRUE(pool.release(key));
+        contents.erase(key);
+        pinned.erase(key);
+      } else if (!contents.empty()) {
+        const std::uint64_t key = random_live_key();
+        if (!pinned.erase(key)) pinned.insert(key);
+      }
+      for (const auto& [key, c] : contents) {
+        auto ext = pool.find(key);
+        ASSERT_TRUE(ext);
+        ASSERT_EQ(std::memcmp(arena.data() + ext->offset, c.data(), c.size()),
+                  0)
+            << "key " << key << " lost its bytes at step " << step;
+      }
+    }
+  }
+  // Both outcomes occurred: windows that moved, and pins that blocked one.
+  EXPECT_GT(repacks_moved, 0u);
+  EXPECT_GT(repacks_blocked, 0u);
 }
 
 TEST(PmemPoolTest, RejectsBadGeometry) {
@@ -285,6 +451,8 @@ TEST(CheckpointServiceTest, EvictionPressureNeverLosesLatest) {
   // evict them and repack — yet every restore of a latest-acked version is
   // byte-identical. (Smaller pools just reject everything: the latest acked
   // version per client is never evictable, and those alone overflow 16K.)
+  // Some restores race a repack move and must re-read under the seqlock,
+  // with and without a fault plan.
   auto cfg = small_config();
   cfg.pool_bytes = 32 * 1024;
   cfg.chunk_bytes = 1024;
@@ -292,12 +460,19 @@ TEST(CheckpointServiceTest, EvictionPressureNeverLosesLatest) {
   cfg.traffic.requests_per_client = 10;
   cfg.traffic.min_bytes = 2048;
   cfg.traffic.max_bytes = 6144;
-  auto res = run_checkpoint_service(cluster(3, 4), service_options(), cfg);
-  EXPECT_GT(res.checkpoints_acked, 0u);
-  EXPECT_EQ(res.lost_acked, 0u);
-  // The pressure actually materialized: space was reclaimed some way —
-  // eviction, slot supersede, or both.
-  EXPECT_GT(res.evictions + res.supersedes, 0u);
+  for (const char* plan : {"", "seed=5,crash=1@400,revoke=2@300"}) {
+    SCOPED_TRACE(std::string("fault plan \"") + plan + "\"");
+    auto opts = service_options();
+    if (*plan != '\0') opts.faults = sim::FaultPlan::parse(plan);
+    auto res = run_checkpoint_service(cluster(3, 4), opts, cfg);
+    EXPECT_GT(res.checkpoints_acked, 0u);
+    EXPECT_EQ(res.lost_acked, 0u);
+    // The pressure actually materialized: space was reclaimed some way —
+    // eviction, slot supersede, or both — and by compaction.
+    EXPECT_GT(res.evictions + res.supersedes, 0u);
+    EXPECT_GT(res.repacks, 0u);
+    EXPECT_GT(res.restore_retries, 0u);
+  }
 }
 
 TEST(CheckpointServiceTest, DeterministicAcrossEngineBackends) {
