@@ -56,24 +56,43 @@ build/bench/bench_engine_overhead --scale-smoke
 # bit-for-bit and no acknowledged checkpoint may be lost.
 build/bench/bench_checkpoint --smoke
 
-# Bench smoke + perf gate: run every bench, collect each bench's
-# BENCH_<tag>.json, and compare the deterministic virtual-time points
-# against the committed baselines.
+# Run every bench binary in build dir $1 with $2 as the working directory,
+# so each bench's BENCH_<tag>.json lands there.
+run_benches() {
+  local bench name
+  for bench in "$repo/$1"/bench/bench_*; do
+    [ -x "$bench" ] || continue
+    name=$(basename "$bench")
+    (cd "$2" &&
+     "$bench" >"$name.log" 2>&1) || {
+      echo "bench smoke FAILED: $1/$name"
+      tail -20 "$2/$name.log"
+      exit 1
+    }
+  done
+}
+
+# Bench smoke: run every bench and collect each bench's BENCH_<tag>.json.
 repo=$PWD
 smoke_dir=$(mktemp -d)
-trap 'rm -rf "$smoke_dir"' EXIT
-for bench in "$repo"/build/bench/bench_*; do
-  [ -x "$bench" ] || continue
-  name=$(basename "$bench")
-  (cd "$smoke_dir" &&
-   "$bench" >"$name.log" 2>&1) || {
-    echo "bench smoke FAILED: $name"
-    tail -20 "$smoke_dir/$name.log"
-    exit 1
-  }
-done
+release_dir=$(mktemp -d)
+trap 'rm -rf "$smoke_dir" "$release_dir"' EXIT
+run_benches build "$smoke_dir"
 # What each bench cost the host (wall, CPU, minor faults, peak RSS).
 scripts/bench_host_cost.py "$smoke_dir"
+
+# Build independence: virtual time depends only on the program, not on how
+# the simulator was compiled. Build the benches again at -O3 (Release) and
+# require every virtual_us point and event count to equal the
+# RelWithDebInfo run above (~1 min of build and 15 s of runs on 4 cores).
+cmake -S . -B build-release -DCMAKE_BUILD_TYPE=Release \
+  -DGDRSHMEM_BUILD_TESTS=OFF -DGDRSHMEM_BUILD_EXAMPLES=OFF
+cmake --build build-release -j
+run_benches build-release "$release_dir"
+scripts/bench_identical.py "$smoke_dir" "$release_dir"
+
+# Perf gate: compare the deterministic virtual-time points against the
+# committed baselines.
 scripts/check_perf.sh "$smoke_dir" bench/baselines
 
 echo "tier-1 check passed"

@@ -23,13 +23,8 @@ Ctx::Ctx(Runtime& rt, int pe)
   coll_pool_ = static_cast<std::byte*>(
       rt_->heap(pe_, Domain::kHost).allocate(coll_layout_.pool_bytes()));
 
-  const Tuning& t = rt.tuning();
-  bounce_.resize(2 * t.pipeline_chunk);
+  bounce_.resize(2 * rt.tuning().pipeline_chunk);
   rt.verbs().reg_cache().register_at_init(pe_, bounce_.data(), bounce_.size());
-  inline_ring_.resize(kInlineSlots * std::max<std::size_t>(t.inline_put_limit, 8));
-  inline_comps_.resize(kInlineSlots);
-  rt.verbs().reg_cache().register_at_init(pe_, inline_ring_.data(),
-                                          inline_ring_.size());
 }
 
 Ctx::~Ctx() = default;
@@ -198,7 +193,6 @@ void Ctx::put_sync(void* dst_sym, const void* src, std::size_t n, int pe) {
 
 void Ctx::quiet() {
   wait_for([&] {
-    recover_pending();
     std::erase_if(pending_, [](const PendingOp& p) { return p.comp->ok(); });
     return pending_.empty();
   });
@@ -212,21 +206,24 @@ sim::Duration Ctx::replay_backoff(int replays) const {
 }
 
 void Ctx::recover_pending() {
-  for (PendingOp& p : pending_) {
-    if (!p.comp->failed()) continue;
-    if (!p.repost) {
+  // By index, holding nothing across a yield: a service thread's issue()
+  // may append to pending_ while this process sleeps in the backoff.
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    if (!pending_[i].comp->failed()) continue;
+    if (!pending_[i].repost) {
       throw ShmemError("pe " + std::to_string(pe_) +
                        ": non-replayable operation failed permanently");
     }
-    if (++p.replays > rt_->tuning().max_sw_replays) {
+    if (++pending_[i].replays > rt_->tuning().max_sw_replays) {
       throw ShmemError("pe " + std::to_string(pe_) +
                        ": operation still failing after " +
                        std::to_string(rt_->tuning().max_sw_replays) +
                        " software replays");
     }
-    proc().delay(replay_backoff(p.replays));
+    proc().delay(replay_backoff(pending_[i].replays));
     rt_->faults().on_event(sim::FaultEvent::kSwReplay, pe_);
-    p.comp = p.repost();
+    auto repost = pending_[i].repost;  // a copy: the element may move
+    pending_[i].comp = repost();       // runs before pending_[i] is indexed
   }
 }
 
@@ -273,6 +270,7 @@ void Ctx::progress() {
     proc().delay(Duration::us(rt_->cluster().params().progress_wakeup_us));
     rt_->transport().handle_ctrl(*this, *m, proc());
   }
+  recover_pending();
 }
 
 // ---------------------------------------------------------------------------
@@ -280,21 +278,12 @@ void Ctx::progress() {
 
 std::byte* Ctx::bounce(std::size_t min_bytes) {
   if (bounce_.size() < min_bytes) {
+    rt_->verbs().reg_cache().release(pe_, bounce_.data());
     bounce_.assign(min_bytes, std::byte{0});
     rt_->verbs().reg_cache().get_or_register(proc(), pe_, bounce_.data(),
                                              bounce_.size());
   }
   return bounce_.data();
-}
-
-std::pair<std::byte*, sim::CompletionPtr*> Ctx::inline_slot() {
-  sim::CompletionPtr& comp = inline_comps_[inline_next_];
-  if (comp && !comp->done()) comp->wait(proc());
-  comp = nullptr;
-  std::size_t slot = inline_ring_.size() / kInlineSlots;
-  std::byte* p = inline_ring_.data() + inline_next_ * slot;
-  inline_next_ = (inline_next_ + 1) % kInlineSlots;
-  return {p, &comp};
 }
 
 std::byte* Ctx::eager_src_slot(int peer) {
@@ -313,6 +302,7 @@ std::byte* Ctx::rendezvous_staging(std::size_t bytes) {
 
 std::byte* Ctx::rendezvous_staging(std::size_t bytes, sim::Process& worker) {
   if (rendezvous_staging_.size() < bytes) {
+    rt_->verbs().reg_cache().release(pe_, rendezvous_staging_.data());
     rendezvous_staging_.assign(bytes, std::byte{0});
     rt_->verbs().reg_cache().get_or_register(worker, pe_,
                                              rendezvous_staging_.data(),

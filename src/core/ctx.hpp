@@ -327,10 +327,11 @@ class Ctx {
     pending_.push_back(PendingOp{std::move(c), nullptr, 0});
   }
   /// Track a non-blocking op together with a closure that re-posts it. When
-  /// fault injection surfaces the completion in error state, quiet() calls
-  /// `repost` (with capped exponential backoff) until the op lands or the
-  /// replay budget is exhausted. Re-posted ops must be idempotent — every
-  /// caller replays from still-valid source data.
+  /// fault injection surfaces the completion in error state, the next
+  /// progress pass (any wait, quiet() included) calls `repost` (with capped
+  /// exponential backoff) until the op lands or the replay budget is
+  /// exhausted. Re-posted ops must be idempotent — every caller replays from
+  /// still-valid source data.
   void track_reliable(sim::CompletionPtr c,
                       std::function<sim::CompletionPtr()> repost) {
     pending_.push_back(PendingOp{std::move(c), std::move(repost), 0});
@@ -366,10 +367,6 @@ class Ctx {
   sim::Duration replay_backoff(int replays) const;
   /// Host bounce buffer (registered at init) for staging pipelines.
   std::byte* bounce(std::size_t min_bytes);
-  /// Acquire a pre-registered inline-send slot (second member is the slot's
-  /// completion entry to fill); recycles a small ring, waiting when the
-  /// oldest slot is still in flight.
-  std::pair<std::byte*, sim::CompletionPtr*> inline_slot();
   cudart::Stream& stream() { return stream_; }
   /// Target-side rendezvous staging (baseline): serialized by a busy flag.
   /// Registration cost (on growth) is charged to `worker`.
@@ -403,7 +400,7 @@ class Ctx {
   };
 
   /// Replay every pending op whose completion surfaced in error state
-  /// (called from quiet's predicate; a no-op unless a completion failed).
+  /// (called on every progress pass; a no-op unless a completion failed).
   void recover_pending();
 
   RmaOp make_op(void* remote_sym, void* local, std::size_t n, int pe,
@@ -418,10 +415,6 @@ class Ctx {
   sim::Notification progress_note_;
 
   std::vector<std::byte> bounce_;
-  static constexpr std::size_t kInlineSlots = 128;
-  std::vector<std::byte> inline_ring_;
-  std::vector<sim::CompletionPtr> inline_comps_;
-  std::size_t inline_next_ = 0;
   cudart::Stream stream_;
   std::vector<std::byte> rendezvous_staging_;
   bool staging_busy_ = false;

@@ -165,8 +165,6 @@ RuntimeOptions RuntimeOptions::from_env() {
     } else if (key == "GDRSHMEM_PIPELINE_CHUNK") {
       opts.tuning.pipeline_chunk = env_size(key, value);
       if (opts.tuning.pipeline_chunk == 0) bad(key, "chunk must be > 0");
-    } else if (key == "GDRSHMEM_INLINE_PUT_LIMIT") {
-      opts.tuning.inline_put_limit = env_size(key, value);
     } else if (key == "GDRSHMEM_LOOPBACK_GDR_WRITE_LIMIT") {
       opts.tuning.loopback_gdr_write_limit = env_size(key, value);
     } else if (key == "GDRSHMEM_LOOPBACK_GDR_READ_LIMIT") {
@@ -312,9 +310,9 @@ RuntimeOptions RuntimeOptions::from_env() {
           "SIM_BATCH, SIM_FIBER_SWITCH, SIM_STACK_KB, SIM_STACK_POOL, "
           "TRANSPORT, HOST_HEAP, GPU_HEAP, PMEM_HEAP, SERVICE_THREAD, "
           "SERVICE_THREAD_PENALTY, USE_PROXY, EAGER_LIMIT, PIPELINE_CHUNK, "
-          "INLINE_PUT_LIMIT, LOOPBACK_GDR_WRITE_LIMIT, "
-          "LOOPBACK_GDR_READ_LIMIT, DIRECT_GDR_WRITE_LIMIT, "
-          "DIRECT_GDR_READ_LIMIT, INTER_SOCKET_GDR_DIVISOR, COLL_ALGO, "
+          "LOOPBACK_GDR_WRITE_LIMIT, LOOPBACK_GDR_READ_LIMIT, "
+          "DIRECT_GDR_WRITE_LIMIT, DIRECT_GDR_READ_LIMIT, "
+          "INTER_SOCKET_GDR_DIVISOR, COLL_ALGO, "
           "COLL_CHUNK, MAX_SW_REPLAYS, REPLAY_BACKOFF_US, PROXY_TIMEOUT_US, "
           "PROXY_MAX_REISSUES, DEVICE_BACKEND, DEVICE_QUEUE_DEPTH, "
           "IB_TRANSPORT, IB_RAILS, IB_SRQ, IB_SRD_SEED, IB_SRD_JITTER_US, "

@@ -72,24 +72,22 @@ inline void post_rma(Ctx& ctx, bool blocking,
   }
 }
 
-/// Put over (possibly loopback) RDMA. Small host-resident sources are sent
-/// inline from a pre-registered slot so even a blocking put returns right
-/// after the post; everything else goes through post_rma.
-///
-/// The inline ring is fault-free only: a slot is recycled as soon as its
-/// completion fires, which under error completions would let a replay read
-/// overwritten data.
+/// Put over (possibly loopback) RDMA. A host source of at most
+/// ib::kInlineBytes is sent inline: the post closure keeps its own copy of
+/// the payload, so even a blocking put returns right after the post and a
+/// replay resends the bytes the caller passed. Everything else goes through
+/// post_rma.
 inline void rdma_put(Ctx& ctx, const RmaOp& op, Protocol proto) {
   Runtime& rt = ctx.runtime();
   ctx.count_protocol(proto, op.bytes);
-  if (!rt.faults_enabled() && !op.local_is_device &&
-      op.bytes <= rt.tuning().inline_put_limit) {
-    auto [slot, comp_entry] = ctx.inline_slot();
-    std::memcpy(slot, op.local, op.bytes);
-    auto comp = rt.ib().rdma_write(ctx.proc(), ctx.my_pe(), slot,
-                                   op.target_pe, op.remote, op.bytes);
-    *comp_entry = comp;
-    ctx.track(std::move(comp));
+  if (!op.local_is_device && op.bytes <= ib::kInlineBytes) {
+    auto payload = std::make_shared<std::byte[]>(op.bytes);
+    std::memcpy(payload.get(), op.local, op.bytes);
+    auto post = [&ctx, &rt, op, payload] {
+      return rt.ib().rdma_write(ctx.proc(), ctx.my_pe(), payload.get(),
+                                op.target_pe, op.remote, op.bytes);
+    };
+    ctx.track_reliable(post(), post);
     return;
   }
   post_rma(ctx, op.blocking, [&ctx, &rt, op] {

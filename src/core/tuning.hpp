@@ -39,10 +39,6 @@ struct Tuning {
   /// Chunk size of the pipeline-GDR-write and proxy pipelines.
   std::size_t pipeline_chunk = 256 * 1024;
 
-  /// Puts at or below this size are buffered inline (source buffer is
-  /// immediately reusable without waiting for the ACK).
-  std::size_t inline_put_limit = 128;
-
   /// Use the per-node proxy daemon for large transfers that would otherwise
   /// hit a P2P read bottleneck or require target involvement.
   bool use_proxy = true;

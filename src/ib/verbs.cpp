@@ -49,6 +49,14 @@ void RegistrationCache::register_at_init(int pe, const void* addr, std::size_t l
   e.pinned = true;
 }
 
+void RegistrationCache::release(int pe, const void* addr) {
+  PeRanges& pr = ranges_[pe];
+  auto it = pr.ranges.find(reinterpret_cast<std::uintptr_t>(addr));
+  if (it == pr.ranges.end()) return;
+  if (!it->second.pinned) pr.lru.erase(it->second.lru_pos);
+  pr.ranges.erase(it);
+}
+
 void RegistrationCache::get_or_register(sim::Process& proc, int pe,
                                         const void* addr, std::size_t len) {
   PeRanges& pr = ranges_[pe];
@@ -118,6 +126,13 @@ void Verbs::pre_post(sim::Process& proc, int dst_pe, const void* raddr,
   proc.delay(Duration::us(cluster_.params().ib_post_overhead_us));
 }
 
+void Verbs::register_local(sim::Process& proc, int pe, const void* buf,
+                           std::size_t n) {
+  bool small_host = n <= kInlineBytes &&
+                    cuda_.attributes(buf).space != MemSpace::kDevice;
+  if (!small_host) reg_cache_.get_or_register(proc, pe, buf, n);
+}
+
 Duration Verbs::ack_latency(int src_pe, int dst_pe) const {
   const auto& p = cluster_.params();
   if (cluster_.same_node(src_pe, dst_pe)) {
@@ -175,7 +190,7 @@ CompletionPtr Verbs::rdma_write(sim::Process& proc, int src_pe, const void* lbuf
                                 int dst_pe, void* rbuf, std::size_t n,
                                 Rail rail, SegmentOpts seg) {
   pre_post(proc, dst_pe, rbuf, n);
-  reg_cache_.get_or_register(proc, src_pe, lbuf, n);
+  register_local(proc, src_pe, lbuf, n);
   auto comp = std::make_shared<Completion>();
   // The successful transmission, scheduled from the instant it runs. With no
   // fault plan it executes immediately below — the legacy single-shot path.
@@ -217,7 +232,7 @@ CompletionPtr Verbs::rdma_read(sim::Process& proc, int src_pe, void* lbuf,
                                int dst_pe, const void* rbuf, std::size_t n,
                                Rail rail, SegmentOpts seg) {
   pre_post(proc, dst_pe, rbuf, n);
-  reg_cache_.get_or_register(proc, src_pe, lbuf, n);
+  register_local(proc, src_pe, lbuf, n);
   auto comp = std::make_shared<Completion>();
   auto transmit = [this, src_pe, lbuf, dst_pe, rbuf, n, rail, comp,
                    seg = std::move(seg)] {

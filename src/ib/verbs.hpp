@@ -27,6 +27,10 @@ class IbError : public std::runtime_error {
   explicit IbError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// A local host range of at most this size never touches the registration
+/// cache: a write is posted inline, a read lands in the HCA's bounce buffer.
+inline constexpr std::size_t kInlineBytes = 128;
+
 /// Tracks, per PE, which address ranges are registered with the HCA, and
 /// makes re-registration free (MVAPICH2-X registration cache). Bounded:
 /// dynamically registered ranges are kept in per-PE LRU order and evicted
@@ -47,6 +51,9 @@ class RegistrationCache {
   /// charges nothing — init-time registration cost is charged by the caller.
   /// Pinned: never evicted.
   void register_at_init(int pe, const void* addr, std::size_t len);
+  /// Deregister the range that starts at `addr` (pinned or dynamic), as a
+  /// free hook does before its owner reallocates it. No-op if none does.
+  void release(int pe, const void* addr);
   bool covered(int pe, const void* addr, std::size_t len) const;
 
   /// Dynamic (unpinned) ranges retained per PE; 0 = unbounded.
@@ -178,6 +185,8 @@ class Verbs {
   sim::Path local_leg(int pe, const void* buf, hw::P2pDir dir, int hca = -1);
   /// Charge post overhead + validate remote registration.
   void pre_post(sim::Process& proc, int dst_pe, const void* raddr, std::size_t n);
+  /// Register an op's local range unless it is host memory of <= kInlineBytes.
+  void register_local(sim::Process& proc, int pe, const void* buf, std::size_t n);
   sim::Duration ack_latency(int src_pe, int dst_pe) const;
 
   // ---- tier-1 retransmit machinery (fault plans only) ---------------------

@@ -173,6 +173,40 @@ TEST(FaultInjection, LongFlapSurfacesErrorsAndSoftwareReplays) {
   EXPECT_GT(rt->faults().count(sim::FaultEvent::kSwReplay), 0u);
 }
 
+TEST(FaultInjection, SmallPutFailingAfterReturnIsReplayedByAnyWait) {
+  // A small host put returns right after its post, blocking or not. When a
+  // flap fails it after the caller has moved on, the caller's next progress
+  // pass must replay it — here the wait for the peer's reply, with no
+  // quiet() in between. Without that the two PEs wait on each other.
+  for (bool nbi : {false, true}) {
+    SCOPED_TRACE(nbi ? "putmem_nbi" : "putmem");
+    RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
+    opts.host_heap_bytes = 8u << 20;
+    opts.faults = sim::FaultPlan::parse("flap=0@4995+2500");
+    auto rt = run_spmd(make_cluster(2, 1), opts, [&](Ctx& ctx) {
+      auto* flag = static_cast<std::uint64_t*>(ctx.shmalloc(8, Domain::kHost));
+      auto* reply = static_cast<std::uint64_t*>(ctx.shmalloc(8, Domain::kHost));
+      ctx.barrier_all();
+      if (ctx.my_pe() == 0) {
+        ctx.compute(sim::Time::zero() + sim::Duration::us(5000) - ctx.now());
+        const std::uint64_t one = 1;
+        if (nbi) {
+          ctx.putmem_nbi(flag, &one, sizeof one, 1);
+        } else {
+          ctx.putmem(flag, &one, sizeof one, 1);
+        }
+        ctx.wait_until(reply, Cmp::kEq, std::uint64_t{1});
+      } else {
+        ctx.wait_until(flag, Cmp::kEq, std::uint64_t{1});
+        ctx.p(reply, std::uint64_t{1}, 0);
+      }
+      ctx.barrier_all();
+    });
+    EXPECT_EQ(rt->faults().count(sim::FaultEvent::kCompletionError), 1u);
+    EXPECT_EQ(rt->faults().count(sim::FaultEvent::kSwReplay), 1u);
+  }
+}
+
 TEST(FaultInjection, ProxyCrashMidGetIsRecovered) {
   hw::ClusterConfig cluster = make_cluster(2, 1);
   RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);

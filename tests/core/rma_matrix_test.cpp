@@ -191,7 +191,7 @@ TEST(Rma, PutToSelfWorks) {
 TEST(Rma, ManySmallPutsKeepOrderPerTarget) {
   run_spmd(make_cluster(2, 1), make_options(TransportKind::kEnhancedGdr),
            [&](Ctx& ctx) {
-             constexpr int kN = 300;  // exceeds the inline ring to force reuse
+             constexpr int kN = 300;  // many in flight from one stack slot
              auto* arr = static_cast<std::uint32_t*>(
                  ctx.shmalloc(kN * sizeof(std::uint32_t)));
              if (ctx.my_pe() == 0) {

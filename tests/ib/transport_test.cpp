@@ -429,6 +429,30 @@ TEST(RegCacheBound, InitTimeRegistrationsArePinned) {
   EXPECT_GE(rcache.evictions(), 1u);
 }
 
+TEST(RegCacheBound, ReleaseDropsPinnedAndDynamicEntries) {
+  hw::ClusterConfig cc = two_node_cluster();
+  cc.params.mr_cache_capacity = 1;
+  Fixture f(TransportConfig{}, cc);
+  RegistrationCache& rcache = f.verbs.reg_cache();
+  std::vector<std::byte> pinned(4096), a(4096), b(4096);
+  rcache.register_at_init(0, pinned.data(), pinned.size());
+  f.eng.spawn("pe0", [&](sim::Process& p) {
+    rcache.get_or_register(p, 0, a.data(), a.size());
+    rcache.release(0, pinned.data());
+    rcache.release(0, a.data());
+    rcache.release(0, b.data());  // nothing starts there: no-op
+    EXPECT_FALSE(rcache.covered(0, pinned.data(), 1));
+    EXPECT_FALSE(rcache.covered(0, a.data(), 1));
+    // The released dynamic entry left no LRU node behind: the one-slot
+    // cache takes a new range without evicting anything.
+    rcache.get_or_register(p, 0, b.data(), b.size());
+    EXPECT_TRUE(rcache.covered(0, b.data(), b.size()));
+  });
+  f.eng.run();
+  EXPECT_EQ(rcache.evictions(), 0u);
+  EXPECT_EQ(rcache.misses(), 2u);
+}
+
 TEST(RegCacheBound, GrowingAPinnedRangeKeepsItPinned) {
   // Regression: a miss at the base address of a shorter *pinned* entry
   // rewrote it as a dynamic one — silently demoting e.g. the symmetric heap

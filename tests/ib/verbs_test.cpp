@@ -56,6 +56,32 @@ TEST(RegistrationCache, PerPeIsolation) {
   EXPECT_FALSE(f.verbs.reg_cache().covered(1, buf.data(), 64));
 }
 
+TEST(Verbs, SmallHostLocalRangesNeverTouchTheRegistrationCache) {
+  Fixture f;
+  std::vector<std::byte> remote(4096, std::byte{5}), local(4096);
+  void* dev = f.cuda.malloc_device(0, 0, 64);  // PE 0's GPU
+  f.verbs.reg_cache().register_at_init(2, remote.data(), remote.size());
+  RegistrationCache& rc = f.verbs.reg_cache();
+  f.eng.spawn("pe0", [&](sim::Process& p) {
+    // Inline write and bounce-buffer read: no lookup, no registration.
+    f.verbs.rdma_write(p, 0, local.data(), 2, remote.data(), kInlineBytes)
+        ->wait(p);
+    f.verbs.rdma_read(p, 0, local.data() + 1, 2, remote.data() + 2048,
+                      kInlineBytes)
+        ->wait(p);
+    EXPECT_EQ(local[kInlineBytes], std::byte{5});
+    EXPECT_EQ(rc.hits() + rc.misses(), 0u);
+    EXPECT_FALSE(rc.covered(0, local.data(), 1));
+    // One byte more, or any device range, registers as before.
+    f.verbs.rdma_write(p, 0, local.data(), 2, remote.data(), kInlineBytes + 1)
+        ->wait(p);
+    f.verbs.rdma_write(p, 0, dev, 2, remote.data(), 8)->wait(p);
+    EXPECT_EQ(rc.misses(), 2u);
+    EXPECT_TRUE(rc.covered(0, dev, 8));
+  });
+  f.eng.run();
+}
+
 TEST(Verbs, RdmaWriteHostToHostMovesBytes) {
   Fixture f;
   std::vector<std::byte> src(256, std::byte{7}), dst(256);
