@@ -4,11 +4,13 @@
 // prints the paper-style table/series, and writes every data point to
 // BENCH_<tag>.json (uniform schema, rendered by the same core::json::Writer
 // as the runtime's JSON report) — override the destination with
-// `--out <path>`. scripts/check_perf.sh compares the deterministic
-// virtual_us points in these files against the committed baselines in
-// bench/baselines/; scripts/bench_identical.py compares two runs exactly.
-// The file also records the process's host cost so far (wall, CPU, minor
-// faults, peak RSS) under "host"; neither script reads it.
+// `--out <path>`. Besides the points, the file records the events every
+// engine of the process executed (`"events"`, as deterministic as virtual
+// time). scripts/check_perf.sh compares the virtual_us points against the
+// committed baselines in bench/baselines/ and requires equal events;
+// scripts/bench_identical.py compares two runs exactly. The file also
+// records the process's host cost so far (wall, CPU, minor faults, peak
+// RSS) under "host"; neither script reads it.
 #pragma once
 
 #include <sys/resource.h>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "core/json.hpp"
+#include "sim/engine.hpp"
 
 namespace gdrshmem::bench {
 
@@ -120,6 +123,7 @@ inline void write_bench_json(const std::string& tag, std::string path = "") {
   w.begin_object();
   w.field("schema", 1);
   w.field("bench", tag);
+  w.field("events", sim::Engine::process_events_executed());
   w.key("points").begin_array();
   for (const Point& p : points()) {
     w.begin_object();

@@ -10,10 +10,11 @@ must match exactly, with no tolerance.
 
   * points[].virtual_us  — simulated time of each data point
   * wall_points[].events — simulation events executed by each wall point
+  * events               — simulation events the whole bench executed
 
 Wall-clock fields (wall_seconds, events_per_sec) and scalar metrics are
-machine-dependent and ignored. A bench file, point or wall point present on
-only one side is a difference too. Every difference is printed by name; the
+machine-dependent and ignored. A bench file, point, wall point or event
+total present on only one side is a difference too. Every difference is printed by name; the
 exit status is 0 only when there are none.
 """
 import json
@@ -26,6 +27,8 @@ def deterministic_values(path):
     with open(path) as f:
         doc = json.load(f)
     values = {}
+    if "events" in doc:
+        values["events"] = doc["events"]
     for p in doc.get("points", []):
         values[f"{p['name']}:virtual_us"] = p["virtual_us"]
     for p in doc.get("wall_points", []):

@@ -8,8 +8,11 @@
 #                 produced (each bench accepts `--out <path>`)
 #   baseline_dir  committed baselines (default: bench/baselines/)
 #
-# Three comparisons per bench file:
+# Four comparisons per bench file:
 #
+#   * events                 — simulation events the whole bench executed.
+#                              Deterministic, so it must equal the baseline's
+#                              EXACTLY; a file without it fails.
 #   * points[].virtual_us    — deterministic simulated time. Slower than the
 #                              baseline by more than PERF_TOL (relative,
 #                              default 0.10) fails; getting faster prints a
@@ -49,7 +52,7 @@ def load(path):
         doc = json.load(f)
     if doc.get("schema") != 1 or "bench" not in doc:
         raise ValueError(f"{path}: not a schema-1 bench file")
-    for key in ("points", "wall_points", "metrics"):
+    for key in ("events", "points", "wall_points", "metrics"):
         if key not in doc:
             raise ValueError(f"{path}: missing '{key}'")
     names = set()
@@ -75,12 +78,18 @@ if not baselines:
 
 regressions, compared = [], 0
 wall_failures, wall_compared = [], 0
+event_failures = []
 for base_path in baselines:
     base = load(base_path)
     fresh_path = fresh_dir / base_path.name
     if not fresh_path.exists():
         sys.exit(f"check_perf: {fresh_path} missing (bench not run?)")
     fresh = load(fresh_path)
+    if fresh["events"] != base["events"]:
+        event_failures.append(
+            f"{base_path.name}: events {base['events']} -> {fresh['events']} "
+            "(deterministic count changed — stale baseline or broken "
+            "determinism)")
     fresh_pts = {p["name"]: p["virtual_us"] for p in fresh["points"]}
     for p in base["points"]:
         name, want = p["name"], p["virtual_us"]
@@ -116,7 +125,12 @@ for base_path in baselines:
                 f"{p['events_per_sec']:.0f} -> {got['events_per_sec']:.0f} "
                 f"(below floor {floor:.0f} = baseline x {wall_frac})")
 
-if regressions or wall_failures:
+if regressions or event_failures or wall_failures:
+    if event_failures:
+        print(f"check_perf: FAIL — {len(event_failures)} bench event "
+              "total(s) differ:")
+        for msg in event_failures:
+            print(f"  {msg}")
     if regressions:
         print(f"check_perf: FAIL — {len(regressions)} virtual-time "
               f"regression(s) (tolerance {tol:.0%}):")
@@ -131,5 +145,6 @@ if regressions or wall_failures:
     sys.exit(1)
 print(f"check_perf: OK — {compared} virtual-time points within {tol:.0%}, "
       f"{wall_compared} wall points (events exact, throughput floor "
-      f"{wall_frac}) across {len(baselines)} benches")
+      f"{wall_frac}) across {len(baselines)} benches, each bench's events "
+      "exact")
 EOF

@@ -21,12 +21,12 @@ for dev_backend in gpu-ib reverse; do
 done
 
 # IB-transport A/B: the byte-exact differential suites run with the
-# process-wide default transport flipped across the RC mesh, the DC pool,
-# and the relaxed-ordering SRD spray, exercising GDRSHMEM_IB_TRANSPORT
-# parsing end-to-end plus every protocol path over the selected QP
-# discipline. (Timing-assertion suites stay on their pinned configs —
-# transports move the clock, never the bytes.)
-for ib_transport in rc dc srd; do
+# process-wide default transport flipped across the RC mesh, the UD
+# datagram trains, the DC pool, and the relaxed-ordering SRD spray,
+# exercising GDRSHMEM_IB_TRANSPORT parsing end-to-end plus every protocol
+# path over the selected QP discipline. (Timing-assertion suites stay on
+# their pinned configs — transports move the clock, never the bytes.)
+for ib_transport in rc ud dc srd; do
   echo "== ib-transport A/B: GDRSHMEM_IB_TRANSPORT=$ib_transport =="
   (cd build && GDRSHMEM_IB_TRANSPORT=$ib_transport \
      ctest --output-on-failure -R 'TransportDiff|Fuzz|OddSizes')

@@ -13,18 +13,25 @@ namespace gdrshmem::core {
 using sim::Duration;
 using detail::resolve_word;
 
-std::int64_t Ctx::atomic_fetch_add(std::int64_t* sym, std::int64_t value, int pe) {
-  sim::Time t0 = begin_op(TraceEvent::Kind::kAtomic);
+std::uint64_t Ctx::hw_atomic(int pe, std::uint64_t* word, ib::Amo amo) {
   count_protocol(Protocol::kAtomicHw, 8);
-  proc().delay(Duration::us(rt_->cluster().params().shmem_sw_overhead_us));
-  std::uint64_t* word = resolve_word(*rt_, pe_, pe, sym);
   std::uint64_t old = 0;
   await_reliable(proc(), [&] {
-    return rt_->ib().atomic_fadd64(
-        proc(), pe_, pe, word, static_cast<std::uint64_t>(value), &old);
+    return rt_->ib().atomic(proc(), pe_, pe, word, amo, &old);
   });
+  return old;
+}
+
+std::int64_t Ctx::atomic64(std::int64_t* sym, ib::Amo amo, int pe) {
+  sim::Time t0 = begin_op(TraceEvent::Kind::kAtomic);
+  proc().delay(Duration::us(rt_->cluster().params().shmem_sw_overhead_us));
+  std::uint64_t old = hw_atomic(pe, resolve_word(*rt_, pe_, pe, sym), amo);
   finish_op(TraceEvent::Kind::kAtomic, pe, 8, t0);
   return static_cast<std::int64_t>(old);
+}
+
+std::int64_t Ctx::atomic_fetch_add(std::int64_t* sym, std::int64_t value, int pe) {
+  return atomic64(sym, ib::Amo::fetch_add(static_cast<std::uint64_t>(value)), pe);
 }
 
 void Ctx::atomic_add(std::int64_t* sym, std::int64_t value, int pe) {
@@ -33,18 +40,10 @@ void Ctx::atomic_add(std::int64_t* sym, std::int64_t value, int pe) {
 
 std::int64_t Ctx::atomic_compare_swap(std::int64_t* sym, std::int64_t cond,
                                       std::int64_t value, int pe) {
-  sim::Time t0 = begin_op(TraceEvent::Kind::kAtomic);
-  count_protocol(Protocol::kAtomicHw, 8);
-  proc().delay(Duration::us(rt_->cluster().params().shmem_sw_overhead_us));
-  std::uint64_t* word = resolve_word(*rt_, pe_, pe, sym);
-  std::uint64_t old = 0;
-  await_reliable(proc(), [&] {
-    return rt_->ib().atomic_cswap64(
-        proc(), pe_, pe, word, static_cast<std::uint64_t>(cond),
-        static_cast<std::uint64_t>(value), &old);
-  });
-  finish_op(TraceEvent::Kind::kAtomic, pe, 8, t0);
-  return static_cast<std::int64_t>(old);
+  return atomic64(sym,
+                  ib::Amo::compare_swap(static_cast<std::uint64_t>(cond),
+                                        static_cast<std::uint64_t>(value)),
+                  pe);
 }
 
 std::int64_t Ctx::atomic_swap(std::int64_t* sym, std::int64_t value, int pe) {
@@ -80,69 +79,42 @@ Lane32 resolve_lane32(Runtime& rt, int owner_pe, int target_pe, const void* sym)
 
 }  // namespace
 
-std::int32_t Ctx::atomic_fetch_add32(std::int32_t* sym, std::int32_t value, int pe) {
+std::int32_t Ctx::atomic32(std::int32_t* sym, ib::Amo amo, int pe) {
   sim::Time t0 = begin_op(TraceEvent::Kind::kAtomic);
   proc().delay(Duration::us(rt_->cluster().params().shmem_sw_overhead_us));
   Lane32 lane = resolve_lane32(*rt_, pe_, pe, sym);
   const std::uint64_t mask = std::uint64_t{0xffffffffu} << lane.shift;
   while (true) {
-    // Fetch the current word (fadd 0), splice the updated lane, CAS it in.
-    std::uint64_t cur = 0;
-    count_protocol(Protocol::kAtomicHw, 8);
-    await_reliable(proc(), [&] {
-      return rt_->ib().atomic_fadd64(proc(), pe_, pe, lane.word, 0, &cur);
-    });
-    auto lane_val = static_cast<std::uint32_t>((cur & mask) >> lane.shift);
-    auto updated = static_cast<std::uint32_t>(
-        static_cast<std::int32_t>(lane_val) + value);
-    std::uint64_t desired =
-        (cur & ~mask) | (static_cast<std::uint64_t>(updated) << lane.shift);
-    std::uint64_t old = 0;
-    count_protocol(Protocol::kAtomicHw, 8);
-    await_reliable(proc(), [&] {
-      return rt_->ib().atomic_cswap64(proc(), pe_, pe, lane.word, cur,
-                                      desired, &old);
-    });
-    if (old == cur) {
-      // One user-level op, however many hardware attempts the race cost.
+    // Fetch the current word (fadd 0), apply `amo` to the lane, CAS the
+    // spliced word in.
+    std::uint64_t cur = hw_atomic(pe, lane.word, ib::Amo::fetch_add(0));
+    std::uint64_t lane_val = (cur & mask) >> lane.shift;
+    bool compare_failed = amo.kind == ib::Amo::Kind::kCompareSwap &&
+                          lane_val != amo.operand;
+    std::uint64_t updated = lane_val;
+    amo.apply(updated);
+    std::uint64_t desired = (cur & ~mask) | ((updated << lane.shift) & mask);
+    // One user-level op, however many hardware attempts the race cost. A
+    // failed compare leaves the word untouched.
+    if (compare_failed ||
+        hw_atomic(pe, lane.word, ib::Amo::compare_swap(cur, desired)) == cur) {
       finish_op(TraceEvent::Kind::kAtomic, pe, 4, t0);
-      return static_cast<std::int32_t>(lane_val);
+      return static_cast<std::int32_t>(static_cast<std::uint32_t>(lane_val));
     }
     // Another PE raced us (possibly on the sibling lane): retry.
   }
 }
 
+std::int32_t Ctx::atomic_fetch_add32(std::int32_t* sym, std::int32_t value, int pe) {
+  return atomic32(sym, ib::Amo::fetch_add(static_cast<std::uint32_t>(value)), pe);
+}
+
 std::int32_t Ctx::atomic_compare_swap32(std::int32_t* sym, std::int32_t cond,
                                         std::int32_t value, int pe) {
-  sim::Time t0 = begin_op(TraceEvent::Kind::kAtomic);
-  proc().delay(Duration::us(rt_->cluster().params().shmem_sw_overhead_us));
-  Lane32 lane = resolve_lane32(*rt_, pe_, pe, sym);
-  const std::uint64_t mask = std::uint64_t{0xffffffffu} << lane.shift;
-  while (true) {
-    std::uint64_t cur = 0;
-    count_protocol(Protocol::kAtomicHw, 8);
-    await_reliable(proc(), [&] {
-      return rt_->ib().atomic_fadd64(proc(), pe_, pe, lane.word, 0, &cur);
-    });
-    auto lane_val = static_cast<std::uint32_t>((cur & mask) >> lane.shift);
-    if (static_cast<std::int32_t>(lane_val) != cond) {
-      finish_op(TraceEvent::Kind::kAtomic, pe, 4, t0);
-      return static_cast<std::int32_t>(lane_val);  // compare failed: no swap
-    }
-    std::uint64_t desired =
-        (cur & ~mask) |
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(value)) << lane.shift);
-    std::uint64_t old = 0;
-    count_protocol(Protocol::kAtomicHw, 8);
-    await_reliable(proc(), [&] {
-      return rt_->ib().atomic_cswap64(proc(), pe_, pe, lane.word, cur,
-                                      desired, &old);
-    });
-    if (old == cur) {
-      finish_op(TraceEvent::Kind::kAtomic, pe, 4, t0);
-      return static_cast<std::int32_t>(lane_val);
-    }
-  }
+  return atomic32(sym,
+                  ib::Amo::compare_swap(static_cast<std::uint32_t>(cond),
+                                        static_cast<std::uint32_t>(value)),
+                  pe);
 }
 
 }  // namespace gdrshmem::core

@@ -348,6 +348,11 @@ class Ctx {
       sim::Process& worker, const std::function<sim::CompletionPtr()>& post) {
     return await_reliable(worker, post(), post);
   }
+  /// Post one hardware atomic on `pe`'s resolved 64-bit `word` and await it
+  /// reliably (an error completion means the request never executed, so
+  /// the identical descriptor is re-posted), counted as one atomic-hw
+  /// execution. Returns the word's prior value.
+  std::uint64_t hw_atomic(int pe, std::uint64_t* word, ib::Amo amo);
   /// Post a data op that a notification will follow. When the runtime
   /// needs completion ordering, `worker` blocks until the op landed
   /// (replaying errors); otherwise the wire's FIFO orders the notification
@@ -405,6 +410,12 @@ class Ctx {
 
   RmaOp make_op(void* remote_sym, void* local, std::size_t n, int pe,
                 bool blocking);
+
+  /// The 64-bit atomic entry: `amo` maps 1:1 onto one hardware atomic.
+  std::int64_t atomic64(std::int64_t* sym, ib::Amo amo, int pe);
+  /// The 32-bit entry (mask technique): `amo` applies to the lane, its
+  /// operands zero-extended.
+  std::int32_t atomic32(std::int32_t* sym, ib::Amo amo, int pe);
 
   Runtime* rt_;
   int pe_;

@@ -147,18 +147,14 @@ class GpuIbBackend final : public DeviceBackend {
     }
   }
 
-  std::int64_t amo_fetch_add(DeviceCtx& dctx, std::int64_t* sym,
-                             std::int64_t value, int pe) override {
-    return amo(dctx, sym, pe, /*is_cswap=*/false,
-               static_cast<std::uint64_t>(value), 0);
-  }
-
-  std::int64_t amo_compare_swap(DeviceCtx& dctx, std::int64_t* sym,
-                                std::int64_t cond, std::int64_t value,
-                                int pe) override {
-    return amo(dctx, sym, pe, /*is_cswap=*/true,
-               static_cast<std::uint64_t>(cond),
-               static_cast<std::uint64_t>(value));
+  std::int64_t amo(DeviceCtx& dctx, std::int64_t* sym, ib::Amo amo,
+                   int pe) override {
+    Ctx& ctx = dctx.host_ctx();
+    const auto& p = rt_.cluster().params();
+    dctx.kernel().charge_us(p.gpu_wqe_build_us / wqe_divisor(dctx.scope(), p) +
+                            p.gpu_doorbell_us);
+    std::uint64_t* word = resolve_word(rt_, ctx.my_pe(), pe, sym);
+    return static_cast<std::int64_t>(ctx.hw_atomic(pe, word, amo));
   }
 
   void quiet(DeviceCtx& dctx) override { quiet_common(dctx); }
@@ -189,28 +185,6 @@ class GpuIbBackend final : public DeviceBackend {
         throw ShmemError("gpu-ib: unreachable intra-node path");
     }
   }
-
-  std::int64_t amo(DeviceCtx& dctx, std::int64_t* sym, int pe, bool is_cswap,
-                   std::uint64_t a, std::uint64_t b) {
-    Ctx& ctx = dctx.host_ctx();
-    const int me = ctx.my_pe();
-    const auto& p = rt_.cluster().params();
-    dctx.kernel().charge_us(p.gpu_wqe_build_us / wqe_divisor(dctx.scope(), p) +
-                            p.gpu_doorbell_us);
-    ctx.count_protocol(Protocol::kAtomicHw, 8);
-    std::uint64_t* word = resolve_word(rt_, me, pe, sym);
-    std::uint64_t old = 0;
-    auto post = [this, &ctx, me, pe, word, is_cswap, a, b, &old] {
-      if (is_cswap) {
-        return rt_.ib().atomic_cswap64(ctx.proc(), me, pe, word, a, b, &old);
-      }
-      return rt_.ib().atomic_fadd64(ctx.proc(), me, pe, word, a, &old);
-    };
-    // An error completion means the request was lost before the RMW
-    // executed (see atomics.cpp), so re-posting is exact.
-    ctx.await_reliable(ctx.proc(), post);
-    return static_cast<std::int64_t>(old);
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -233,39 +207,23 @@ class ReverseOffloadBackend final : public DeviceBackend {
     offload(dctx, cmd);
   }
 
-  std::int64_t amo_fetch_add(DeviceCtx& dctx, std::int64_t* sym,
-                             std::int64_t value, int pe) override {
-    return amo(dctx, sym, pe, DeviceCmd::Op::kAmoFadd,
-               static_cast<std::uint64_t>(value), 0);
-  }
-
-  std::int64_t amo_compare_swap(DeviceCtx& dctx, std::int64_t* sym,
-                                std::int64_t cond, std::int64_t value,
-                                int pe) override {
-    return amo(dctx, sym, pe, DeviceCmd::Op::kAmoCswap,
-               static_cast<std::uint64_t>(cond),
-               static_cast<std::uint64_t>(value));
-  }
-
-  void quiet(DeviceCtx& dctx) override { quiet_common(dctx); }
-
- private:
-  std::int64_t amo(DeviceCtx& dctx, std::int64_t* sym, int pe,
-                   DeviceCmd::Op op, std::uint64_t a, std::uint64_t b) {
+  std::int64_t amo(DeviceCtx& dctx, std::int64_t* sym, ib::Amo amo,
+                   int pe) override {
     dctx.kernel().charge_us(rt_.cluster().params().device_cmd_write_us);
     auto cmd = std::make_shared<DeviceCmd>();
-    cmd->op = op;
+    cmd->op = DeviceCmd::Op::kAmo;
     cmd->requester = dctx.my_pe();
     cmd->rma.target_pe = pe;
     cmd->rma.bytes = sizeof(std::uint64_t);
     cmd->rma.blocking = true;  // a fetch must return the prior value
     cmd->amo_word = resolve_word(rt_, dctx.my_pe(), pe, sym);
-    cmd->amo_a = a;
-    cmd->amo_b = b;
+    cmd->amo = amo;
     cmd->amo_result = std::make_shared<std::uint64_t>(0);
     offload(dctx, cmd);
     return static_cast<std::int64_t>(*cmd->amo_result);
   }
+
+  void quiet(DeviceCtx& dctx) override { quiet_common(dctx); }
 };
 
 // ---------------------------------------------------------------------------
@@ -333,21 +291,26 @@ void DeviceCtx::getmem_nbi(void* dst, const void* src_sym, std::size_t n,
             /*blocking=*/false);
 }
 
-std::int64_t DeviceCtx::atomic_fetch_add(std::int64_t* sym, std::int64_t value,
-                                         int pe) {
+std::int64_t DeviceCtx::amo_entry(std::int64_t* sym, ib::Amo amo, int pe) {
   sim::Time t0 = ctx_.begin_op(TraceEvent::Kind::kAtomic);
-  std::int64_t old = backend_.amo_fetch_add(*this, sym, value, pe);
+  std::int64_t old = backend_.amo(*this, sym, amo, pe);
   ctx_.finish_op(TraceEvent::Kind::kAtomic, pe, 8, t0);
   return old;
+}
+
+std::int64_t DeviceCtx::atomic_fetch_add(std::int64_t* sym, std::int64_t value,
+                                         int pe) {
+  return amo_entry(sym, ib::Amo::fetch_add(static_cast<std::uint64_t>(value)),
+                   pe);
 }
 
 std::int64_t DeviceCtx::atomic_compare_swap(std::int64_t* sym,
                                             std::int64_t cond,
                                             std::int64_t value, int pe) {
-  sim::Time t0 = ctx_.begin_op(TraceEvent::Kind::kAtomic);
-  std::int64_t old = backend_.amo_compare_swap(*this, sym, cond, value, pe);
-  ctx_.finish_op(TraceEvent::Kind::kAtomic, pe, 8, t0);
-  return old;
+  return amo_entry(sym,
+                   ib::Amo::compare_swap(static_cast<std::uint64_t>(cond),
+                                         static_cast<std::uint64_t>(value)),
+                   pe);
 }
 
 void* DeviceCtx::ptr(const void* sym, int pe) {

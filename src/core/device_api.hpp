@@ -34,15 +34,14 @@ class DeviceCtx;
 /// ring and the proxy daemon executes. Carried through the proxy mailbox as
 /// CtrlMsg::state (the pointer models the descriptor's ring slot).
 struct DeviceCmd {
-  enum class Op { kPut, kGet, kAmoFadd, kAmoCswap };
+  enum class Op { kPut, kGet, kAmo };
 
   Op op = Op::kPut;
   RmaOp rma;  // fully resolved, like every transport-level operation
-  /// Atomics: resolved remote 64-bit word and operands; the prior value is
-  /// written into *amo_result before `done` fires.
+  /// kAmo: the resolved remote 64-bit word and the read-modify-write; the
+  /// prior value is written into *amo_result before `done` fires.
   std::uint64_t* amo_word = nullptr;
-  std::uint64_t amo_a = 0;  // add value / compare value
-  std::uint64_t amo_b = 0;  // swap value (kAmoCswap only)
+  ib::Amo amo;
   std::shared_ptr<std::uint64_t> amo_result;
   /// Fired by the proxy's completion notification (the CQ entry the kernel
   /// polls). Fresh per attempt — a restarted proxy can never complete a
@@ -74,12 +73,10 @@ class DeviceBackend {
   /// (stats, op kind, latency) is done by DeviceCtx; this runs the protocol.
   virtual void rma(DeviceCtx& dctx, const RmaOp& op, bool is_get) = 0;
 
-  /// 64-bit hardware atomics issued from the kernel.
-  virtual std::int64_t amo_fetch_add(DeviceCtx& dctx, std::int64_t* sym,
-                                     std::int64_t value, int pe) = 0;
-  virtual std::int64_t amo_compare_swap(DeviceCtx& dctx, std::int64_t* sym,
-                                        std::int64_t cond, std::int64_t value,
-                                        int pe) = 0;
+  /// One 64-bit hardware atomic issued from the kernel; returns the word's
+  /// prior value. Accounting is done by DeviceCtx, as for rma.
+  virtual std::int64_t amo(DeviceCtx& dctx, std::int64_t* sym, ib::Amo amo,
+                           int pe) = 0;
 
   /// In-kernel quiet: drain everything this PE has in flight (device ring
   /// and host-visible pending set), charging the device-side poll cost.
@@ -214,6 +211,8 @@ class DeviceCtx {
   /// Shared entry: accounting bracket around backend_.rma.
   void rma_entry(void* remote_sym, void* local, std::size_t n, int pe,
                  bool is_get, bool blocking);
+  /// The same around backend_.amo.
+  std::int64_t amo_entry(std::int64_t* sym, ib::Amo amo, int pe);
 
   Ctx& ctx_;
   cudart::KernelContext& kernel_;

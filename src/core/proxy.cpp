@@ -191,21 +191,12 @@ void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
   const TraceEvent::Kind kind = cmd->kind();
 
   switch (cmd->op) {
-    case DeviceCmd::Op::kAmoFadd:
-    case DeviceCmd::Op::kAmoCswap: {
+    case DeviceCmd::Op::kAmo: {
       rctx.count_protocol(kind, Protocol::kAtomicHw, sizeof(std::uint64_t));
-      std::uint64_t* result = cmd->amo_result.get();
-      auto post = [this, &self, cmd, result] {
-        if (cmd->op == DeviceCmd::Op::kAmoFadd) {
-          return rt_.ib().atomic_fadd64(self, endpoint(),
-                                           cmd->rma.target_pe, cmd->amo_word,
-                                           cmd->amo_a, result);
-        }
-        return rt_.ib().atomic_cswap64(self, endpoint(), cmd->rma.target_pe,
-                                          cmd->amo_word, cmd->amo_a,
-                                          cmd->amo_b, result);
-      };
-      rctx.await_reliable(self, post);
+      rctx.await_reliable(self, [this, &self, &cmd] {
+        return rt_.ib().atomic(self, endpoint(), cmd->rma.target_pe,
+                               cmd->amo_word, cmd->amo, cmd->amo_result.get());
+      });
       break;
     }
     case DeviceCmd::Op::kPut:
@@ -223,10 +214,8 @@ void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
         rt_.notify_pe(op.target_pe);
       } else if (!rt_.selector().offload_staged(op, is_get, requester)) {
         // Small enough for one direct posting from this node's HCA, issued
-        // under the requester's endpoint so registration and delivery match
-        // a host-initiated call.
-        rt_.verbs().reg_cache().get_or_register(self, requester, op.local,
-                                                op.bytes);
+        // under the requester's endpoint, so the Verbs registration rule
+        // and delivery match a host-initiated call.
         rctx.count_protocol(
             kind, dev_leg ? Protocol::kDirectGdr : Protocol::kDirectRdma,
             op.bytes);

@@ -36,97 +36,81 @@ int rails_from_env() {
 }
 
 // ---------------------------------------------------------------------------
-// Transport base: 2-rail striping shared by RC and DC.
+// Transport base: the op path every QP kind shares, and 2-rail striping.
 
 Transport::Transport(Verbs& verbs, const TransportConfig& cfg)
     : verbs_(verbs), cfg_(cfg) {}
 
-bool Transport::stripe_eligible(std::size_t n) const {
-  return cfg_.rails >= 2 && n >= params().rail_stripe_min_bytes &&
-         verbs_.cluster().config().hcas_per_node >= 2;
+bool Transport::two_rails() const {
+  return cfg_.rails >= 2 && verbs_.cluster().config().hcas_per_node >= 2;
 }
 
-namespace {
-int other_hca(const hw::Cluster& cl, int hca) {
-  return (hca + 1) % cl.config().hcas_per_node;
-}
-}  // namespace
-
-CompletionPtr Transport::striped_write(sim::Process& proc, int src_pe,
-                                       const void* lbuf, int dst_pe, void* rbuf,
-                                       std::size_t n) {
-  ++striped_ops_;
-  hw::Cluster& cl = verbs_.cluster();
-  hw::PePlacement sp = cl.placement(src_pe);
-  hw::PePlacement dp = cl.placement(dst_pe);
-  // One registration for the whole source range, so the two stripes don't
-  // each pay (and cache) a half-range registration.
-  verbs_.reg_cache().get_or_register(proc, src_pe, lbuf, n);
-  const auto* lb = static_cast<const std::byte*>(lbuf);
-  auto* rb = static_cast<std::byte*>(rbuf);
-  std::size_t half = n / 2;
-  std::vector<CompletionPtr> parts;
-  parts.push_back(verbs_.rdma_write(proc, src_pe, lb, dst_pe, rb, half,
-                                    Rail{sp.hca, dp.hca}));
-  parts.push_back(verbs_.rdma_write(
-      proc, src_pe, lb + half, dst_pe, rb + half, n - half,
-      Rail{other_hca(cl, sp.hca), other_hca(cl, dp.hca)}));
-  return sim::aggregate(std::move(parts));
+Rail Transport::rail(int src_pe, int dst_pe, int index) const {
+  const hw::Cluster& cl = verbs_.cluster();
+  int shca = cl.placement(src_pe).hca;
+  int dhca = cl.placement(dst_pe).hca;
+  if (index == 0) return Rail{shca, dhca};
+  const int hcas = cl.config().hcas_per_node;
+  return Rail{(shca + 1) % hcas, (dhca + 1) % hcas};
 }
 
-CompletionPtr Transport::striped_read(sim::Process& proc, int src_pe,
-                                      void* lbuf, int dst_pe, const void* rbuf,
-                                      std::size_t n) {
-  ++striped_ops_;
-  hw::Cluster& cl = verbs_.cluster();
-  hw::PePlacement sp = cl.placement(src_pe);
-  hw::PePlacement dp = cl.placement(dst_pe);
-  verbs_.reg_cache().get_or_register(proc, src_pe, lbuf, n);
-  auto* lb = static_cast<std::byte*>(lbuf);
-  const auto* rb = static_cast<const std::byte*>(rbuf);
-  std::size_t half = n / 2;
-  std::vector<CompletionPtr> parts;
-  parts.push_back(verbs_.rdma_read(proc, src_pe, lb, dst_pe, rb, half,
-                                   Rail{sp.hca, dp.hca}));
-  parts.push_back(verbs_.rdma_read(
-      proc, src_pe, lb + half, dst_pe, rb + half, n - half,
-      Rail{other_hca(cl, sp.hca), other_hca(cl, dp.hca)}));
-  return sim::aggregate(std::move(parts));
+CompletionPtr Transport::Rdma::post(Verbs& verbs, sim::Process& proc,
+                                    std::size_t off, std::size_t len, Rail rail,
+                                    SegmentOpts seg) const {
+  if (read) {
+    return verbs.rdma_read(proc, src_pe, to + off, dst_pe, from + off, len,
+                           rail, std::move(seg));
+  }
+  return verbs.rdma_write(proc, src_pe, from + off, dst_pe, to + off, len,
+                          rail, std::move(seg));
 }
 
 CompletionPtr Transport::rdma_write(sim::Process& proc, int src_pe,
                                     const void* lbuf, int dst_pe, void* rbuf,
                                     std::size_t n) {
-  if (stripe_eligible(n)) return striped_write(proc, src_pe, lbuf, dst_pe, rbuf, n);
-  return verbs_.rdma_write(proc, src_pe, lbuf, dst_pe, rbuf, n);
+  return rdma(proc, Rdma{false, src_pe, dst_pe,
+                         static_cast<const std::byte*>(lbuf),
+                         static_cast<std::byte*>(rbuf), n});
 }
 
 CompletionPtr Transport::rdma_read(sim::Process& proc, int src_pe, void* lbuf,
                                    int dst_pe, const void* rbuf, std::size_t n) {
-  if (stripe_eligible(n)) return striped_read(proc, src_pe, lbuf, dst_pe, rbuf, n);
-  return verbs_.rdma_read(proc, src_pe, lbuf, dst_pe, rbuf, n);
+  return rdma(proc, Rdma{true, src_pe, dst_pe,
+                         static_cast<const std::byte*>(rbuf),
+                         static_cast<std::byte*>(lbuf), n});
 }
 
 CompletionPtr Transport::post_send(sim::Process& proc, int src_pe, int dst_pe,
                                    std::size_t n,
                                    std::function<void()> deliver) {
+  charge(proc, src_pe, dst_pe, /*striped=*/false);
   return verbs_.post_send(proc, src_pe, dst_pe, n, std::move(deliver));
 }
 
-CompletionPtr Transport::atomic_fadd64(sim::Process& proc, int src_pe,
-                                       int dst_pe, std::uint64_t* raddr,
-                                       std::uint64_t add,
-                                       std::uint64_t* result) {
-  return verbs_.atomic_fadd64(proc, src_pe, dst_pe, raddr, add, result);
+CompletionPtr Transport::atomic(sim::Process& proc, int src_pe, int dst_pe,
+                                std::uint64_t* raddr, Amo amo,
+                                std::uint64_t* result) {
+  charge(proc, src_pe, dst_pe, /*striped=*/false);
+  return verbs_.atomic(proc, src_pe, dst_pe, raddr, amo, result);
 }
 
-CompletionPtr Transport::atomic_cswap64(sim::Process& proc, int src_pe,
-                                        int dst_pe, std::uint64_t* raddr,
-                                        std::uint64_t compare,
-                                        std::uint64_t swap,
-                                        std::uint64_t* result) {
-  return verbs_.atomic_cswap64(proc, src_pe, dst_pe, raddr, compare, swap,
-                               result);
+CompletionPtr Transport::rdma(sim::Process& proc, const Rdma& op) {
+  const bool striped = two_rails() && op.n >= params().rail_stripe_min_bytes;
+  charge(proc, op.src_pe, op.dst_pe, striped);
+  if (!striped) return op.post(verbs_, proc, 0, op.n);
+  // Split the transfer across both HCAs; one completion for both halves.
+  // One registration for the whole local range, so the two stripes don't
+  // each pay (and cache) a half-range registration.
+  ++striped_ops_;
+  verbs_.register_local(proc, op.src_pe, op.local(), op.n);
+  const std::size_t half = op.n / 2;
+  std::vector<CompletionPtr> parts;
+  for (int r = 0; r < 2; ++r) {
+    parts.push_back(op.post(verbs_, proc, r == 0 ? 0 : half,
+                            r == 0 ? half : op.n - half,
+                            rail(op.src_pe, op.dst_pe, r)));
+  }
+  return sim::aggregate(std::move(parts));
 }
 
 namespace {
@@ -166,40 +150,11 @@ class RcTransport final : public Transport {
     return f;
   }
 
-  CompletionPtr rdma_write(sim::Process& proc, int src_pe, const void* lbuf,
-                           int dst_pe, void* rbuf, std::size_t n) override {
-    charge_qp_cache(proc, src_pe, dst_pe);
-    return Transport::rdma_write(proc, src_pe, lbuf, dst_pe, rbuf, n);
-  }
-  CompletionPtr rdma_read(sim::Process& proc, int src_pe, void* lbuf,
-                          int dst_pe, const void* rbuf, std::size_t n) override {
-    charge_qp_cache(proc, src_pe, dst_pe);
-    return Transport::rdma_read(proc, src_pe, lbuf, dst_pe, rbuf, n);
-  }
-  CompletionPtr post_send(sim::Process& proc, int src_pe, int dst_pe,
-                          std::size_t n, std::function<void()> deliver) override {
-    charge_qp_cache(proc, src_pe, dst_pe);
-    return Transport::post_send(proc, src_pe, dst_pe, n, std::move(deliver));
-  }
-  CompletionPtr atomic_fadd64(sim::Process& proc, int src_pe, int dst_pe,
-                              std::uint64_t* raddr, std::uint64_t add,
-                              std::uint64_t* result) override {
-    charge_qp_cache(proc, src_pe, dst_pe);
-    return Transport::atomic_fadd64(proc, src_pe, dst_pe, raddr, add, result);
-  }
-  CompletionPtr atomic_cswap64(sim::Process& proc, int src_pe, int dst_pe,
-                               std::uint64_t* raddr, std::uint64_t compare,
-                               std::uint64_t swap,
-                               std::uint64_t* result) override {
-    charge_qp_cache(proc, src_pe, dst_pe);
-    return Transport::atomic_cswap64(proc, src_pe, dst_pe, raddr, compare,
-                                     swap, result);
-  }
-
  private:
-  void charge_qp_cache(sim::Process& proc, int src_pe, int dst_pe) {
-    // Zero in every sub-cache-capacity configuration: no delay call, no
-    // event, no change to the legacy schedule.
+  /// Zero in every sub-cache-capacity configuration: no delay call, no
+  /// event, no change to the legacy schedule. A striped op pays it once,
+  /// not once per rail.
+  void charge(sim::Process& proc, int src_pe, int dst_pe, bool) override {
     if (qp_cache_penalty_us_ <= 0.0) return;
     // Same-node loopback never touches the wire-facing QP working set (the
     // verbs layer likewise special-cases loopback in attempt_fails and
@@ -234,49 +189,6 @@ class UdTransport final : public Transport {
     return f;
   }
 
-  CompletionPtr rdma_write(sim::Process& proc, int src_pe, const void* lbuf,
-                           int dst_pe, void* rbuf, std::size_t n) override {
-    const std::size_t mtu = params().ud_mtu_bytes;
-    if (n <= mtu) {
-      charge_packets(proc, 1);
-      return verbs_.rdma_write(proc, src_pe, lbuf, dst_pe, rbuf, n);
-    }
-    // Software segmentation: register the whole source once, then emulate
-    // the write as a train of MTU-sized datagrams. Bytes land identically
-    // (per-segment copies at per-segment arrival); only timing differs.
-    verbs_.reg_cache().get_or_register(proc, src_pe, lbuf, n);
-    const auto* lb = static_cast<const std::byte*>(lbuf);
-    auto* rb = static_cast<std::byte*>(rbuf);
-    std::vector<CompletionPtr> parts;
-    for (std::size_t off = 0; off < n; off += mtu) {
-      std::size_t seg = std::min(mtu, n - off);
-      charge_packets(proc, 1);
-      parts.push_back(
-          verbs_.rdma_write(proc, src_pe, lb + off, dst_pe, rb + off, seg));
-    }
-    return sim::aggregate(std::move(parts));
-  }
-
-  CompletionPtr rdma_read(sim::Process& proc, int src_pe, void* lbuf,
-                          int dst_pe, const void* rbuf, std::size_t n) override {
-    const std::size_t mtu = params().ud_mtu_bytes;
-    if (n <= mtu) {
-      charge_packets(proc, 1);
-      return verbs_.rdma_read(proc, src_pe, lbuf, dst_pe, rbuf, n);
-    }
-    verbs_.reg_cache().get_or_register(proc, src_pe, lbuf, n);
-    auto* lb = static_cast<std::byte*>(lbuf);
-    const auto* rb = static_cast<const std::byte*>(rbuf);
-    std::vector<CompletionPtr> parts;
-    for (std::size_t off = 0; off < n; off += mtu) {
-      std::size_t seg = std::min(mtu, n - off);
-      charge_packets(proc, 1);
-      parts.push_back(
-          verbs_.rdma_read(proc, src_pe, lb + off, dst_pe, rb + off, seg));
-    }
-    return sim::aggregate(std::move(parts));
-  }
-
   CompletionPtr post_send(sim::Process& proc, int src_pe, int dst_pe,
                           std::size_t n, std::function<void()> deliver) override {
     if (n > params().ud_mtu_bytes) {
@@ -292,6 +204,23 @@ class UdTransport final : public Transport {
   // Atomics: delegated unchanged — modeled as the retained RC service QP.
 
  private:
+  CompletionPtr rdma(sim::Process& proc, const Rdma& op) override {
+    // Software segmentation: register the whole local range once, then
+    // emulate the op as a train of MTU-sized datagrams. Bytes land
+    // identically (per-segment copies at per-segment arrival); only timing
+    // differs.
+    const std::size_t mtu = params().ud_mtu_bytes;
+    const std::size_t nseg = std::max<std::size_t>(1, (op.n + mtu - 1) / mtu);
+    if (nseg > 1) verbs_.register_local(proc, op.src_pe, op.local(), op.n);
+    std::vector<CompletionPtr> parts;
+    for (std::size_t idx = 0; idx < nseg; ++idx) {
+      const std::size_t off = idx * mtu;
+      charge_packets(proc, 1);
+      parts.push_back(op.post(verbs_, proc, off, std::min(mtu, op.n - off)));
+    }
+    return nseg == 1 ? parts.front() : sim::aggregate(std::move(parts));
+  }
+
   void charge_packets(sim::Process& proc, std::uint64_t count) {
     ud_packets_ += count;
     proc.delay(Duration::us(params().ud_packet_overhead_us *
@@ -321,58 +250,28 @@ class DcTransport final : public Transport {
     return f;
   }
 
-  CompletionPtr rdma_write(sim::Process& proc, int src_pe, const void* lbuf,
-                           int dst_pe, void* rbuf, std::size_t n) override {
-    acquire_dci(proc, src_pe, dst_pe, 0);
-    // A striped op drives the second HCA's DCI pool too; it must pay that
-    // rail's connection state as well, not ride rail 1's acquisition.
-    if (stripe_eligible(n)) acquire_dci(proc, src_pe, dst_pe, 1);
-    return Transport::rdma_write(proc, src_pe, lbuf, dst_pe, rbuf, n);
-  }
-  CompletionPtr rdma_read(sim::Process& proc, int src_pe, void* lbuf,
-                          int dst_pe, const void* rbuf, std::size_t n) override {
-    acquire_dci(proc, src_pe, dst_pe, 0);
-    if (stripe_eligible(n)) acquire_dci(proc, src_pe, dst_pe, 1);
-    return Transport::rdma_read(proc, src_pe, lbuf, dst_pe, rbuf, n);
-  }
-  CompletionPtr post_send(sim::Process& proc, int src_pe, int dst_pe,
-                          std::size_t n, std::function<void()> deliver) override {
-    acquire_dci(proc, src_pe, dst_pe, 0);
-    return Transport::post_send(proc, src_pe, dst_pe, n, std::move(deliver));
-  }
-  CompletionPtr atomic_fadd64(sim::Process& proc, int src_pe, int dst_pe,
-                              std::uint64_t* raddr, std::uint64_t add,
-                              std::uint64_t* result) override {
-    acquire_dci(proc, src_pe, dst_pe, 0);
-    return Transport::atomic_fadd64(proc, src_pe, dst_pe, raddr, add, result);
-  }
-  CompletionPtr atomic_cswap64(sim::Process& proc, int src_pe, int dst_pe,
-                               std::uint64_t* raddr, std::uint64_t compare,
-                               std::uint64_t swap,
-                               std::uint64_t* result) override {
-    acquire_dci(proc, src_pe, dst_pe, 0);
-    return Transport::atomic_cswap64(proc, src_pe, dst_pe, raddr, compare,
-                                     swap, result);
-  }
-
  private:
-  /// An op needs a DCI holding a connection to `dst_pe`'s DCT — on each HCA
-  /// (rail) the op actually drives, since every adapter keeps its own DCI
-  /// pool. Loopback ops never leave the adapter and need no DCI. LRU over
-  /// the pool: the least-recently-used initiator is the one retargeted.
-  void acquire_dci(sim::Process& proc, int src_pe, int dst_pe, int rail) {
+  /// An op needs a DCI holding a connection to `dst_pe`'s DCT on each HCA
+  /// (rail) it drives, since every adapter keeps its own DCI pool: a
+  /// striped op pays rail 1's connection state too, not only rail 0's.
+  /// Loopback ops never leave the adapter and need no DCI. LRU over the
+  /// pool: the least-recently-used initiator is the one retargeted.
+  void charge(sim::Process& proc, int src_pe, int dst_pe,
+              bool striped) override {
     if (verbs_.cluster().same_node(src_pe, dst_pe)) return;
-    std::list<int>& lru = targets_[{src_pe, rail}];
-    auto it = std::find(lru.begin(), lru.end(), dst_pe);
-    if (it != lru.end()) {
-      lru.splice(lru.end(), lru, it);  // still connected: reuse, bump
-      return;
+    for (int rail = 0; rail < (striped ? 2 : 1); ++rail) {
+      std::list<int>& lru = targets_[{src_pe, rail}];
+      auto it = std::find(lru.begin(), lru.end(), dst_pe);
+      if (it != lru.end()) {
+        lru.splice(lru.end(), lru, it);  // still connected: reuse, bump
+        continue;
+      }
+      auto pool = static_cast<std::size_t>(params().dc_initiator_pool);
+      if (lru.size() >= pool) lru.pop_front();
+      lru.push_back(dst_pe);
+      ++dc_reconnects_;
+      proc.delay(Duration::us(params().dc_reconnect_us));
     }
-    auto pool = static_cast<std::size_t>(params().dc_initiator_pool);
-    if (lru.size() >= pool) lru.pop_front();
-    lru.push_back(dst_pe);
-    ++dc_reconnects_;
-    proc.delay(Duration::us(params().dc_reconnect_us));
   }
 
   // (src endpoint, rail) -> targets that HCA's DCIs currently hold, LRU order.
@@ -425,77 +324,36 @@ class SrdTransport final : public Transport {
     return reorder_entries_hwm_;
   }
 
-  CompletionPtr rdma_write(sim::Process& proc, int src_pe, const void* lbuf,
-                           int dst_pe, void* rbuf, std::size_t n) override {
-    const std::size_t mtu = params().srd_mtu_bytes;
-    const std::uint64_t op = next_op_id_++;
-    if (n <= mtu) {
-      // Single segment: no reassembly, but the packet still rides a jittered
-      // path — back-to-back small ops on one flow can land out of order.
-      charge_segment(proc);
-      auto track = start_op(1);
-      return finish_op(track, verbs_.rdma_write(
-                                  proc, src_pe, lbuf, dst_pe, rbuf, n,
-                                  rail_for(src_pe, dst_pe, 0),
-                                  seg_opts(track, op, 0, n, src_pe, dst_pe)));
-    }
-    verbs_.reg_cache().get_or_register(proc, src_pe, lbuf, n);
-    if (cfg_.rails >= 2 && verbs_.cluster().config().hcas_per_node >= 2) {
-      ++striped_ops_;  // segments alternate HCAs: multi-rail spraying
-    }
-    const auto* lb = static_cast<const std::byte*>(lbuf);
-    auto* rb = static_cast<std::byte*>(rbuf);
-    auto track = start_op((n + mtu - 1) / mtu);
-    std::vector<CompletionPtr> parts;
-    std::size_t idx = 0;
-    for (std::size_t off = 0; off < n; off += mtu, ++idx) {
-      std::size_t seg = std::min(mtu, n - off);
-      charge_segment(proc);
-      parts.push_back(verbs_.rdma_write(
-          proc, src_pe, lb + off, dst_pe, rb + off, seg,
-          rail_for(src_pe, dst_pe, idx),
-          seg_opts(track, op, idx, seg, src_pe, dst_pe)));
-    }
-    return finish_op(track, sim::aggregate(std::move(parts)));
-  }
-
-  CompletionPtr rdma_read(sim::Process& proc, int src_pe, void* lbuf,
-                          int dst_pe, const void* rbuf, std::size_t n) override {
-    // For a read, the response segments are the sprayed leg, so the
-    // reorder/tracking buffer lives at the *initiator*.
-    const std::size_t mtu = params().srd_mtu_bytes;
-    const std::uint64_t op = next_op_id_++;
-    if (n <= mtu) {
-      charge_segment(proc);
-      auto track = start_op(1);
-      return finish_op(track, verbs_.rdma_read(
-                                  proc, src_pe, lbuf, dst_pe, rbuf, n,
-                                  rail_for(src_pe, dst_pe, 0),
-                                  seg_opts(track, op, 0, n, src_pe, dst_pe)));
-    }
-    verbs_.reg_cache().get_or_register(proc, src_pe, lbuf, n);
-    if (cfg_.rails >= 2 && verbs_.cluster().config().hcas_per_node >= 2) {
-      ++striped_ops_;
-    }
-    auto* lb = static_cast<std::byte*>(lbuf);
-    const auto* rb = static_cast<const std::byte*>(rbuf);
-    auto track = start_op((n + mtu - 1) / mtu);
-    std::vector<CompletionPtr> parts;
-    std::size_t idx = 0;
-    for (std::size_t off = 0; off < n; off += mtu, ++idx) {
-      std::size_t seg = std::min(mtu, n - off);
-      charge_segment(proc);
-      parts.push_back(verbs_.rdma_read(
-          proc, src_pe, lb + off, dst_pe, rb + off, seg,
-          rail_for(src_pe, dst_pe, idx),
-          seg_opts(track, op, idx, seg, src_pe, dst_pe)));
-    }
-    return finish_op(track, sim::aggregate(std::move(parts)));
-  }
-
   // post_send and atomics: delegated unchanged — the ordered service channel.
 
  private:
+  /// Every op is a train of MTU-sized segments, each with its own rail and
+  /// jitter — a single segment too, so back-to-back small ops on one flow
+  /// can land out of order. For a read the response segments are the
+  /// sprayed leg, so the reorder/tracking buffer lives at the *initiator*.
+  CompletionPtr rdma(sim::Process& proc, const Rdma& op) override {
+    const std::size_t mtu = params().srd_mtu_bytes;
+    const std::uint64_t id = next_op_id_++;
+    const std::size_t nseg = std::max<std::size_t>(1, (op.n + mtu - 1) / mtu);
+    if (nseg > 1) {
+      verbs_.register_local(proc, op.src_pe, op.local(), op.n);
+      if (two_rails()) ++striped_ops_;  // segments alternate HCAs
+    }
+    auto track = start_op(nseg);
+    std::vector<CompletionPtr> parts;
+    for (std::size_t idx = 0; idx < nseg; ++idx) {
+      const std::size_t off = idx * mtu;
+      const std::size_t seg = std::min(mtu, op.n - off);
+      charge_segment(proc);
+      parts.push_back(op.post(verbs_, proc, off, seg,
+                              rail_for(op.src_pe, op.dst_pe, idx),
+                              seg_opts(track, id, idx, seg, op.src_pe,
+                                       op.dst_pe)));
+    }
+    return finish_op(track, nseg == 1 ? parts.front()
+                                      : sim::aggregate(std::move(parts)));
+  }
+
   /// Per-op segment arrival bookkeeping: which segments have landed, and how
   /// much reorder-buffer state the (still-incomplete) op is holding.
   struct OpTrack {
@@ -519,13 +377,9 @@ class SrdTransport final : public Transport {
   }
 
   /// Spray segments round-robin across both HCAs when 2-rail.
-  Rail rail_for(int src_pe, int dst_pe, std::size_t idx) {
-    hw::Cluster& cl = verbs_.cluster();
-    if (cfg_.rails < 2 || cl.config().hcas_per_node < 2) return {};
-    hw::PePlacement sp = cl.placement(src_pe);
-    hw::PePlacement dp = cl.placement(dst_pe);
-    if (idx % 2 == 0) return Rail{sp.hca, dp.hca};
-    return Rail{other_hca(cl, sp.hca), other_hca(cl, dp.hca)};
+  Rail rail_for(int src_pe, int dst_pe, std::size_t idx) const {
+    if (!two_rails()) return {};
+    return rail(src_pe, dst_pe, static_cast<int>(idx % 2));
   }
 
   /// The delivery jitter for segment `idx` of op `op`: uniform in

@@ -11,6 +11,7 @@
 // to the pre-transport event stream.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -77,7 +78,10 @@ struct QpFootprint {
 /// The op surface mirrors Verbs (same signatures, same completion
 /// semantics) so the protocol layers above — Ctx, the core transports, the
 /// proxy, both device backends — swap in transparently; the fault
-/// retransmit machinery runs unchanged underneath every QP kind.
+/// retransmit machinery runs unchanged underneath every QP kind. A kind
+/// differs in two hooks: `charge`, the per-op cost the base op path pays
+/// before it posts (RC, DC), and `rdma`, how an RDMA op is segmented — one
+/// posting, two rail stripes, or a train of MTU-sized datagrams (UD, SRD).
 class Transport {
  public:
   Transport(Verbs& verbs, const TransportConfig& cfg);
@@ -86,12 +90,7 @@ class Transport {
   Transport& operator=(const Transport&) = delete;
 
   virtual const char* name() const = 0;
-  QpKind kind() const { return cfg_.kind; }
   int rails() const { return cfg_.rails; }
-  const TransportConfig& config() const { return cfg_; }
-  Verbs& verbs() { return verbs_; }
-  RegistrationCache& reg_cache() { return verbs_.reg_cache(); }
-  std::uint64_t ops_posted() const { return verbs_.ops_posted(); }
 
   /// Memory model: what one endpoint pins when `num_endpoints` communicate
   /// all-to-all. Pure arithmetic — usable at any scale without simulating.
@@ -104,24 +103,17 @@ class Transport {
   /// the wire's FIFO.
   virtual bool in_order_delivery() const { return true; }
 
-  virtual sim::CompletionPtr rdma_write(sim::Process& proc, int src_pe,
-                                        const void* lbuf, int dst_pe,
-                                        void* rbuf, std::size_t n);
-  virtual sim::CompletionPtr rdma_read(sim::Process& proc, int src_pe,
-                                       void* lbuf, int dst_pe,
-                                       const void* rbuf, std::size_t n);
+  sim::CompletionPtr rdma_write(sim::Process& proc, int src_pe,
+                                const void* lbuf, int dst_pe, void* rbuf,
+                                std::size_t n);
+  sim::CompletionPtr rdma_read(sim::Process& proc, int src_pe, void* lbuf,
+                               int dst_pe, const void* rbuf, std::size_t n);
   virtual sim::CompletionPtr post_send(sim::Process& proc, int src_pe,
                                        int dst_pe, std::size_t n,
                                        std::function<void()> deliver);
-  virtual sim::CompletionPtr atomic_fadd64(sim::Process& proc, int src_pe,
-                                           int dst_pe, std::uint64_t* raddr,
-                                           std::uint64_t add,
-                                           std::uint64_t* result);
-  virtual sim::CompletionPtr atomic_cswap64(sim::Process& proc, int src_pe,
-                                            int dst_pe, std::uint64_t* raddr,
-                                            std::uint64_t compare,
-                                            std::uint64_t swap,
-                                            std::uint64_t* result);
+  sim::CompletionPtr atomic(sim::Process& proc, int src_pe, int dst_pe,
+                            std::uint64_t* raddr, Amo amo,
+                            std::uint64_t* result);
 
   // ---- diagnostics --------------------------------------------------------
   std::uint64_t dc_reconnects() const { return dc_reconnects_; }
@@ -138,15 +130,38 @@ class Transport {
   virtual std::uint64_t srd_reorder_entries_hwm() const { return 0; }
 
  protected:
+  /// One RDMA op in either direction, initiated by `src_pe` against
+  /// `dst_pe`: `n` bytes move from `from` to `to` — local to remote for a
+  /// write, remote to local for a read.
+  struct Rdma {
+    bool read = false;
+    int src_pe = 0;
+    int dst_pe = 0;
+    const std::byte* from = nullptr;
+    std::byte* to = nullptr;
+    std::size_t n = 0;
+
+    const void* local() const { return read ? to : from; }
+    /// Post bytes [off, off + len) of the op as one verbs op.
+    sim::CompletionPtr post(Verbs& verbs, sim::Process& proc, std::size_t off,
+                            std::size_t len, Rail rail = {},
+                            SegmentOpts seg = {}) const;
+  };
+
   const hw::SystemParams& params() const { return verbs_.cluster().params(); }
-  /// Large message on a 2-rail config with a second HCA available?
-  bool stripe_eligible(std::size_t n) const;
-  /// Split the transfer across both HCAs; one completion for both halves.
-  sim::CompletionPtr striped_write(sim::Process& proc, int src_pe,
-                                   const void* lbuf, int dst_pe, void* rbuf,
-                                   std::size_t n);
-  sim::CompletionPtr striped_read(sim::Process& proc, int src_pe, void* lbuf,
-                                  int dst_pe, const void* rbuf, std::size_t n);
+  /// Two rails configured and a second HCA to drive?
+  bool two_rails() const;
+  /// The HCA pair of rail `index` (0: each side's placement HCA, 1: the
+  /// other adapter on both sides).
+  Rail rail(int src_pe, int dst_pe, int index) const;
+
+  /// This QP kind's per-op cost, charged before any op posts. `striped`:
+  /// the op drives both rails. Free by default.
+  virtual void charge(sim::Process& /*proc*/, int /*src_pe*/,
+                      int /*dst_pe*/, bool /*striped*/) {}
+  /// Post an RDMA op. Default: one posting, or — a large message on two
+  /// rails — one half per rail under one completion.
+  virtual sim::CompletionPtr rdma(sim::Process& proc, const Rdma& op);
 
   Verbs& verbs_;
   TransportConfig cfg_;

@@ -186,16 +186,27 @@ void Verbs::run_attempts(int src_pe, int dst_pe, bool atomic, bool unlimited,
       });
 }
 
+template <typename Transmit>
+CompletionPtr Verbs::submit(int src_pe, int dst_pe, bool atomic, bool unlimited,
+                            Transmit transmit) {
+  auto comp = std::make_shared<Completion>();
+  if (!fault_active()) {
+    transmit(comp);
+    return comp;
+  }
+  run_attempts(src_pe, dst_pe, atomic, unlimited, 1, comp,
+               std::make_shared<std::function<void()>>(
+                   [comp, transmit = std::move(transmit)] { transmit(comp); }));
+  return comp;
+}
+
 CompletionPtr Verbs::rdma_write(sim::Process& proc, int src_pe, const void* lbuf,
                                 int dst_pe, void* rbuf, std::size_t n,
                                 Rail rail, SegmentOpts seg) {
   pre_post(proc, dst_pe, rbuf, n);
   register_local(proc, src_pe, lbuf, n);
-  auto comp = std::make_shared<Completion>();
-  // The successful transmission, scheduled from the instant it runs. With no
-  // fault plan it executes immediately below — the legacy single-shot path.
-  auto transmit = [this, src_pe, lbuf, dst_pe, rbuf, n, rail, comp,
-                   seg = std::move(seg)] {
+  auto transmit = [this, src_pe, lbuf, dst_pe, rbuf, n, rail,
+                   seg = std::move(seg)](const CompletionPtr& comp) {
     hw::PePlacement src = cluster_.placement(src_pe);
     hw::PePlacement dst = cluster_.placement(dst_pe);
     int shca = rail.src_hca >= 0 ? rail.src_hca : src.hca;
@@ -219,13 +230,8 @@ CompletionPtr Verbs::rdma_write(sim::Process& proc, int src_pe, const void* lbuf
                        delivered(src_pe);  // CQ entry lands at the source
                      });
   };
-  if (!fault_active()) {
-    transmit();
-    return comp;
-  }
-  run_attempts(src_pe, dst_pe, /*atomic=*/false, /*unlimited=*/false, 1, comp,
-               std::make_shared<std::function<void()>>(std::move(transmit)));
-  return comp;
+  return submit(src_pe, dst_pe, /*atomic=*/false, /*unlimited=*/false,
+                std::move(transmit));
 }
 
 CompletionPtr Verbs::rdma_read(sim::Process& proc, int src_pe, void* lbuf,
@@ -233,9 +239,8 @@ CompletionPtr Verbs::rdma_read(sim::Process& proc, int src_pe, void* lbuf,
                                Rail rail, SegmentOpts seg) {
   pre_post(proc, dst_pe, rbuf, n);
   register_local(proc, src_pe, lbuf, n);
-  auto comp = std::make_shared<Completion>();
-  auto transmit = [this, src_pe, lbuf, dst_pe, rbuf, n, rail, comp,
-                   seg = std::move(seg)] {
+  auto transmit = [this, src_pe, lbuf, dst_pe, rbuf, n, rail,
+                   seg = std::move(seg)](const CompletionPtr& comp) {
     hw::PePlacement src = cluster_.placement(src_pe);
     hw::PePlacement dst = cluster_.placement(dst_pe);
     int shca = rail.src_hca >= 0 ? rail.src_hca : src.hca;
@@ -260,22 +265,16 @@ CompletionPtr Verbs::rdma_read(sim::Process& proc, int src_pe, void* lbuf,
       comp->fire();
     });
   };
-  if (!fault_active()) {
-    transmit();
-    return comp;
-  }
-  run_attempts(src_pe, dst_pe, /*atomic=*/false, /*unlimited=*/false, 1, comp,
-               std::make_shared<std::function<void()>>(std::move(transmit)));
-  return comp;
+  return submit(src_pe, dst_pe, /*atomic=*/false, /*unlimited=*/false,
+                std::move(transmit));
 }
 
 CompletionPtr Verbs::post_send(sim::Process& proc, int src_pe, int dst_pe,
                                std::size_t n, std::function<void()> deliver) {
   ++ops_posted_;
   proc.delay(Duration::us(cluster_.params().ib_post_overhead_us));
-  auto comp = std::make_shared<Completion>();
-  auto transmit = [this, src_pe, dst_pe, n, comp,
-                   deliver = std::move(deliver)] {
+  auto transmit = [this, src_pe, dst_pe, n,
+                   deliver = std::move(deliver)](const CompletionPtr& comp) {
     hw::PePlacement src = cluster_.placement(src_pe);
     hw::PePlacement dst = cluster_.placement(dst_pe);
     // Control messages live in host memory on both sides.
@@ -291,24 +290,19 @@ CompletionPtr Verbs::post_send(sim::Process& proc, int src_pe, int dst_pe,
                        delivered(src_pe);
                      });
   };
-  if (!fault_active()) {
-    transmit();
-    return comp;
-  }
   // Control messages ride the reliable channel: the HCA retransmits until
   // the message gets through (capped-exponential spacing), so the protocol
   // state machines above never see a lost ctrl message — only delay.
-  run_attempts(src_pe, dst_pe, /*atomic=*/false, /*unlimited=*/true, 1, comp,
-               std::make_shared<std::function<void()>>(std::move(transmit)));
-  return comp;
+  return submit(src_pe, dst_pe, /*atomic=*/false, /*unlimited=*/true,
+                std::move(transmit));
 }
 
-CompletionPtr Verbs::atomic_fadd64(sim::Process& proc, int src_pe, int dst_pe,
-                                   std::uint64_t* raddr, std::uint64_t add,
-                                   std::uint64_t* result) {
+CompletionPtr Verbs::atomic(sim::Process& proc, int src_pe, int dst_pe,
+                            std::uint64_t* raddr, Amo amo,
+                            std::uint64_t* result) {
   pre_post(proc, dst_pe, raddr, sizeof(std::uint64_t));
-  auto comp = std::make_shared<Completion>();
-  auto transmit = [this, src_pe, dst_pe, raddr, add, result, comp] {
+  auto transmit = [this, src_pe, dst_pe, raddr, amo,
+                   result](const CompletionPtr& comp) {
     hw::PePlacement src = cluster_.placement(src_pe);
     hw::PePlacement dst = cluster_.placement(dst_pe);
     const auto& p = cluster_.params();
@@ -335,9 +329,8 @@ CompletionPtr Verbs::atomic_fadd64(sim::Process& proc, int src_pe, int dst_pe,
                     wr.cost(sizeof(std::uint64_t));
     Path backwire = cluster_.wire(dst.node, dst.hca, src.node, src.hca);
     Time reply_local = backwire.schedule(done_rmw, sizeof(std::uint64_t));
-    eng_.schedule_at(done_rmw, [this, dst_pe, raddr, add, result] {
-      *result = *raddr;
-      *raddr += add;
+    eng_.schedule_at(done_rmw, [this, dst_pe, raddr, amo, result] {
+      *result = amo.apply(*raddr);
       delivered(dst_pe);
     });
     eng_.schedule_at(reply_local, [this, comp, src_pe] {
@@ -345,62 +338,11 @@ CompletionPtr Verbs::atomic_fadd64(sim::Process& proc, int src_pe, int dst_pe,
       delivered(src_pe);
     });
   };
-  if (!fault_active()) {
-    transmit();
-    return comp;
-  }
   // A failed atomic attempt models the request lost *before* the RMW
   // executed, so the hardware retransmit (and any software replay) cannot
   // double-apply it.
-  run_attempts(src_pe, dst_pe, /*atomic=*/true, /*unlimited=*/false, 1, comp,
-               std::make_shared<std::function<void()>>(std::move(transmit)));
-  return comp;
-}
-
-CompletionPtr Verbs::atomic_cswap64(sim::Process& proc, int src_pe, int dst_pe,
-                                    std::uint64_t* raddr, std::uint64_t compare,
-                                    std::uint64_t swap, std::uint64_t* result) {
-  pre_post(proc, dst_pe, raddr, sizeof(std::uint64_t));
-  auto comp = std::make_shared<Completion>();
-  auto transmit = [this, src_pe, dst_pe, raddr, compare, swap, result, comp] {
-    hw::PePlacement src = cluster_.placement(src_pe);
-    hw::PePlacement dst = cluster_.placement(dst_pe);
-    const auto& p = cluster_.params();
-    Path there = cluster_.wire(src.node, src.hca, dst.node, dst.hca);
-    Time at_hca = there.schedule(eng_.now(), sizeof(std::uint64_t));
-    Duration rmw_extra = Duration::us(p.ib_atomic_exec_us);
-    Path rd, wr;
-    cudart::PtrAttr a = cuda_.attributes(raddr);
-    if (a.space == MemSpace::kDevice && !cluster_.p2p_available(dst.node)) {
-      rd = cluster_.hca_host(dst.node, dst.hca);
-      wr = cluster_.hca_host(dst.node, dst.hca);
-      rmw_extra = rmw_extra + Duration::us(2 * p.cuda_copy_launch_us);
-      if (faults_) faults_->on_event(FaultEvent::kGdrFallback, dst_pe);
-    } else {
-      rd = local_leg(dst_pe, raddr, hw::P2pDir::kRead);
-      wr = local_leg(dst_pe, raddr, hw::P2pDir::kWrite);
-    }
-    Time done_rmw = at_hca + rmw_extra + rd.cost(sizeof(std::uint64_t)) +
-                    wr.cost(sizeof(std::uint64_t));
-    Path backwire = cluster_.wire(dst.node, dst.hca, src.node, src.hca);
-    Time reply_local = backwire.schedule(done_rmw, sizeof(std::uint64_t));
-    eng_.schedule_at(done_rmw, [this, dst_pe, raddr, compare, swap, result] {
-      *result = *raddr;
-      if (*raddr == compare) *raddr = swap;
-      delivered(dst_pe);
-    });
-    eng_.schedule_at(reply_local, [this, comp, src_pe] {
-      comp->fire();
-      delivered(src_pe);
-    });
-  };
-  if (!fault_active()) {
-    transmit();
-    return comp;
-  }
-  run_attempts(src_pe, dst_pe, /*atomic=*/true, /*unlimited=*/false, 1, comp,
-               std::make_shared<std::function<void()>>(std::move(transmit)));
-  return comp;
+  return submit(src_pe, dst_pe, /*atomic=*/true, /*unlimited=*/false,
+                std::move(transmit));
 }
 
 }  // namespace gdrshmem::ib

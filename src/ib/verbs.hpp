@@ -102,6 +102,31 @@ struct Rail {
   int dst_hca = -1;
 };
 
+/// One 64-bit hardware read-modify-write, as the HCA executes it: a
+/// fetch-and-add of `operand`, or a compare-and-swap that stores `swap` when
+/// the word equals `operand`.
+struct Amo {
+  enum class Kind { kFetchAdd, kCompareSwap };
+  Kind kind = Kind::kFetchAdd;
+  std::uint64_t operand = 0;
+  std::uint64_t swap = 0;
+
+  static Amo fetch_add(std::uint64_t add) { return {Kind::kFetchAdd, add, 0}; }
+  static Amo compare_swap(std::uint64_t compare, std::uint64_t desired) {
+    return {Kind::kCompareSwap, compare, desired};
+  }
+  /// Apply to `word`; returns its prior value.
+  std::uint64_t apply(std::uint64_t& word) const {
+    std::uint64_t old = word;
+    if (kind == Kind::kFetchAdd) {
+      word += operand;
+    } else if (word == operand) {
+      word = swap;
+    }
+    return old;
+  }
+};
+
 /// Per-segment scheduling extras for relaxed-ordering transports. `jitter`
 /// defers the segment's data arrival past the path's deterministic schedule
 /// (the ACK tracks the jittered instant); `on_delivered` runs in event
@@ -163,17 +188,16 @@ class Verbs {
   sim::CompletionPtr post_send(sim::Process& proc, int src_pe, int dst_pe,
                                std::size_t n, std::function<void()> deliver);
 
-  /// IB hardware fetch-and-add on a remote 64-bit word. `*result` receives
+  /// IB hardware atomic `amo` on a remote 64-bit word. `*result` receives
   /// the prior value when the completion fires. GDR path if the word is in
   /// GPU memory.
-  sim::CompletionPtr atomic_fadd64(sim::Process& proc, int src_pe, int dst_pe,
-                                   std::uint64_t* raddr, std::uint64_t add,
-                                   std::uint64_t* result);
+  sim::CompletionPtr atomic(sim::Process& proc, int src_pe, int dst_pe,
+                            std::uint64_t* raddr, Amo amo,
+                            std::uint64_t* result);
 
-  /// IB hardware compare-and-swap on a remote 64-bit word.
-  sim::CompletionPtr atomic_cswap64(sim::Process& proc, int src_pe, int dst_pe,
-                                    std::uint64_t* raddr, std::uint64_t compare,
-                                    std::uint64_t swap, std::uint64_t* result);
+  /// Register an op's local range unless it is host memory of at most
+  /// kInlineBytes — the one registration rule for every op that posts.
+  void register_local(sim::Process& proc, int pe, const void* buf, std::size_t n);
 
   // Diagnostics.
   std::uint64_t ops_posted() const { return ops_posted_; }
@@ -185,9 +209,15 @@ class Verbs {
   sim::Path local_leg(int pe, const void* buf, hw::P2pDir dir, int hca = -1);
   /// Charge post overhead + validate remote registration.
   void pre_post(sim::Process& proc, int dst_pe, const void* raddr, std::size_t n);
-  /// Register an op's local range unless it is host memory of <= kInlineBytes.
-  void register_local(sim::Process& proc, int pe, const void* buf, std::size_t n);
   sim::Duration ack_latency(int src_pe, int dst_pe) const;
+
+  /// Transmit one op: `transmit(comp)` performs its successful scheduling
+  /// from the instant it runs. With no fault plan it runs now (nothing is
+  /// allocated for it); under a plan every attempt goes through
+  /// run_attempts. Returns the op's completion.
+  template <typename Transmit>
+  sim::CompletionPtr submit(int src_pe, int dst_pe, bool atomic, bool unlimited,
+                            Transmit transmit);
 
   // ---- tier-1 retransmit machinery (fault plans only) ---------------------
   bool fault_active() const { return faults_ && faults_->enabled(); }
@@ -197,9 +227,9 @@ class Verbs {
   /// True if this attempt between the endpoints' nodes fails (flap window or
   /// random completion error). Loopback never consults the injector.
   bool attempt_fails(int src_pe, int dst_pe, bool atomic);
-  /// Drive one attempt of `transmit` (which performs the legacy scheduling
-  /// for the op); on failure, reschedule after the retransmit timeout, and
-  /// after ib_retry_count retries surface an error completion at the source.
+  /// Drive one attempt of `transmit`; on failure, reschedule after the
+  /// retransmit timeout, and after ib_retry_count retries (unless
+  /// `unlimited`) surface an error completion at the source.
   void run_attempts(int src_pe, int dst_pe, bool atomic, bool unlimited,
                     int attempt, sim::CompletionPtr comp,
                     std::shared_ptr<std::function<void()>> transmit);

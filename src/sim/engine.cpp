@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdlib>
 #include <sstream>
@@ -227,9 +228,16 @@ void Engine::kill_process(Process& p) {
   assert(p.state_ == Process::State::kDone);
 }
 
+namespace {
+std::atomic<std::uint64_t> g_process_events{0};
+}  // namespace
+
+std::uint64_t Engine::process_events_executed() { return g_process_events; }
+
 void Engine::run() {
   if (running_) throw std::logic_error("Engine::run is not reentrant");
   running_ = true;
+  const std::uint64_t events_before = events_executed_;
   while (!queue_.empty()) {
     EventQueue::Entry e = queue_.pop();
     EventFn fn = std::move(slots_[e.slot]);
@@ -239,6 +247,7 @@ void Engine::run() {
     fn();
   }
   running_ = false;
+  g_process_events += events_executed_ - events_before;
   // Release-on-quiescence: a burst (e.g. a full-cluster barrier release)
   // grows the queue and slot pool to O(PE-count); without this the capacity
   // would be retained for the engine's lifetime. HWMs stay observable via

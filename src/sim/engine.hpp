@@ -173,6 +173,9 @@ class Engine {
 
   /// Number of events executed so far (diagnostic).
   std::uint64_t events_executed() const { return events_executed_; }
+  /// Events executed by every engine of this process, counted when each
+  /// run() returns (a bench records it as its deterministic event total).
+  static std::uint64_t process_events_executed();
 
   // ---- retained-capacity bookkeeping ------------------------------------
   // Exported as core::Metrics gauges by Runtime::snapshot_metrics. The

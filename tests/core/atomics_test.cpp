@@ -1,7 +1,9 @@
 // Atomics tests: IB hardware 64-bit atomics on host and GPU symmetric
-// memory, the <64-bit mask technique, and concurrent-correctness.
+// memory (also with P2P revoked), the <64-bit mask technique, and
+// concurrent-correctness.
 #include <gtest/gtest.h>
 
+#include "sim/fault.hpp"
 #include "test_util.hpp"
 
 namespace gdrshmem::core {
@@ -45,6 +47,34 @@ TEST(Atomics, FetchAddOnGpuSymmetric) {
                EXPECT_EQ(*c, 8);
              }
            });
+}
+
+TEST(Atomics, GpuWordOfRevokedNodeTakesCpuAssistedPath) {
+  // With node 1's P2P revoked the HCA can no longer RMW its GPU memory, so
+  // a host agent bounces the word. Both hardware atomics still return the
+  // prior value and apply the update, and each counts one gdr-fallback.
+  RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
+  opts.faults = sim::FaultPlan::parse("revoke=1@0");
+  auto rt = run_spmd(make_cluster(2, 1), opts, [&](Ctx& ctx) {
+    auto* c = static_cast<std::int64_t*>(ctx.shmalloc(8, Domain::kGpu));
+    *c = 5;
+    ctx.barrier_all();
+    if (ctx.my_pe() == 0) {
+      auto fallbacks = [&] {
+        return ctx.runtime().faults().count(sim::FaultEvent::kGdrFallback);
+      };
+      const std::uint64_t before = fallbacks();
+      EXPECT_EQ(ctx.atomic_fetch_add(c, 3, 1), 5);
+      EXPECT_EQ(fallbacks(), before + 1);
+      EXPECT_EQ(ctx.atomic_compare_swap(c, 8, 42, 1), 8);
+      EXPECT_EQ(fallbacks(), before + 2);
+    }
+    ctx.barrier_all();
+    if (ctx.my_pe() == 1) {
+      EXPECT_EQ(*c, 42);
+    }
+  });
+  EXPECT_EQ(rt->faults().count(sim::FaultEvent::kP2pRevoke), 1u);
 }
 
 TEST(Atomics, CompareSwapAndSwap) {
@@ -108,6 +138,44 @@ TEST(Atomics, MaskTechnique32Bit) {
                EXPECT_EQ(pair[1], 20);
              }
            });
+}
+
+TEST(Atomics, MaskTechnique32BitLanesStayExactUnderContention) {
+  // Four PEs race on both lanes of PE 0's word: fetch-adds on lane 0,
+  // compare-and-swap increments on lane 1. A hardware CAS that loses to a
+  // write on either lane is retried, so both lanes end exact; more than two
+  // hardware atomics per call prove the retry branch ran.
+  constexpr int kPerPe = 8;
+  std::uint64_t calls = 0;
+  auto rt = run_spmd(
+      make_cluster(2, 2), make_options(TransportKind::kEnhancedGdr),
+      [&](Ctx& ctx) {
+        auto* lanes = static_cast<std::int32_t*>(ctx.shmalloc(8));
+        lanes[0] = 0;
+        lanes[1] = 0;
+        ctx.barrier_all();
+        std::int32_t seen = 0;
+        for (int i = 0; i < kPerPe; ++i) {
+          ctx.atomic_fetch_add32(&lanes[0], 1, 0);
+          ++calls;
+          while (true) {
+            std::int32_t old =
+                ctx.atomic_compare_swap32(&lanes[1], seen, seen + 1, 0);
+            ++calls;
+            if (old == seen) break;
+            seen = old;  // another PE incremented first: retry from there
+          }
+          ++seen;
+        }
+        ctx.barrier_all();
+        if (ctx.my_pe() == 0) {
+          EXPECT_EQ(lanes[0], 4 * kPerPe);
+          EXPECT_EQ(lanes[1], 4 * kPerPe);
+        }
+      });
+  const OpStats st = rt->stats();
+  EXPECT_EQ(st.atomics, calls);
+  EXPECT_GT(st.ops(Protocol::kAtomicHw), 2 * calls);
 }
 
 TEST(Atomics, MisalignedTargetRejected) {

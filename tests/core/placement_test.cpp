@@ -1,7 +1,8 @@
 // Virtual time depends only on the program, never on where its host
 // buffers live: the same operations issued from different stack depths and
-// heap offsets give the same run, fault-free and under a fault plan. Also
-// pins that a regrown runtime staging buffer gives up its old registration.
+// heap offsets give the same run, fault-free and under a fault plan, from
+// the host or from a resident kernel whose ops the proxy posts. Also pins
+// that a regrown runtime staging buffer gives up its old registration.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/device_api.hpp"
 #include "sim/fault.hpp"
 #include "test_util.hpp"
 
@@ -99,6 +101,50 @@ TEST(Placement, VirtualTimeIgnoresStackDepthAndHeapOffset) {
     EXPECT_EQ(fixed.events, moved.events);
     EXPECT_EQ(fixed.reg_misses, moved.reg_misses);
   }
+}
+
+/// Two PEs on two nodes, each in one resident kernel on the reverse-offload
+/// backend, exchange p, g and put_signal for kRounds rounds; with `vary`,
+/// round r runs r % 8 frames deep. The proxy posts each op under the
+/// requester's endpoint, so the kernel's p value, g result and signal word
+/// are host ranges the Verbs registration rule leaves unregistered.
+PlacementRun run_device_rounds(bool vary) {
+  RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
+  opts.device_backend = DeviceBackendKind::kReverseOffload;
+  opts.host_heap_bytes = 8u << 20;
+  opts.gpu_heap_bytes = 8u << 20;
+  Runtime rt(make_cluster(2, 1), opts);
+  rt.run([&](Ctx& ctx) {
+    const int peer = 1 - ctx.my_pe();
+    auto* word = static_cast<std::int64_t*>(ctx.shmalloc(8, Domain::kGpu));
+    auto* dst = static_cast<std::int64_t*>(ctx.shmalloc(8, Domain::kGpu));
+    auto* sig = static_cast<std::uint64_t*>(ctx.shmalloc(8, Domain::kGpu));
+    ctx.barrier_all();
+    ctx.launch_kernel_device(1.0, DeviceScope::kThread, [&](DeviceCtx& d) {
+      for (int r = 0; r < kRounds; ++r) {
+        auto round = [&] {
+          d.p(word, std::int64_t{r}, peer);
+          EXPECT_EQ(d.g(word, peer), r);
+          const std::int64_t v = r;
+          d.put_signal(dst, &v, sizeof v, sig, std::uint64_t(r + 1), peer);
+          d.signal_wait_until(sig, Cmp::kGe, std::uint64_t(r + 1));
+        };
+        at_depth(vary ? r % 8 : 0, round);
+        EXPECT_EQ(*dst, r);
+      }
+    });
+    ctx.barrier_all();
+  });
+  return {rt.engine().now().count_ns(), rt.engine().events_executed(),
+          rt.verbs().reg_cache().misses()};
+}
+
+TEST(Placement, ReverseOffloadIgnoresStackDepthAndHeapOffset) {
+  PlacementRun fixed = run_device_rounds(/*vary=*/false);
+  PlacementRun moved = run_device_rounds(/*vary=*/true);
+  EXPECT_EQ(fixed.end_ns, moved.end_ns);
+  EXPECT_EQ(fixed.events, moved.events);
+  EXPECT_EQ(fixed.reg_misses, moved.reg_misses);
 }
 
 TEST(Placement, RegrownStagingDropsItsOldRegistration) {

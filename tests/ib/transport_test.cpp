@@ -52,6 +52,25 @@ struct Fixture {
     eng.run();
     return done;
   }
+
+  /// Time a single inter-node read of `n` bytes from PE 2 into PE 0's host
+  /// memory; every byte must land at its own offset.
+  sim::Time timed_read(std::size_t n) {
+    std::vector<std::byte> local(n), remote(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      remote[i] = static_cast<std::byte>(i * 13 + 5);
+    }
+    verbs.reg_cache().register_at_init(0, local.data(), n);
+    verbs.reg_cache().register_at_init(2, remote.data(), n);
+    sim::Time done;
+    eng.spawn("pe0", [&](sim::Process& p) {
+      transport->rdma_read(p, 0, local.data(), 2, remote.data(), n)->wait(p);
+      done = eng.now();
+    });
+    eng.run();
+    EXPECT_EQ(local, remote);
+    return done;
+  }
 };
 
 struct ScopedEnv {
@@ -176,6 +195,30 @@ TEST(RcTransport, PenaltyIsZeroAtSmallScale) {
   EXPECT_LT(a, b);
 }
 
+TEST(RcTransport, StripedOpPaysQpCachePenaltyOnce) {
+  // The QP-context penalty is a per-op charge: a striped op posts on both
+  // rails but pays it once, exactly as a single-rail op does.
+  const std::size_t n = 1u << 20;  // above rail_stripe_min_bytes
+  hw::ClusterConfig big = two_node_cluster();
+  big.num_nodes = 64;  // 127 peers per endpoint >> 16 cached contexts
+  auto penalty_ns = [&](int rails, bool read) {
+    auto time_with_cache = [&](int entries) {
+      hw::ClusterConfig cc = big;
+      cc.params.hca_qp_cache_entries = entries;
+      Fixture f(TransportConfig{QpKind::kRc, rails, false}, cc);
+      sim::Time t = read ? f.timed_read(n) : f.timed_write(n);
+      EXPECT_EQ(f.transport->striped_ops(), rails == 2 ? 1u : 0u);
+      return t;
+    };
+    return (time_with_cache(16) - time_with_cache(1 << 20)).count_ns();
+  };
+  for (bool read : {false, true}) {
+    SCOPED_TRACE(read ? "read" : "write");
+    EXPECT_GT(penalty_ns(1, read), 0);
+    EXPECT_EQ(penalty_ns(2, read), penalty_ns(1, read));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // UD: segmentation, per-packet cost, MTU-bounded sends.
 
@@ -188,6 +231,14 @@ TEST(UdTransport, LargeWriteSegmentsIntoMtuDatagrams) {
   Fixture rc;
   sim::Time t_rc = rc.timed_write(n);
   EXPECT_GT(t_ud, t_rc);  // per-packet overhead makes UD strictly slower
+}
+
+TEST(UdTransport, LargeReadSegmentsIntoMtuDatagrams) {
+  const std::size_t n = (64u << 10) + 100;  // 16 full datagrams and a tail
+  Fixture ud(TransportConfig{QpKind::kUd, 1, true});
+  ud.timed_read(n);
+  const std::size_t mtu = ud.cluster.params().ud_mtu_bytes;
+  EXPECT_EQ(ud.transport->ud_packets(), (n + mtu - 1) / mtu);
 }
 
 TEST(UdTransport, SmallWriteIsOneDatagram) {
@@ -216,7 +267,7 @@ TEST(UdTransport, AtomicsStillWorkViaServiceQp) {
   ud.verbs.reg_cache().register_at_init(2, &word, sizeof(word));
   std::uint64_t old = 0;
   ud.eng.spawn("pe0", [&](sim::Process& p) {
-    ud.transport->atomic_fadd64(p, 0, 2, &word, 3, &old)->wait(p);
+    ud.transport->atomic(p, 0, 2, &word, Amo::fetch_add(3), &old)->wait(p);
   });
   ud.eng.run();
   EXPECT_EQ(old, 5u);
@@ -270,23 +321,30 @@ TEST(DcTransport, StripedOpAcquiresBothRailsDcis) {
   // DCI on it — no reconnect cost, no LRU entry. Each rail's pool must pay
   // its own connection to a fresh target.
   const std::size_t n = 1u << 20;  // above rail_stripe_min_bytes
-  auto reconnects = [&](int rails) {
+  auto reconnects = [&](int rails, bool read) {
     Fixture dc(TransportConfig{QpKind::kDc, rails, true});
     std::vector<std::byte> src(n), dst(n);
     dc.verbs.reg_cache().register_at_init(0, src.data(), n);
     dc.verbs.reg_cache().register_at_init(2, dst.data(), n);
     dc.eng.spawn("pe0", [&](sim::Process& p) {
       auto& ib = *dc.transport;
-      ib.rdma_write(p, 0, src.data(), 2, dst.data(), n)->wait(p);
+      auto op = [&] {
+        return read ? ib.rdma_read(p, 0, src.data(), 2, dst.data(), n)
+                    : ib.rdma_write(p, 0, src.data(), 2, dst.data(), n);
+      };
+      op()->wait(p);
       // Both rails now hold the target: a second striped op reconnects
       // nothing.
-      ib.rdma_write(p, 0, src.data(), 2, dst.data(), n)->wait(p);
+      op()->wait(p);
     });
     dc.eng.run();
     return dc.transport->dc_reconnects();
   };
-  EXPECT_EQ(reconnects(1), 1u);
-  EXPECT_EQ(reconnects(2), 2u);
+  for (bool read : {false, true}) {
+    SCOPED_TRACE(read ? "read" : "write");
+    EXPECT_EQ(reconnects(1, read), 1u);
+    EXPECT_EQ(reconnects(2, read), 2u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -535,6 +593,19 @@ TEST(SrdTransport, LandsEveryByteDespiteReordering) {
   EXPECT_GT(f.transport->srd_reorder_bytes_hwm(), mtu);
 }
 
+TEST(SrdTransport, TwoRailReadSpraysSegmentsAndLandsEveryByte) {
+  const std::size_t n = 300001;  // 37 segments at the 8 KiB MTU, odd tail
+  TransportConfig cfg;
+  cfg.kind = QpKind::kSrd;
+  cfg.rails = 2;
+  cfg.srd_jitter_us = 10.0;
+  Fixture f(cfg);
+  f.timed_read(n);
+  const std::size_t mtu = f.cluster.params().srd_mtu_bytes;
+  EXPECT_EQ(f.transport->striped_ops(), 1u);
+  EXPECT_EQ(f.transport->srd_segments(), (n + mtu - 1) / mtu);
+}
+
 TEST(SrdTransport, ZeroJitterDeliversInOrder) {
   // GDRSHMEM_IB_SRD_JITTER_US=0 is the A/B isolation knob: srd segmentation
   // with the reordering switched off must deliver strictly in order.
@@ -607,7 +678,7 @@ TEST(SrdTransport, AtomicsAndSendsStayOrdered) {
   std::uint64_t old = 0;
   bool delivered = false;
   f.eng.spawn("pe0", [&](sim::Process& p) {
-    f.transport->atomic_fadd64(p, 0, 2, &word, 3, &old)->wait(p);
+    f.transport->atomic(p, 0, 2, &word, Amo::fetch_add(3), &old)->wait(p);
     f.transport->post_send(p, 0, 2, 64, [&] { delivered = true; })->wait(p);
   });
   f.eng.run();

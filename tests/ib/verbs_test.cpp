@@ -231,10 +231,10 @@ TEST(Verbs, AtomicFadd64ReturnsOldValue) {
   std::uint64_t result = 0;
   f.verbs.reg_cache().register_at_init(2, &word, sizeof(word));
   f.eng.spawn("pe0", [&](sim::Process& p) {
-    f.verbs.atomic_fadd64(p, 0, 2, &word, 5, &result)->wait(p);
+    f.verbs.atomic(p, 0, 2, &word, Amo::fetch_add(5), &result)->wait(p);
     EXPECT_EQ(result, 100u);
     EXPECT_EQ(word, 105u);
-    f.verbs.atomic_fadd64(p, 0, 2, &word, 1, &result)->wait(p);
+    f.verbs.atomic(p, 0, 2, &word, Amo::fetch_add(1), &result)->wait(p);
     EXPECT_EQ(result, 105u);
   });
   f.eng.run();
@@ -247,11 +247,11 @@ TEST(Verbs, AtomicCswap64) {
   f.verbs.reg_cache().register_at_init(2, &word, sizeof(word));
   f.eng.spawn("pe0", [&](sim::Process& p) {
     // Failed compare: word unchanged, old value returned.
-    f.verbs.atomic_cswap64(p, 0, 2, &word, 99, 1, &result)->wait(p);
+    f.verbs.atomic(p, 0, 2, &word, Amo::compare_swap(99, 1), &result)->wait(p);
     EXPECT_EQ(result, 7u);
     EXPECT_EQ(word, 7u);
     // Successful compare.
-    f.verbs.atomic_cswap64(p, 0, 2, &word, 7, 42, &result)->wait(p);
+    f.verbs.atomic(p, 0, 2, &word, Amo::compare_swap(7, 42), &result)->wait(p);
     EXPECT_EQ(result, 7u);
     EXPECT_EQ(word, 42u);
   });
@@ -267,7 +267,7 @@ TEST(Verbs, AtomicOnGpuMemoryWorks) {
   sim::Duration gpu_lat;
   f.eng.spawn("pe0", [&](sim::Process& p) {
     sim::Time t0 = f.eng.now();
-    f.verbs.atomic_fadd64(p, 0, 2, word, 1, &result)->wait(p);
+    f.verbs.atomic(p, 0, 2, word, Amo::fetch_add(1), &result)->wait(p);
     gpu_lat = f.eng.now() - t0;
     EXPECT_EQ(result, 10u);
     EXPECT_EQ(*word, 11u);

@@ -105,6 +105,20 @@ TEST(Engine, EventSlotsAreRecycled) {
   EXPECT_EQ(eng.events_executed(), 8u);
 }
 
+TEST(Engine, ProcessEventTotalSumsEveryRunOfEveryEngine) {
+  // The total a bench file records: each run() adds the events it executed.
+  const std::uint64_t before = Engine::process_events_executed();
+  Engine a;
+  Engine b;
+  for (int i = 0; i < 3; ++i) a.schedule_at(Time::ns(i), [] {});
+  a.run();
+  b.schedule_at(Time::ns(1), [] {});
+  b.run();
+  a.schedule_at(a.now() + Duration::ns(1), [] {});
+  a.run();
+  EXPECT_EQ(Engine::process_events_executed() - before, 5u);
+}
+
 TEST(Engine, SchedulingInThePastThrows) {
   Engine eng;
   eng.schedule_at(Time::ns(10), [&] {
