@@ -13,6 +13,10 @@ garbage collection.
 Prints the totals, the number of functions reached only from tests, and
 the name of every unlinked function; the full per-function table goes to
 build-scan/api_scan.txt. Exits 1 when any function is unlinked.
+
+Blind spot: a virtual function is linked wherever its class's vtable is,
+so an override that nothing calls still counts as linked. Unused virtual
+functions have to be found by reading their callers.
 """
 import os
 import pathlib

@@ -24,12 +24,15 @@ done
 # process-wide default transport flipped across the RC mesh, the UD
 # datagram trains, the DC pool, and the relaxed-ordering SRD spray,
 # exercising GDRSHMEM_IB_TRANSPORT parsing end-to-end plus every protocol
-# path over the selected QP discipline. (Timing-assertion suites stay on
-# their pinned configs — transports move the clock, never the bytes.)
+# path over the selected QP discipline. EnhancedProtocolSelection joins
+# them so every protocol's payload check, host- and kernel-issued, runs on
+# each QP kind. (Timing-assertion suites stay on their pinned configs —
+# transports move the clock, never the bytes.)
 for ib_transport in rc ud dc srd; do
   echo "== ib-transport A/B: GDRSHMEM_IB_TRANSPORT=$ib_transport =="
   (cd build && GDRSHMEM_IB_TRANSPORT=$ib_transport \
-     ctest --output-on-failure -R 'TransportDiff|Fuzz|OddSizes')
+     ctest --output-on-failure \
+       -R 'TransportDiff|Fuzz|OddSizes|EnhancedProtocolSelection')
 done
 
 # Benchmark build + smoke: perfbench compiles ../src on its own and reads

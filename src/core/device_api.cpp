@@ -102,10 +102,6 @@ void DeviceBackend::offload(DeviceCtx& dctx, std::shared_ptr<DeviceCmd> cmd) {
 class GpuIbBackend final : public DeviceBackend {
  public:
   using DeviceBackend::DeviceBackend;
-  std::string_view name() const override { return "gpu-ib"; }
-  DeviceBackendKind backend_kind() const override {
-    return DeviceBackendKind::kGpuIb;
-  }
 
   void rma(DeviceCtx& dctx, const RmaOp& op, bool is_get) override {
     Ctx& ctx = dctx.host_ctx();
@@ -113,17 +109,13 @@ class GpuIbBackend final : public DeviceBackend {
     const auto& p = rt_.cluster().params();
     dctx.kernel().charge_us(p.gpu_wqe_build_us / wqe_divisor(dctx.scope(), p) +
                             p.gpu_doorbell_us);
-    if (op.same_node) return intra_node(ctx, op, is_get, me);
-
-    const bool dev_leg = op.local_is_device || op.remote_domain == Domain::kGpu;
-    const bool blocked =
-        (op.local_is_device && !rt_.gdr_available(me)) ||
-        (op.remote_domain == Domain::kGpu && !rt_.gdr_available(op.target_pe));
-    if (blocked || rt_.selector().offload_staged(op, is_get, me)) {
+    const ProtocolSelector& sel = rt_.selector();
+    const bool blocked = sel.gdr_blocked(op, me);
+    if (blocked) rt_.faults().on_event(sim::FaultEvent::kGdrFallback, me);
+    if (!op.same_node && (blocked || sel.offload_staged(op, is_get, me))) {
       // Either the HCA can no longer DMA a GPU leg (P2P revoked) or the
       // message is too large for one direct GDR posting: hand the op to the
       // host proxy, which runs the staged protocols on our behalf.
-      if (blocked) rt_.faults().on_event(sim::FaultEvent::kGdrFallback, me);
       if (rt_.tuning().use_proxy && rt_.proxies_enabled()) {
         auto cmd = std::make_shared<DeviceCmd>();
         cmd->op = is_get ? DeviceCmd::Op::kGet : DeviceCmd::Op::kPut;
@@ -138,13 +130,14 @@ class GpuIbBackend final : public DeviceBackend {
       }
       // Oversized but no proxy configured: a single direct posting still
       // works, just at the degraded large-message GDR rate.
+      return detail::run_unstaged(ctx, op, Protocol::kDirectGdr, is_get);
     }
-    Protocol proto = dev_leg ? Protocol::kDirectGdr : Protocol::kDirectRdma;
-    if (is_get) {
-      detail::rdma_get(ctx, op, proto);
-    } else {
-      detail::rdma_put(ctx, op, proto);
-    }
+    // Intra-node and small inter-node ops take the protocol a host call of
+    // the same shape would, just issued (and the doorbell charged) from the
+    // kernel.
+    detail::run_unstaged(
+        ctx, op, is_get ? sel.select_get(op, me) : sel.select_put(op, me),
+        is_get);
   }
 
   std::int64_t amo(DeviceCtx& dctx, std::int64_t* sym, ib::Amo amo,
@@ -156,35 +149,6 @@ class GpuIbBackend final : public DeviceBackend {
     std::uint64_t* word = resolve_word(rt_, ctx.my_pe(), pe, sym);
     return static_cast<std::int64_t>(ctx.hw_atomic(pe, word, amo));
   }
-
-  void quiet(DeviceCtx& dctx) override { quiet_common(dctx); }
-
- private:
-  /// Execute the selector's intra-node choice — the same paths a host call
-  /// would take, just issued (and the doorbell charged) from the kernel.
-  void intra_node(Ctx& ctx, const RmaOp& op, bool is_get, int me) {
-    PathChoice choice = is_get ? rt_.selector().select_get(op, me)
-                               : rt_.selector().select_put(op, me);
-    void* dst = is_get ? op.local : op.remote;
-    const void* src = is_get ? op.remote : op.local;
-    switch (choice) {
-      case PathChoice::kHostShm:
-        ctx.count_protocol(Protocol::kHostShm, op.bytes);
-        return detail::host_shm_copy(ctx, dst, src, op.bytes,
-                                     is_get ? -1 : op.target_pe);
-      case PathChoice::kLoopbackGdr:
-        if (is_get) return detail::rdma_get(ctx, op, Protocol::kLoopbackGdr);
-        return detail::rdma_put(ctx, op, Protocol::kLoopbackGdr);
-      case PathChoice::kIpcCopy:
-        return detail::peer_cuda_copy(ctx, dst, src, op.bytes, op.target_pe,
-                                      Protocol::kIpcCopy, true);
-      case PathChoice::kShmemPtrCopy:
-        return detail::peer_cuda_copy(ctx, dst, src, op.bytes, op.target_pe,
-                                      Protocol::kShmemPtrCopy, false);
-      default:
-        throw ShmemError("gpu-ib: unreachable intra-node path");
-    }
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -193,10 +157,6 @@ class GpuIbBackend final : public DeviceBackend {
 class ReverseOffloadBackend final : public DeviceBackend {
  public:
   using DeviceBackend::DeviceBackend;
-  std::string_view name() const override { return "reverse"; }
-  DeviceBackendKind backend_kind() const override {
-    return DeviceBackendKind::kReverseOffload;
-  }
 
   void rma(DeviceCtx& dctx, const RmaOp& op, bool is_get) override {
     dctx.kernel().charge_us(rt_.cluster().params().device_cmd_write_us);
@@ -222,14 +182,12 @@ class ReverseOffloadBackend final : public DeviceBackend {
     offload(dctx, cmd);
     return static_cast<std::int64_t>(*cmd->amo_result);
   }
-
-  void quiet(DeviceCtx& dctx) override { quiet_common(dctx); }
 };
 
 // ---------------------------------------------------------------------------
-// Shared quiet + factory
+// Quiet + factory
 
-void DeviceBackend::quiet_common(DeviceCtx& dctx) {
+void DeviceBackend::quiet(DeviceCtx& dctx) {
   // The kernel polls its completion flags (CQ for gpu-ib, host-written ring
   // status for reverse), then the host-visible pending set drains — which
   // covers tracked nbi offload completions too.

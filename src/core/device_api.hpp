@@ -22,7 +22,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <string_view>
 
 #include "core/ctx.hpp"
 
@@ -66,9 +65,6 @@ class DeviceBackend {
   DeviceBackend(const DeviceBackend&) = delete;
   DeviceBackend& operator=(const DeviceBackend&) = delete;
 
-  virtual std::string_view name() const = 0;
-  virtual DeviceBackendKind backend_kind() const = 0;
-
   /// Carry one put (`is_get` false) or get (`is_get` true). Accounting
   /// (stats, op kind, latency) is done by DeviceCtx; this runs the protocol.
   virtual void rma(DeviceCtx& dctx, const RmaOp& op, bool is_get) = 0;
@@ -80,7 +76,7 @@ class DeviceBackend {
 
   /// In-kernel quiet: drain everything this PE has in flight (device ring
   /// and host-visible pending set), charging the device-side poll cost.
-  virtual void quiet(DeviceCtx& dctx) = 0;
+  void quiet(DeviceCtx& dctx);
 
  protected:
   /// Submit `cmd` to the local node's proxy and honor its blocking flag.
@@ -92,10 +88,6 @@ class DeviceBackend {
 
   /// The descriptor write itself (PCIe MMIO into the host ring).
   void post_cmd(DeviceCtx& dctx, const std::shared_ptr<DeviceCmd>& cmd);
-
-  /// Shared quiet: charge the device-side completion poll, drain the host
-  /// pending set, reap finished ring slots.
-  void quiet_common(DeviceCtx& dctx);
 
   Runtime& rt_;
   /// Outstanding reverse commands per PE (the ring occupancy model).

@@ -21,86 +21,33 @@ namespace gdrshmem::core {
 // ---------------------------------------------------------------------------
 // dispatch
 //
-// Path selection lives in core::ProtocolSelector (shared with the
-// device-initiated backends); this transport only executes the choice.
-
-void EnhancedGdrTransport::note_gdr_fallback(const RmaOp& op) {
-  if ((op.local_is_device && !rt_.gdr_available(issuer_)) ||
-      (op.remote_domain == Domain::kGpu && !rt_.gdr_available(op.target_pe))) {
-    rt_.faults().on_event(sim::FaultEvent::kGdrFallback, issuer_);
-  }
-}
+// Protocol selection lives in core::ProtocolSelector (shared with the
+// device-initiated backends); this transport only executes the choice. The
+// one-step protocols run through detail::run_unstaged, as for every other
+// transport; the staged ones are below.
 
 void EnhancedGdrTransport::put(Ctx& ctx, const RmaOp& op) {
-  issuer_ = ctx.my_pe();
-  note_gdr_fallback(op);
-  switch (rt_.selector().select_put(op, issuer_)) {
-    case PathChoice::kHostShm:
-      ctx.count_protocol(Protocol::kHostShm, op.bytes);
-      return detail::host_shm_copy(ctx, op.remote, op.local, op.bytes,
-                                   op.target_pe);
-    case PathChoice::kLoopbackGdr:
-      return detail::rdma_put(ctx, op, Protocol::kLoopbackGdr);
-    case PathChoice::kIpcCopy:
-      // One IPC copy into the mapped destination (H-D / D-D large put).
-      return detail::peer_cuda_copy(ctx, op.remote, op.local, op.bytes,
-                                    op.target_pe, Protocol::kIpcCopy, true);
-    case PathChoice::kShmemPtrCopy:
-      // D-H large put: cudaMemcpy D->H straight into the peer's host heap —
-      // the shmem_ptr design of Fig 3. One copy, no target involvement.
-      return detail::peer_cuda_copy(ctx, op.remote, op.local, op.bytes,
-                                    op.target_pe, Protocol::kShmemPtrCopy,
-                                    false);
-    case PathChoice::kDirectRdma:
-      return detail::rdma_put(ctx, op, Protocol::kDirectRdma);
-    case PathChoice::kDirectGdr:
-      return detail::rdma_put(ctx, op, Protocol::kDirectGdr);
-    case PathChoice::kPipelineGdrWrite:
-      return pipeline_gdr_write(ctx, op);
-    case PathChoice::kStagedProxyPut: {
-      // Both ends bottlenecked (or the target's P2P was revoked): stage the
-      // whole message to host locally, let the target-side proxy do the last
-      // hop with an IPC copy.
-      std::byte* b = ctx.bounce(op.bytes);
-      rt_.cuda().memcpy_sync(ctx.proc(), b, op.local, op.bytes);
-      return proxy_put(ctx, op, b);
-    }
-    case PathChoice::kProxyPut:
-      return proxy_put(ctx, op, op.local);
-    default:
-      throw ShmemError("enhanced-gdr: unreachable put path");
-  }
+  run(ctx, op, /*is_get=*/false);
 }
 
 void EnhancedGdrTransport::get(Ctx& ctx, const RmaOp& op) {
-  issuer_ = ctx.my_pe();
-  note_gdr_fallback(op);
-  switch (rt_.selector().select_get(op, issuer_)) {
-    case PathChoice::kHostShm:
-      ctx.count_protocol(Protocol::kHostShm, op.bytes);
-      return detail::host_shm_copy(ctx, op.local, op.remote, op.bytes, -1);
-    case PathChoice::kLoopbackGdr:
-      return detail::rdma_get(ctx, op, Protocol::kLoopbackGdr);
-    case PathChoice::kIpcCopy:
-      // H-D / D-D large get: one IPC copy out of the mapped source. For H-D
-      // this single D->H copy is the 40% win over the baseline's staged path.
-      return detail::peer_cuda_copy(ctx, op.local, op.remote, op.bytes,
-                                    op.target_pe, Protocol::kIpcCopy, true);
-    case PathChoice::kShmemPtrCopy:
-      // D-H large get: H->D copy from the peer's host heap (shmem_ptr).
-      return detail::peer_cuda_copy(ctx, op.local, op.remote, op.bytes,
-                                    op.target_pe, Protocol::kShmemPtrCopy,
-                                    false);
-    case PathChoice::kDirectRdma:
-      return detail::rdma_get(ctx, op, Protocol::kDirectRdma);
-    case PathChoice::kDirectGdr:
-      return detail::rdma_get(ctx, op, Protocol::kDirectGdr);
-    case PathChoice::kProxyGet:
-      return proxy_get(ctx, op);
-    case PathChoice::kHostStagedGet:
-      return host_staged_get(ctx, op);
-    default:
-      throw ShmemError("enhanced-gdr: unreachable get path");
+  run(ctx, op, /*is_get=*/true);
+}
+
+void EnhancedGdrTransport::run(Ctx& ctx, const RmaOp& op, bool is_get) {
+  const int me = ctx.my_pe();
+  const ProtocolSelector& sel = rt_.selector();
+  if (sel.gdr_blocked(op, me)) {
+    rt_.faults().on_event(sim::FaultEvent::kGdrFallback, me);
+  }
+  const Protocol proto =
+      is_get ? sel.select_get(op, me) : sel.select_put(op, me);
+  switch (proto) {
+    case Protocol::kPipelineGdrWrite: return pipeline_gdr_write(ctx, op);
+    case Protocol::kHostStagedGet: return host_staged_get(ctx, op);
+    case Protocol::kProxyPut: return proxy_put(ctx, op);
+    case Protocol::kProxyGet: return proxy_get(ctx, op);
+    default: return detail::run_unstaged(ctx, op, proto, is_get);
   }
 }
 
@@ -116,7 +63,7 @@ void EnhancedGdrTransport::pipeline_gdr_write(Ctx& ctx, const RmaOp& op) {
   // Device source, large put. Avoid the P2P *read* bottleneck by IPC-copying
   // D->H into registered host staging, then RDMA (GDR-)writing each chunk.
   // (GDR-poor targets never reach here: the selector diverts them to
-  // kStagedProxyPut or throws.)
+  // proxy-put or throws.)
   ctx.count_protocol(Protocol::kPipelineGdrWrite, op.bytes);
   const int me = ctx.my_pe();
   const std::size_t chunk = rt_.tuning().pipeline_chunk;
@@ -167,8 +114,16 @@ void EnhancedGdrTransport::host_staged_get(Ctx& ctx, const RmaOp& op) {
   }
 }
 
-void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
-                                     const void* host_src) {
+void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op) {
+  // A device source means both ends are bottlenecked (or the target's P2P
+  // was revoked): stage the whole message to host locally, and let the
+  // target-side proxy do the last hop with an IPC copy.
+  const void* host_src = op.local;
+  if (op.local_is_device) {
+    std::byte* b = ctx.bounce(op.bytes);
+    rt_.cuda().memcpy_sync(ctx.proc(), b, op.local, op.bytes);
+    host_src = b;
+  }
   ctx.count_protocol(Protocol::kProxyPut, op.bytes);
   const int me = ctx.my_pe();
   ProxyDaemon& proxy = rt_.proxy(rt_.cluster().placement(op.target_pe).node);

@@ -32,15 +32,19 @@ struct RndvState {
 // ---------------------------------------------------------------------------
 // dispatch
 //
-// These two functions are the guard for everything below: inter-node H-H
-// goes to direct RDMA and mixed domains throw, so the eager and rendezvous
-// paths only ever move device buffers on both ends.
+// These two functions are the guard for everything below: H-H goes to
+// host-shm or direct RDMA and inter-node mixed domains throw, so the eager
+// and rendezvous paths only ever move device buffers on both ends.
 
 void HostPipelineTransport::put(Ctx& ctx, const RmaOp& op) {
-  if (op.same_node) return put_intra(ctx, op);
   const bool src_dev = op.local_is_device;
   const bool dst_dev = op.remote_domain == Domain::kGpu;
-  if (!src_dev && !dst_dev) return detail::rdma_put(ctx, op, Protocol::kDirectRdma);
+  if (!src_dev && !dst_dev) {
+    return detail::run_unstaged(
+        ctx, op, op.same_node ? Protocol::kHostShm : Protocol::kDirectRdma,
+        /*is_get=*/false);
+  }
+  if (op.same_node) return put_intra(ctx, op);
   if (src_dev != dst_dev) {
     throw UnsupportedError(
         "host-based pipeline does not support inter-node H-D/D-H "
@@ -51,10 +55,14 @@ void HostPipelineTransport::put(Ctx& ctx, const RmaOp& op) {
 }
 
 void HostPipelineTransport::get(Ctx& ctx, const RmaOp& op) {
-  if (op.same_node) return get_intra(ctx, op);
   const bool loc_dev = op.local_is_device;
   const bool rem_dev = op.remote_domain == Domain::kGpu;
-  if (!loc_dev && !rem_dev) return detail::rdma_get(ctx, op, Protocol::kDirectRdma);
+  if (!loc_dev && !rem_dev) {
+    return detail::run_unstaged(
+        ctx, op, op.same_node ? Protocol::kHostShm : Protocol::kDirectRdma,
+        /*is_get=*/true);
+  }
+  if (op.same_node) return get_intra(ctx, op);
   if (loc_dev != rem_dev) {
     throw UnsupportedError(
         "host-based pipeline does not support inter-node H-D/D-H "
@@ -80,16 +88,9 @@ void HostPipelineTransport::handle_ctrl(Ctx& ctx, CtrlMsg& msg,
 // intra-node (CUDA IPC designs of [15])
 
 void HostPipelineTransport::put_intra(Ctx& ctx, const RmaOp& op) {
-  const bool src_dev = op.local_is_device;
-  const bool dst_dev = op.remote_domain == Domain::kGpu;
-  if (!src_dev && !dst_dev) {
-    ctx.count_protocol(Protocol::kHostShm, op.bytes);
-    return detail::host_shm_copy(ctx, op.remote, op.local, op.bytes, op.target_pe);
-  }
-  if (dst_dev) {
+  if (op.remote_domain == Domain::kGpu) {
     // H-D or D-D put: map the destination, one IPC copy.
-    return detail::peer_cuda_copy(ctx, op.remote, op.local, op.bytes,
-                                  op.target_pe, Protocol::kIpcCopy, true);
+    return detail::run_unstaged(ctx, op, Protocol::kIpcCopy, /*is_get=*/false);
   }
   // D-H put: IPC cannot map a host buffer — bounce D->H, then shm copy.
   ctx.count_protocol(Protocol::kIpcStaged, op.bytes);
@@ -101,14 +102,9 @@ void HostPipelineTransport::put_intra(Ctx& ctx, const RmaOp& op) {
 void HostPipelineTransport::get_intra(Ctx& ctx, const RmaOp& op) {
   const bool loc_dev = op.local_is_device;
   const bool rem_dev = op.remote_domain == Domain::kGpu;
-  if (!loc_dev && !rem_dev) {
-    ctx.count_protocol(Protocol::kHostShm, op.bytes);
-    return detail::host_shm_copy(ctx, op.local, op.remote, op.bytes, -1);
-  }
   if (rem_dev && loc_dev) {
     // D-D get: one IPC copy.
-    return detail::peer_cuda_copy(ctx, op.local, op.remote, op.bytes,
-                                  op.target_pe, Protocol::kIpcCopy, true);
+    return detail::run_unstaged(ctx, op, Protocol::kIpcCopy, /*is_get=*/true);
   }
   if (rem_dev) {
     // H-D get: IPC D->H into a bounce, then shm copy into the user buffer.
@@ -120,6 +116,7 @@ void HostPipelineTransport::get_intra(Ctx& ctx, const RmaOp& op) {
     return;
   }
   // D-H get: one H->D copy from the peer's host heap ("on par", Fig 7d).
+  // The baseline's protocol table counts it as an IPC copy.
   detail::peer_cuda_copy(ctx, op.local, op.remote, op.bytes, op.target_pe,
                          Protocol::kIpcCopy, false);
 }

@@ -6,32 +6,26 @@
 
 namespace gdrshmem::core {
 
-void NaiveTransport::put(Ctx& ctx, const RmaOp& op) {
+namespace {
+
+/// Host-shm inside a node, direct RDMA across; any GPU buffer throws.
+Protocol host_only(const RmaOp& op) {
   if (op.local_is_device || op.remote_domain == Domain::kGpu) {
     throw UnsupportedError(
         "naive transport cannot touch GPU memory: stage through the host "
         "with cudaMemcpy first");
   }
-  if (op.same_node) {
-    ctx.count_protocol(Protocol::kHostShm, op.bytes);
-    detail::host_shm_copy(ctx, op.remote, op.local, op.bytes, op.target_pe);
-    return;
-  }
-  detail::rdma_put(ctx, op, Protocol::kDirectRdma);
+  return op.same_node ? Protocol::kHostShm : Protocol::kDirectRdma;
+}
+
+}  // namespace
+
+void NaiveTransport::put(Ctx& ctx, const RmaOp& op) {
+  detail::run_unstaged(ctx, op, host_only(op), /*is_get=*/false);
 }
 
 void NaiveTransport::get(Ctx& ctx, const RmaOp& op) {
-  if (op.local_is_device || op.remote_domain == Domain::kGpu) {
-    throw UnsupportedError(
-        "naive transport cannot touch GPU memory: stage through the host "
-        "with cudaMemcpy first");
-  }
-  if (op.same_node) {
-    ctx.count_protocol(Protocol::kHostShm, op.bytes);
-    detail::host_shm_copy(ctx, op.local, op.remote, op.bytes, -1);
-    return;
-  }
-  detail::rdma_get(ctx, op, Protocol::kDirectRdma);
+  detail::run_unstaged(ctx, op, host_only(op), /*is_get=*/true);
 }
 
 void NaiveTransport::handle_ctrl(Ctx&, CtrlMsg&, sim::Process&) {

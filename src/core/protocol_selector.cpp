@@ -40,77 +40,79 @@ std::size_t ProtocolSelector::gdr_limit(const RmaOp& op, bool is_get,
   return limit;
 }
 
-PathChoice ProtocolSelector::select_put(const RmaOp& op, int issuer) const {
+bool ProtocolSelector::gdr_blocked(const RmaOp& op, int issuer) const {
+  return (op.local_is_device && !rt_.gdr_available(issuer)) ||
+         (op.remote_domain == Domain::kGpu && !rt_.gdr_available(op.target_pe));
+}
+
+Protocol ProtocolSelector::select_put(const RmaOp& op, int issuer) const {
   const bool src_dev = op.local_is_device;
   const bool dst_dev = op.remote_domain == Domain::kGpu;
   if (op.same_node) {
-    if (!src_dev && !dst_dev) return PathChoice::kHostShm;
+    if (!src_dev && !dst_dev) return Protocol::kHostShm;
     if (op.bytes <= gdr_limit(op, /*is_get=*/false, /*intra=*/true, issuer)) {
-      return PathChoice::kLoopbackGdr;
+      return Protocol::kLoopbackGdr;
     }
-    // One IPC copy into the mapped destination, or a cudaMemcpy straight
-    // into the peer's host heap (the shmem_ptr design, Fig 3).
-    return dst_dev ? PathChoice::kIpcCopy : PathChoice::kShmemPtrCopy;
+    // One IPC copy into the mapped destination (H-D / D-D), or a D->H
+    // cudaMemcpy straight into the peer's host heap: the shmem_ptr design of
+    // Fig 3. One copy, no target involvement.
+    return dst_dev ? Protocol::kIpcCopy : Protocol::kShmemPtrCopy;
   }
-  if (!src_dev && !dst_dev) return PathChoice::kDirectRdma;
+  if (!src_dev && !dst_dev) return Protocol::kDirectRdma;
   if (op.bytes <= gdr_limit(op, /*is_get=*/false, /*intra=*/false, issuer)) {
-    return PathChoice::kDirectGdr;
+    return Protocol::kDirectGdr;
   }
   // GDR writes are near wire speed intra-socket; inter-socket they collapse
   // (Table III), and with P2P revoked on the target node they are
   // unavailable outright. Stage through the target-side proxy in both cases
-  // (its final hop is a plain IPC H->D copy, no GDR needed).
+  // (its final hop is a plain IPC H->D copy, no GDR needed); a device source
+  // is first bounced to host whole.
   const bool target_gdr_poor =
       dst_dev && (rt_.gdr_inter_socket(op.target_pe) ||
                   !rt_.gdr_available(op.target_pe));
-  if (src_dev) {
-    if (target_gdr_poor && proxy_usable()) return PathChoice::kStagedProxyPut;
-    if (dst_dev && !rt_.gdr_available(op.target_pe)) {
-      throw ShmemError(
-          "enhanced-gdr: target GPU lost P2P and no proxy is available");
-    }
-    return PathChoice::kPipelineGdrWrite;
-  }
-  if (target_gdr_poor && proxy_usable()) return PathChoice::kProxyPut;
+  if (target_gdr_poor && proxy_usable()) return Protocol::kProxyPut;
   if (dst_dev && !rt_.gdr_available(op.target_pe)) {
     throw ShmemError(
         "enhanced-gdr: target GPU lost P2P and no proxy is available");
   }
-  return PathChoice::kDirectGdr;
+  return src_dev ? Protocol::kPipelineGdrWrite : Protocol::kDirectGdr;
 }
 
-PathChoice ProtocolSelector::select_get(const RmaOp& op, int issuer) const {
+Protocol ProtocolSelector::select_get(const RmaOp& op, int issuer) const {
   const bool loc_dev = op.local_is_device;
   const bool rem_dev = op.remote_domain == Domain::kGpu;
   if (op.same_node) {
-    if (!loc_dev && !rem_dev) return PathChoice::kHostShm;
+    if (!loc_dev && !rem_dev) return Protocol::kHostShm;
     if (op.bytes <= gdr_limit(op, /*is_get=*/true, /*intra=*/true, issuer)) {
-      return PathChoice::kLoopbackGdr;
+      return Protocol::kLoopbackGdr;
     }
-    return rem_dev ? PathChoice::kIpcCopy : PathChoice::kShmemPtrCopy;
+    // H-D / D-D: one IPC copy out of the mapped source. For H-D this single
+    // D->H copy is the 40% win over the baseline's staged path. D-H: one
+    // H->D copy from the peer's host heap (shmem_ptr).
+    return rem_dev ? Protocol::kIpcCopy : Protocol::kShmemPtrCopy;
   }
-  if (!loc_dev && !rem_dev) return PathChoice::kDirectRdma;
+  if (!loc_dev && !rem_dev) return Protocol::kDirectRdma;
   if (op.bytes <= gdr_limit(op, /*is_get=*/true, /*intra=*/false, issuer)) {
-    return PathChoice::kDirectGdr;
+    return Protocol::kDirectGdr;
   }
   if (rem_dev && proxy_usable()) {
     // Large read from remote GPU memory would bottleneck on the target's
     // P2P read path: the remote proxy runs the reverse pipeline instead.
-    return PathChoice::kProxyGet;
+    return Protocol::kProxyGet;
   }
   if (rem_dev && !rt_.gdr_available(op.target_pe)) {
     throw ShmemError(
         "enhanced-gdr: target GPU lost P2P and no proxy is available");
   }
-  if (rem_dev) return PathChoice::kDirectGdr;
+  if (rem_dev) return Protocol::kDirectGdr;
   // Remote host, local device, large: RDMA-read + local staging when our
   // own GDR write leg is inter-socket or our node's P2P was revoked;
   // otherwise read straight into the GPU.
   if (loc_dev &&
       (rt_.gdr_inter_socket(issuer) || !rt_.gdr_available(issuer))) {
-    return PathChoice::kHostStagedGet;
+    return Protocol::kHostStagedGet;
   }
-  return PathChoice::kDirectGdr;
+  return Protocol::kDirectGdr;
 }
 
 bool ProtocolSelector::offload_staged(const RmaOp& op, bool is_get,

@@ -1,9 +1,7 @@
-// The single source of protocol decisions: which executable path an RMA
+// The single source of protocol decisions: which core::Protocol an RMA
 // operation takes, given size, buffer domains, socket placement, and P2P
-// health. Extracted from the branches that used to live inside
-// EnhancedGdrTransport so the host transport, the device-initiated backends
-// and the proxy's device-command service all consult the same policy (and so
-// ROADMAP item 5's adaptive tuner has one place to hook).
+// health. The host transport, the device-initiated backends and the proxy's
+// device-command service all consult the same policy.
 //
 // Selection is pure: no virtual time is charged and no state is mutated, so
 // moving a decision between call sites never perturbs the simulation.
@@ -17,34 +15,26 @@ namespace gdrshmem::core {
 
 class Runtime;
 
-/// Executable path for one RMA operation. The first four are intra-node
-/// (Figs 2-3), the rest inter-node (Figs 4-5). kStagedProxyPut is the
-/// pipeline-GDR-write divert: bounce the whole message to host locally,
-/// then run the proxy-put protocol from the bounce buffer.
-enum class PathChoice {
-  kHostShm,
-  kLoopbackGdr,
-  kIpcCopy,
-  kShmemPtrCopy,
-  kDirectRdma,
-  kDirectGdr,
-  kPipelineGdrWrite,
-  kHostStagedGet,
-  kProxyPut,
-  kStagedProxyPut,
-  kProxyGet,
-};
-
 class ProtocolSelector {
  public:
   explicit ProtocolSelector(Runtime& rt) : rt_(rt) {}
 
-  /// Path for a put issued by `issuer`. Throws ShmemError when no path can
-  /// reach the target (device destination, P2P revoked, proxy disabled).
-  PathChoice select_put(const RmaOp& op, int issuer) const;
+  /// Protocol for a put issued by `issuer`: intra-node host-shm,
+  /// loopback-gdr, ipc-copy or shmem-ptr-copy (Figs 2-3); inter-node
+  /// direct-rdma, direct-gdr, pipeline-gdr-write or proxy-put (Figs 4-5).
+  /// Throws ShmemError when no protocol can reach the target (device
+  /// destination, P2P revoked, proxy disabled).
+  Protocol select_put(const RmaOp& op, int issuer) const;
 
-  /// Path for a get issued by `issuer`; same throwing contract.
-  PathChoice select_get(const RmaOp& op, int issuer) const;
+  /// Protocol for a get issued by `issuer`: the intra-node set of
+  /// select_put, then direct-rdma, direct-gdr, host-staged-get or
+  /// proxy-get; same throwing contract.
+  Protocol select_get(const RmaOp& op, int issuer) const;
+
+  /// True when a GPU leg of `op` sits on a node whose P2P capability was
+  /// revoked (only a fault plan revokes it). The issuing entry counts each
+  /// such op as one gdr-fallback event.
+  bool gdr_blocked(const RmaOp& op, int issuer) const;
 
   /// Largest message Direct/loopback GDR should carry for this op, given
   /// which legs touch a GPU and the socket placement of each side. Legs on

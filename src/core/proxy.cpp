@@ -110,18 +110,9 @@ void ProxyDaemon::do_get(sim::Process& self, CtrlMsg& msg) {
   // owning PE never participates.
   ++gets_served_;
   const int requester = msg.from;
-  const std::size_t chunk =
-      std::min(rt_.tuning().pipeline_chunk, staging_.size() / 2);
-  rt_.metrics()
-      .gauge("proxy/staging_used_bytes")
-      .set(std::min(2 * chunk, msg.bytes));
-  auto* src = static_cast<const std::byte*>(msg.remote);
-  auto* dst = static_cast<std::byte*>(msg.local);
-  detail::StagedPipeline pipe(rt_.ctx(requester), self, staging_.data(), chunk);
-  stream_chunks(self, pipe, src, requester, dst, msg.bytes);
-  // done must not fire before every chunk landed in the requester's buffer
-  // — whatever order the wire completes them in.
-  pipe.drain();
+  stream_out(self, rt_.ctx(requester),
+             static_cast<const std::byte*>(msg.remote), requester,
+             static_cast<std::byte*>(msg.local), msg.bytes);
   detail::send_done(rt_, self, endpoint(), requester,
                     std::static_pointer_cast<sim::Completion>(msg.state));
 }
@@ -248,17 +239,9 @@ void ProxyDaemon::staged_device_put(sim::Process& self, Ctx& rctx,
   // heap into our staging, RDMA-write each chunk out — the do_get pipeline
   // shape, running at the *source* node. The final write lands directly in
   // the target heap (a GDR leg when the target is GPU-resident).
-  const std::size_t chunk =
-      std::min(rt_.tuning().pipeline_chunk, staging_.size() / 2);
   rctx.count_protocol(TraceEvent::Kind::kPut, Protocol::kProxyPut, op.bytes);
-  rt_.metrics()
-      .gauge("proxy/staging_used_bytes")
-      .set(std::min(2 * chunk, op.bytes));
-  detail::StagedPipeline pipe(rctx, self, staging_.data(), chunk);
-  stream_chunks(self, pipe, static_cast<const std::byte*>(op.local),
-                op.target_pe, static_cast<std::byte*>(op.remote), op.bytes);
-  // done must imply every byte is at its final destination.
-  pipe.drain();
+  stream_out(self, rctx, static_cast<const std::byte*>(op.local), op.target_pe,
+             static_cast<std::byte*>(op.remote), op.bytes);
 }
 
 void ProxyDaemon::staged_device_get(sim::Process& self, Ctx& rctx,
@@ -286,10 +269,15 @@ void ProxyDaemon::staged_device_get(sim::Process& self, Ctx& rctx,
   rt_.notify_pe(requester);
 }
 
-void ProxyDaemon::stream_chunks(sim::Process& self,
-                                detail::StagedPipeline& pipe,
-                                const std::byte* src, int target,
-                                std::byte* dst, std::size_t bytes) {
+void ProxyDaemon::stream_out(sim::Process& self, Ctx& owner,
+                             const std::byte* src, int target, std::byte* dst,
+                             std::size_t bytes) {
+  const std::size_t chunk =
+      std::min(rt_.tuning().pipeline_chunk, staging_.size() / 2);
+  rt_.metrics()
+      .gauge("proxy/staging_used_bytes")
+      .set(std::min(2 * chunk, bytes));
+  detail::StagedPipeline pipe(owner, self, staging_.data(), chunk);
   pipe.for_each_chunk(bytes, [&](std::size_t off, std::size_t c,
                                  std::size_t s) {
     pipe.acquire(s);
@@ -299,6 +287,9 @@ void ProxyDaemon::stream_chunks(sim::Process& self,
       return rt_.ib().rdma_write(self, endpoint(), slot, target, to, c);
     });
   });
+  // The caller's completion must not fire before every chunk landed at its
+  // final destination, whatever order the wire completes them in.
+  pipe.drain();
 }
 
 }  // namespace gdrshmem::core

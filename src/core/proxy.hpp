@@ -27,9 +27,6 @@ namespace gdrshmem::core {
 class Runtime;
 class Ctx;
 struct RmaOp;
-namespace detail {
-class StagedPipeline;
-}
 
 /// Shared state of one proxy-put transfer, carried in the control messages.
 struct ProxyPutState {
@@ -81,12 +78,12 @@ class ProxyDaemon {
   /// run at the requester's node).
   void staged_device_put(sim::Process& self, Ctx& rctx, const RmaOp& op);
   void staged_device_get(sim::Process& self, Ctx& rctx, const RmaOp& op);
-  /// The reverse pipeline's chunk loop (do_get, staged_device_put): IPC-copy
-  /// each chunk of `src` into a staging slot, RDMA-write it to `target`'s
-  /// `dst`. The caller drains `pipe`.
-  void stream_chunks(sim::Process& self, detail::StagedPipeline& pipe,
-                     const std::byte* src, int target, std::byte* dst,
-                     std::size_t bytes);
+  /// The reverse pipeline (Fig 5) behind do_get and staged_device_put:
+  /// IPC-copy each chunk of `src` into a two-slot staging window and
+  /// RDMA-write it to `target`'s `dst`; returns once every chunk landed.
+  /// `owner`'s replay budget covers the chunks.
+  void stream_out(sim::Process& self, Ctx& owner, const std::byte* src,
+                  int target, std::byte* dst, std::size_t bytes);
   void restart();
 
   Runtime& rt_;

@@ -1,5 +1,6 @@
 #include "core/runtime.hpp"
 
+#include <sstream>
 #include <string_view>
 
 #include "core/ctx.hpp"
@@ -18,6 +19,27 @@ Runtime::Runtime(const hw::ClusterConfig& cluster_cfg, const RuntimeOptions& opt
       verbs_(engine_, cluster_, cuda_),
       injector_(opts.faults) {
   const int np = cluster_.num_pes();
+
+  // A fault-plan entry for a node the cluster does not have would never
+  // fire: reject the plan, naming the entry.
+  auto reject = [this](const auto&... entry) {
+    std::ostringstream os;
+    (os << "fault plan entry " << ... << entry)
+        << " names a node the " << cluster_.num_nodes()
+        << "-node cluster does not have";
+    throw ShmemError(os.str());
+  };
+  for (const auto& f : opts_.faults.flaps) {
+    if (f.node >= cluster_.num_nodes()) {
+      reject("flap=", f.node, '@', f.at_us, '+', f.duration_us);
+    }
+  }
+  for (const auto& c : opts_.faults.crashes) {
+    if (c.node >= cluster_.num_nodes()) reject("crash=", c.node, '@', c.at_us);
+  }
+  for (const auto& r : opts_.faults.revokes) {
+    if (r.node >= cluster_.num_nodes()) reject("revoke=", r.node, '@', r.at_us);
+  }
 
   engine_.set_batch_wakeups(opts_.sim_batch);
   if (opts_.trace) tracer_.enable();
@@ -104,7 +126,7 @@ Runtime::Runtime(const hw::ClusterConfig& cluster_cfg, const RuntimeOptions& opt
 
   switch (opts_.transport) {
     case TransportKind::kNaive:
-      transport_ = std::make_unique<NaiveTransport>(*this);
+      transport_ = std::make_unique<NaiveTransport>();
       break;
     case TransportKind::kHostPipeline:
       transport_ = std::make_unique<HostPipelineTransport>(*this);
@@ -140,7 +162,6 @@ void Runtime::run(std::function<void(Ctx&)> program) {
     for (const auto& r : opts_.faults.revokes) {
       engine_.schedule_at(sim::Time::zero() + sim::Duration::us(r.at_us),
                           [this, node = r.node] {
-                            if (node >= cluster_.num_nodes()) return;
                             cluster_.set_p2p_available(node, false);
                             injector_.on_event(sim::FaultEvent::kP2pRevoke, node);
                           });
@@ -148,7 +169,7 @@ void Runtime::run(std::function<void(Ctx&)> program) {
     for (const auto& c : opts_.faults.crashes) {
       engine_.schedule_at(sim::Time::zero() + sim::Duration::us(c.at_us),
                           [this, node = c.node] {
-                            if (node >= static_cast<int>(proxies_.size())) return;
+                            if (!proxies_enabled()) return;  // nothing to crash
                             proxies_[static_cast<std::size_t>(node)]->crash();
                           });
     }

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string_view>
 
 #include "core/ctrl.hpp"
 #include "sim/engine.hpp"
@@ -29,7 +28,6 @@ struct RmaOp {
 class Transport {
  public:
   virtual ~Transport() = default;
-  virtual std::string_view name() const = 0;
 
   /// Put: move op.bytes from op.local into op.remote at op.target_pe.
   /// On return the source buffer is reusable iff op.blocking; remote

@@ -210,4 +210,32 @@ inline void peer_cuda_copy(Ctx& ctx, void* dst, const void* src, std::size_t n,
   rt.notify_pe(peer);
 }
 
+/// Run a one-step protocol: a put (`is_get` false) or get that the issuing
+/// PE completes on its own process with one host copy (host-shm), one
+/// possibly-loopback RDMA op (loopback-gdr, direct-rdma, direct-gdr) or one
+/// cudaMemcpy touching the peer's memory (ipc-copy into or out of its GPU
+/// heap, shmem-ptr-copy into or out of its host heap). The host transports
+/// and the GPU-IB device backend run every such op through here.
+inline void run_unstaged(Ctx& ctx, const RmaOp& op, Protocol proto,
+                         bool is_get) {
+  void* dst = is_get ? op.local : op.remote;
+  const void* src = is_get ? op.remote : op.local;
+  switch (proto) {
+    case Protocol::kHostShm:
+      ctx.count_protocol(proto, op.bytes);
+      return host_shm_copy(ctx, dst, src, op.bytes, is_get ? -1 : op.target_pe);
+    case Protocol::kLoopbackGdr:
+    case Protocol::kDirectRdma:
+    case Protocol::kDirectGdr:
+      return is_get ? rdma_get(ctx, op, proto) : rdma_put(ctx, op, proto);
+    case Protocol::kIpcCopy:
+    case Protocol::kShmemPtrCopy:
+      return peer_cuda_copy(ctx, dst, src, op.bytes, op.target_pe, proto,
+                            proto == Protocol::kIpcCopy);
+    default:
+      throw ShmemError(std::string("not a one-step protocol: ") +
+                       to_string(proto));
+  }
+}
+
 }  // namespace gdrshmem::core::detail

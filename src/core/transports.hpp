@@ -11,14 +11,9 @@ class Runtime;
 /// user's problem (explicit cudaMemcpy staging in application code).
 class NaiveTransport final : public Transport {
  public:
-  explicit NaiveTransport(Runtime& rt) : rt_(rt) {}
-  std::string_view name() const override { return "naive"; }
   void put(Ctx& ctx, const RmaOp& op) override;
   void get(Ctx& ctx, const RmaOp& op) override;
   void handle_ctrl(Ctx& ctx, CtrlMsg& msg, sim::Process& worker) override;
-
- private:
-  Runtime& rt_;
 };
 
 /// The CUDA-aware baseline of [15]: CUDA IPC copies intra-node; inter-node
@@ -28,7 +23,6 @@ class NaiveTransport final : public Transport {
 class HostPipelineTransport final : public Transport {
  public:
   explicit HostPipelineTransport(Runtime& rt) : rt_(rt) {}
-  std::string_view name() const override { return "host-pipeline"; }
   void put(Ctx& ctx, const RmaOp& op) override;
   void get(Ctx& ctx, const RmaOp& op) override;
   void handle_ctrl(Ctx& ctx, CtrlMsg& msg, sim::Process& worker) override;
@@ -55,25 +49,20 @@ class HostPipelineTransport final : public Transport {
 class EnhancedGdrTransport final : public Transport {
  public:
   explicit EnhancedGdrTransport(Runtime& rt) : rt_(rt) {}
-  std::string_view name() const override { return "enhanced-gdr"; }
   void put(Ctx& ctx, const RmaOp& op) override;
   void get(Ctx& ctx, const RmaOp& op) override;
   void handle_ctrl(Ctx& ctx, CtrlMsg& msg, sim::Process& worker) override;
 
  private:
+  /// Count a gdr-fallback for an op with a revoked GPU leg, select its
+  /// protocol and run it.
+  void run(Ctx& ctx, const RmaOp& op, bool is_get);
   void pipeline_gdr_write(Ctx& ctx, const RmaOp& op);
   void host_staged_get(Ctx& ctx, const RmaOp& op);
-  void proxy_put(Ctx& ctx, const RmaOp& op, const void* host_src);
+  void proxy_put(Ctx& ctx, const RmaOp& op);
   void proxy_get(Ctx& ctx, const RmaOp& op);
 
-  /// Record a gdr-fallback event when a device leg of `op` sits on a node
-  /// whose P2P capability has been revoked (only a fault plan revokes it).
-  void note_gdr_fallback(const RmaOp& op);
-
   Runtime& rt_;
-  /// PE issuing the operation being dispatched (set on entry; execution is
-  /// serialized by the simulation, so a single slot is safe).
-  int issuer_ = 0;
 };
 
 }  // namespace gdrshmem::core

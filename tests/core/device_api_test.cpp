@@ -512,5 +512,78 @@ TEST(DeviceApi, GpuIbFallsBackToProxyWhenP2pRevoked) {
   EXPECT_GT(rt->faults().count(sim::FaultEvent::kGdrFallback), 0u);
 }
 
+TEST(DeviceApi, GpuIbCountsGdrFallbackLikeTheHost) {
+  // One gdr-fallback per op with a GPU leg on a revoked node, counted where
+  // the op is issued: an intra-node put into a GPU word counts once whether
+  // the host or a GPU-IB kernel issues it.
+  for (bool from_kernel : {false, true}) {
+    SCOPED_TRACE(from_kernel ? "kernel" : "host");
+    RuntimeOptions opts = device_options(DeviceBackendKind::kGpuIb);
+    opts.faults = sim::FaultPlan::parse("revoke=0@0");
+    auto rt = run_spmd(make_cluster(1, 2), opts, [&](Ctx& ctx) {
+      auto* word = static_cast<std::uint64_t*>(
+          ctx.shmalloc(sizeof(std::uint64_t), Domain::kGpu));
+      *word = 0;
+      ctx.barrier_all();
+      if (ctx.my_pe() == 0) {
+        const std::uint64_t v = 42;
+        if (from_kernel) {
+          ctx.launch_kernel_device(1.0, core::DeviceScope::kThread,
+                                   [&](DeviceCtx& d) {
+            d.putmem(word, &v, sizeof v, 1);
+            d.quiet();
+          });
+        } else {
+          ctx.putmem(word, &v, sizeof v, 1);
+          ctx.quiet();
+        }
+      }
+      ctx.barrier_all();
+      if (ctx.my_pe() == 1) {
+        EXPECT_EQ(*word, 42u);
+      }
+    });
+    EXPECT_EQ(rt->faults().count(sim::FaultEvent::kGdrFallback), 1u);
+  }
+}
+
+TEST(DeviceApi, GpuIbOversizedWithoutProxyPostsOnceDirect) {
+  // With no proxy to offload to, a GPU-IB put larger than the direct GDR
+  // limit still goes out, as one direct-gdr posting.
+  RuntimeOptions opts = device_options(DeviceBackendKind::kGpuIb);
+  opts.tuning.use_proxy = false;
+  const std::size_t n = 1u << 20;
+  std::uint64_t ops = 0, bytes = 0;
+  auto rt = run_spmd(make_cluster(2, 1), opts, [&](Ctx& ctx) {
+    const int me = ctx.my_pe();
+    auto* dev = static_cast<unsigned char*>(ctx.shmalloc(n, Domain::kGpu));
+    auto* src = static_cast<unsigned char*>(ctx.cuda_malloc(n));
+    for (std::size_t i = 0; i < n; ++i) src[i] = pattern(me, i);
+    ctx.barrier_all();
+    if (me == 0) {
+      const core::OpStats before = ctx.runtime().stats();
+      ctx.launch_kernel_device(1.0, core::DeviceScope::kThread,
+                               [&](DeviceCtx& d) {
+        d.putmem(dev, src, n, 1);
+        d.quiet();
+      });
+      const core::OpStats after = ctx.runtime().stats();
+      ops = after.ops(core::Protocol::kDirectGdr) -
+            before.ops(core::Protocol::kDirectGdr);
+      const auto gdr = static_cast<std::size_t>(core::Protocol::kDirectGdr);
+      bytes = after.bytes_by_protocol[gdr] - before.bytes_by_protocol[gdr];
+    }
+    ctx.barrier_all();
+    if (me == 1) {
+      for (std::size_t i = 0; i < n; i += 101) {
+        ASSERT_EQ(dev[i], pattern(0, i)) << "byte " << i;
+      }
+    }
+  });
+  EXPECT_EQ(ops, 1u);
+  EXPECT_EQ(bytes, n);
+  EXPECT_EQ(rt->stats().ops(core::Protocol::kPipelineGdrWrite), 0u);
+}
+
 }  // namespace
 }  // namespace gdrshmem

@@ -314,6 +314,23 @@ TEST(FaultInjection, P2pRevocationFallsBackAndStaysCorrect) {
   EXPECT_GT(rt->faults().count(sim::FaultEvent::kGdrFallback), 0u);
 }
 
+TEST(FaultInjection, PlanNamingAMissingNodeIsRejected) {
+  // On a 2-node cluster each of these entries would never fire; the runtime
+  // refuses the plan and names the entry.
+  for (const char* entry : {"revoke=2@0", "crash=2@0", "flap=5@0+10"}) {
+    SCOPED_TRACE(entry);
+    RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
+    opts.faults = sim::FaultPlan::parse(entry);
+    try {
+      Runtime rt(make_cluster(2, 1), opts);
+      ADD_FAILURE() << "plan accepted";
+    } catch (const ShmemError& e) {
+      EXPECT_NE(std::string(e.what()).find(entry), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(FaultInjection, EmptyPlanLeavesNoTrace) {
   auto rt = run_spmd(make_cluster(2, 2), make_options(TransportKind::kEnhancedGdr),
                      [&](Ctx& ctx) {

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "core/device_api.hpp"
 #include "core/proxy.hpp"
 #include "test_util.hpp"
 
@@ -14,12 +15,19 @@ namespace {
 using testing::make_cluster;
 using testing::make_options;
 
+constexpr bool kSameSocket = false;
+constexpr bool kCrossSocket = true;
+constexpr bool kFromHost = false;
+constexpr bool kFromKernel = true;
+
 struct ProtoExpect {
   bool intra;
   bool local_dev;
   Domain remote;
   std::size_t bytes;
   bool is_put;
+  bool cross_socket;  // every HCA on the other socket from its GPU
+  bool from_kernel;   // issued from a resident kernel on the GPU-IB backend
   Protocol expected;
 };
 
@@ -30,7 +38,20 @@ std::string proto_case_name(const ::testing::TestParamInfo<ProtoExpect>& info) {
   s += c.remote == Domain::kGpu ? "D" : "H";
   s += std::to_string(c.bytes);
   s += c.is_put ? "Put" : "Get";
+  if (c.cross_socket) s += "CrossSocket";
   return s;
+}
+
+unsigned char pattern(int seed, std::size_t i) {
+  return static_cast<unsigned char>((seed * 131 + i * 7) & 0xff);
+}
+
+/// Index of the first byte of `buf` that differs from pattern(seed, .), or n.
+std::size_t first_mismatch(const unsigned char* buf, std::size_t n, int seed) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (buf[i] != pattern(seed, i)) return i;
+  }
+  return n;
 }
 
 class EnhancedProtocolSelection : public ::testing::TestWithParam<ProtoExpect> {};
@@ -40,29 +61,46 @@ TEST_P(EnhancedProtocolSelection, PicksPaperProtocol) {
   RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
   opts.host_heap_bytes = 8u << 20;
   opts.gpu_heap_bytes = 8u << 20;
-  Runtime rt(make_cluster(2, 2), opts);
+  opts.device_backend = DeviceBackendKind::kGpuIb;
+  Runtime rt(make_cluster(2, 2, /*same_socket=*/!c.cross_socket), opts);
   const int target = c.intra ? 1 : 2;
+  constexpr int kSourceSeed = 100;  // pattern of PE 0's put source
   std::uint64_t ops_before = 0, bytes_before = 0, ops_after = 0, bytes_after = 0;
+  std::size_t landed = 0;
   rt.run([&](Ctx& ctx) {
-    void* sym = ctx.shmalloc(c.bytes, c.remote);
-    std::vector<std::byte> host_local(c.bytes);
-    void* local = host_local.data();
-    if (c.local_dev) local = ctx.cuda_malloc(c.bytes);
-    if (ctx.my_pe() == 0) {
+    const int me = ctx.my_pe();
+    auto* sym = static_cast<unsigned char*>(ctx.shmalloc(c.bytes, c.remote));
+    for (std::size_t i = 0; i < c.bytes; ++i) sym[i] = pattern(me, i);
+    std::vector<unsigned char> host_local(c.bytes);
+    unsigned char* local = host_local.data();
+    if (c.local_dev) local = static_cast<unsigned char*>(ctx.cuda_malloc(c.bytes));
+    for (std::size_t i = 0; i < c.bytes; ++i) local[i] = pattern(kSourceSeed, i);
+    ctx.barrier_all();
+    if (me == 0) {
       ops_before = ctx.runtime().stats().ops(c.expected);
       bytes_before = ctx.runtime().stats().bytes_by_protocol[static_cast<std::size_t>(
           c.expected)];
-      if (c.is_put) {
-        ctx.putmem(sym, local, c.bytes, target);
+      auto issue = [&](auto& api) {
+        if (c.is_put) {
+          api.putmem(sym, local, c.bytes, target);
+        } else {
+          api.getmem(local, sym, c.bytes, target);
+        }
+        api.quiet();
+      };
+      if (c.from_kernel) {
+        ctx.launch_kernel_device(1.0, DeviceScope::kThread,
+                                 [&](DeviceCtx& d) { issue(d); });
       } else {
-        ctx.getmem(local, sym, c.bytes, target);
+        issue(ctx);
       }
-      ctx.quiet();
       ops_after = ctx.runtime().stats().ops(c.expected);
       bytes_after = ctx.runtime().stats().bytes_by_protocol[static_cast<std::size_t>(
           c.expected)];
+      if (!c.is_put) landed = first_mismatch(local, c.bytes, target);
     }
     ctx.barrier_all();
+    if (c.is_put && me == target) landed = first_mismatch(sym, c.bytes, kSourceSeed);
   });
   // Barrier/collective internals also move 8-byte flags over the host
   // protocols, so assert on deltas: the op itself must have been counted
@@ -70,6 +108,7 @@ TEST_P(EnhancedProtocolSelection, PicksPaperProtocol) {
   EXPECT_GE(ops_after - ops_before, 1u)
       << "expected protocol " << to_string(c.expected);
   EXPECT_GE(bytes_after - bytes_before, c.bytes);
+  EXPECT_EQ(landed, c.bytes) << "first byte that did not land";
 }
 
 constexpr std::size_t kSmall = 1024;
@@ -79,27 +118,62 @@ INSTANTIATE_TEST_SUITE_P(
     SectionIII, EnhancedProtocolSelection,
     ::testing::Values(
         // ---- intra-node (Figs 2, 3) ----
-        ProtoExpect{true, false, Domain::kHost, kSmall, true, Protocol::kHostShm},
-        ProtoExpect{true, false, Domain::kGpu, kSmall, true, Protocol::kLoopbackGdr},
-        ProtoExpect{true, false, Domain::kGpu, kLarge, true, Protocol::kIpcCopy},
-        ProtoExpect{true, true, Domain::kHost, kSmall, true, Protocol::kLoopbackGdr},
-        ProtoExpect{true, true, Domain::kHost, kLarge, true, Protocol::kShmemPtrCopy},
-        ProtoExpect{true, true, Domain::kGpu, kSmall, true, Protocol::kLoopbackGdr},
-        ProtoExpect{true, true, Domain::kGpu, kLarge, true, Protocol::kIpcCopy},
-        ProtoExpect{true, false, Domain::kGpu, kSmall, false, Protocol::kLoopbackGdr},
-        ProtoExpect{true, false, Domain::kGpu, kLarge, false, Protocol::kIpcCopy},
-        ProtoExpect{true, true, Domain::kHost, kLarge, false, Protocol::kShmemPtrCopy},
+        ProtoExpect{true, false, Domain::kHost, kSmall, true, kSameSocket, kFromHost, Protocol::kHostShm},
+        ProtoExpect{true, false, Domain::kGpu, kSmall, true, kSameSocket, kFromHost, Protocol::kLoopbackGdr},
+        ProtoExpect{true, false, Domain::kGpu, kLarge, true, kSameSocket, kFromHost, Protocol::kIpcCopy},
+        ProtoExpect{true, true, Domain::kHost, kSmall, true, kSameSocket, kFromHost, Protocol::kLoopbackGdr},
+        ProtoExpect{true, true, Domain::kHost, kLarge, true, kSameSocket, kFromHost, Protocol::kShmemPtrCopy},
+        ProtoExpect{true, true, Domain::kGpu, kSmall, true, kSameSocket, kFromHost, Protocol::kLoopbackGdr},
+        ProtoExpect{true, true, Domain::kGpu, kLarge, true, kSameSocket, kFromHost, Protocol::kIpcCopy},
+        ProtoExpect{true, false, Domain::kGpu, kSmall, false, kSameSocket, kFromHost, Protocol::kLoopbackGdr},
+        ProtoExpect{true, false, Domain::kGpu, kLarge, false, kSameSocket, kFromHost, Protocol::kIpcCopy},
+        ProtoExpect{true, true, Domain::kHost, kLarge, false, kSameSocket, kFromHost, Protocol::kShmemPtrCopy},
         // ---- inter-node (Figs 4, 5) ----
-        ProtoExpect{false, false, Domain::kHost, kSmall, true, Protocol::kDirectRdma},
-        ProtoExpect{false, true, Domain::kGpu, kSmall, true, Protocol::kDirectGdr},
-        ProtoExpect{false, true, Domain::kGpu, kLarge, true, Protocol::kPipelineGdrWrite},
-        ProtoExpect{false, true, Domain::kHost, kLarge, true, Protocol::kPipelineGdrWrite},
-        ProtoExpect{false, false, Domain::kGpu, kSmall, true, Protocol::kDirectGdr},
-        ProtoExpect{false, false, Domain::kGpu, kLarge, true, Protocol::kDirectGdr},
-        ProtoExpect{false, true, Domain::kGpu, kSmall, false, Protocol::kDirectGdr},
-        ProtoExpect{false, true, Domain::kGpu, kLarge, false, Protocol::kProxyGet},
-        ProtoExpect{false, false, Domain::kGpu, kLarge, false, Protocol::kProxyGet},
-        ProtoExpect{false, true, Domain::kHost, kLarge, false, Protocol::kDirectGdr}),
+        ProtoExpect{false, false, Domain::kHost, kSmall, true, kSameSocket, kFromHost, Protocol::kDirectRdma},
+        ProtoExpect{false, true, Domain::kGpu, kSmall, true, kSameSocket, kFromHost, Protocol::kDirectGdr},
+        ProtoExpect{false, true, Domain::kGpu, kLarge, true, kSameSocket, kFromHost, Protocol::kPipelineGdrWrite},
+        ProtoExpect{false, true, Domain::kHost, kLarge, true, kSameSocket, kFromHost, Protocol::kPipelineGdrWrite},
+        ProtoExpect{false, false, Domain::kGpu, kSmall, true, kSameSocket, kFromHost, Protocol::kDirectGdr},
+        ProtoExpect{false, false, Domain::kGpu, kLarge, true, kSameSocket, kFromHost, Protocol::kDirectGdr},
+        ProtoExpect{false, true, Domain::kGpu, kSmall, false, kSameSocket, kFromHost, Protocol::kDirectGdr},
+        ProtoExpect{false, true, Domain::kGpu, kLarge, false, kSameSocket, kFromHost, Protocol::kProxyGet},
+        ProtoExpect{false, false, Domain::kGpu, kLarge, false, kSameSocket, kFromHost, Protocol::kProxyGet},
+        ProtoExpect{false, true, Domain::kHost, kLarge, false, kSameSocket, kFromHost, Protocol::kDirectGdr},
+        // ---- inter-node, HCA and GPU on different sockets (Table III) ----
+        ProtoExpect{false, true, Domain::kGpu, kLarge, true, kCrossSocket, kFromHost, Protocol::kProxyPut},
+        ProtoExpect{false, false, Domain::kGpu, kLarge, true, kCrossSocket, kFromHost, Protocol::kProxyPut},
+        ProtoExpect{false, true, Domain::kHost, kLarge, false, kCrossSocket, kFromHost, Protocol::kHostStagedGet}),
+    proto_case_name);
+
+// The same shapes issued from a GPU-IB kernel: intra-node and small
+// inter-node ops take the host's protocol; large inter-node ones are
+// offloaded to the proxy, which counts them under proxy-put and proxy-get.
+INSTANTIATE_TEST_SUITE_P(
+    GpuIb, EnhancedProtocolSelection,
+    ::testing::Values(
+        // ---- intra-node ----
+        ProtoExpect{true, false, Domain::kHost, kSmall, true, kSameSocket, kFromKernel, Protocol::kHostShm},
+        ProtoExpect{true, false, Domain::kGpu, kSmall, true, kSameSocket, kFromKernel, Protocol::kLoopbackGdr},
+        ProtoExpect{true, false, Domain::kGpu, kLarge, true, kSameSocket, kFromKernel, Protocol::kIpcCopy},
+        ProtoExpect{true, true, Domain::kHost, kSmall, true, kSameSocket, kFromKernel, Protocol::kLoopbackGdr},
+        ProtoExpect{true, true, Domain::kHost, kLarge, true, kSameSocket, kFromKernel, Protocol::kShmemPtrCopy},
+        ProtoExpect{true, true, Domain::kGpu, kSmall, true, kSameSocket, kFromKernel, Protocol::kLoopbackGdr},
+        ProtoExpect{true, true, Domain::kGpu, kLarge, true, kSameSocket, kFromKernel, Protocol::kIpcCopy},
+        ProtoExpect{true, false, Domain::kGpu, kSmall, false, kSameSocket, kFromKernel, Protocol::kLoopbackGdr},
+        ProtoExpect{true, false, Domain::kGpu, kLarge, false, kSameSocket, kFromKernel, Protocol::kIpcCopy},
+        ProtoExpect{true, true, Domain::kHost, kLarge, false, kSameSocket, kFromKernel, Protocol::kShmemPtrCopy},
+        // ---- inter-node, small: one direct posting ----
+        ProtoExpect{false, false, Domain::kHost, kSmall, true, kSameSocket, kFromKernel, Protocol::kDirectRdma},
+        ProtoExpect{false, true, Domain::kGpu, kSmall, true, kSameSocket, kFromKernel, Protocol::kDirectGdr},
+        ProtoExpect{false, false, Domain::kGpu, kSmall, true, kSameSocket, kFromKernel, Protocol::kDirectGdr},
+        ProtoExpect{false, true, Domain::kGpu, kSmall, false, kSameSocket, kFromKernel, Protocol::kDirectGdr},
+        // ---- inter-node, large: offloaded to the proxy ----
+        ProtoExpect{false, true, Domain::kGpu, kLarge, true, kSameSocket, kFromKernel, Protocol::kProxyPut},
+        ProtoExpect{false, true, Domain::kHost, kLarge, true, kSameSocket, kFromKernel, Protocol::kProxyPut},
+        ProtoExpect{false, false, Domain::kGpu, kLarge, true, kSameSocket, kFromKernel, Protocol::kProxyPut},
+        ProtoExpect{false, true, Domain::kGpu, kLarge, false, kSameSocket, kFromKernel, Protocol::kProxyGet},
+        ProtoExpect{false, false, Domain::kGpu, kLarge, false, kSameSocket, kFromKernel, Protocol::kProxyGet},
+        ProtoExpect{false, true, Domain::kHost, kLarge, false, kSameSocket, kFromKernel, Protocol::kProxyGet}),
     proto_case_name);
 
 TEST(ProtocolSelection, InterSocketLargePutUsesProxy) {
