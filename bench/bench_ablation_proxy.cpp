@@ -1,7 +1,13 @@
 // Ablation: proxy-based asynchronous progress (DESIGN.md §5.2). Compares
 // large inter-node D-D gets and their one-sidedness with the proxy enabled
-// vs disabled (falling back to direct GDR reads through the P2P read cap).
+// vs disabled (falling back to direct GDR reads through the P2P read cap),
+// and large inter-node D-D and H-D puts into a GPU on the other socket from
+// its HCA with the proxy enabled (the staged proxy-put pipeline) vs disabled
+// (pipeline-GDR-write for a device source, one direct GDR write for a host
+// source, both through the P2P write cap).
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common.hpp"
 #include "core/ctx.hpp"
@@ -49,6 +55,35 @@ ProxyProbe measure(bool use_proxy, bool same_socket) {
   return probe;
 }
 
+/// Blocking put of `bytes` from PE 0's device or host buffer into PE 2's GPU
+/// heap on the other node, HCA and GPU on different sockets on both nodes,
+/// timed until quiet() returns. A warmup put first pays any registration.
+double measure_put(bool use_proxy, bool device_source, std::size_t bytes) {
+  hw::ClusterConfig cluster;
+  cluster.num_nodes = 2;
+  cluster.pes_per_node = 2;
+  cluster.hca_gpu_same_socket = false;
+  core::RuntimeOptions opts;
+  opts.tuning.use_proxy = use_proxy;
+  core::Runtime rt(cluster, opts);
+  double us = 0;
+  rt.run([&](Ctx& ctx) {
+    void* sym = ctx.shmalloc(bytes, Domain::kGpu);
+    if (ctx.my_pe() == 0) {
+      std::vector<std::byte> host(device_source ? 0 : bytes);
+      void* src = device_source ? ctx.cuda_malloc(bytes) : host.data();
+      ctx.putmem(sym, src, bytes, 2);  // warmup
+      ctx.quiet();
+      sim::Time t0 = ctx.now();
+      ctx.putmem(sym, src, bytes, 2);
+      ctx.quiet();
+      us = (ctx.now() - t0).to_us();
+    }
+    ctx.barrier_all();
+  });
+  return us;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -66,6 +101,28 @@ int main(int argc, char** argv) {
                         (proxy ? "on" : "off");
       bench::add_point(tag + "/idle", p.get_us);
       bench::add_point(tag + "/busy", p.busy_get_us);
+    }
+  }
+  std::printf("\n");
+
+  std::printf(
+      "== Ablation: inter-node put into an inter-socket GPU, proxy on/off "
+      "(us) ==\n");
+  std::printf("%-8s %-8s %-12s %-12s\n", "source", "size", "proxy on",
+              "proxy off");
+  for (bool device_source : {true, false}) {
+    for (std::size_t mib : {1, 4}) {
+      const std::size_t bytes = mib << 20;
+      const double on = measure_put(true, device_source, bytes);
+      const double off = measure_put(false, device_source, bytes);
+      const char* src = device_source ? "D-D" : "H-D";
+      std::printf("%-8s %-8s %-12.1f %-12.1f\n", src,
+                  (std::to_string(mib) + " MB").c_str(), on, off);
+      std::string tag = std::string("ablation_proxy/put/") +
+                        (device_source ? "dd/" : "hd/") +
+                        std::to_string(mib) + "MB/";
+      bench::add_point(tag + "on", on);
+      bench::add_point(tag + "off", off);
     }
   }
   std::printf("\n");

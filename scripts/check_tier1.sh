@@ -26,13 +26,15 @@ done
 # exercising GDRSHMEM_IB_TRANSPORT parsing end-to-end plus every protocol
 # path over the selected QP discipline. EnhancedProtocolSelection joins
 # them so every protocol's payload check, host- and kernel-issued, runs on
-# each QP kind. (Timing-assertion suites stay on their pinned configs —
-# transports move the clock, never the bytes.)
+# each QP kind, and ProxyPutPipeline so the proxy-put's chunk and fin
+# ordering does too (srd is where a fin could overtake its chunk).
+# (Timing-assertion suites stay on their pinned configs — transports move
+# the clock, never the bytes.)
 for ib_transport in rc ud dc srd; do
   echo "== ib-transport A/B: GDRSHMEM_IB_TRANSPORT=$ib_transport =="
   (cd build && GDRSHMEM_IB_TRANSPORT=$ib_transport \
      ctest --output-on-failure \
-       -R 'TransportDiff|Fuzz|OddSizes|EnhancedProtocolSelection')
+       -R 'TransportDiff|Fuzz|OddSizes|EnhancedProtocolSelection|ProxyPutPipeline')
 done
 
 # Benchmark build + smoke: perfbench compiles ../src on its own and reads

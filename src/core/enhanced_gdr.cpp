@@ -115,58 +115,75 @@ void EnhancedGdrTransport::host_staged_get(Ctx& ctx, const RmaOp& op) {
 }
 
 void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op) {
-  // A device source means both ends are bottlenecked (or the target's P2P
-  // was revoked): stage the whole message to host locally, and let the
-  // target-side proxy do the last hop with an IPC copy.
-  const void* host_src = op.local;
-  if (op.local_is_device) {
-    std::byte* b = ctx.bounce(op.bytes);
-    rt_.cuda().memcpy_sync(ctx.proc(), b, op.local, op.bytes);
-    host_src = b;
-  }
+  // The target's GDR write is slow (inter-socket) or gone (P2P revoked):
+  // stream the message through two slots of the target-side proxy's
+  // staging, and let the proxy do the last hop with an IPC copy. Chunk k
+  // uses proxy staging slot k % 2, and a device source is first copied D->H
+  // into bounce slot k % 2, so the D->H copy of chunk k + 1, the RDMA of
+  // chunk k and the proxy's H->D copy of chunk k - 1 overlap.
   ctx.count_protocol(Protocol::kProxyPut, op.bytes);
   const int me = ctx.my_pe();
   ProxyDaemon& proxy = rt_.proxy(rt_.cluster().placement(op.target_pe).node);
+  const std::size_t chunk = proxy.staging_chunk();
   const sim::Duration timeout =
       sim::Duration::us(rt_.tuning().proxy_timeout_us);
-  auto* src_bytes = static_cast<const std::byte*>(host_src);
+  auto* src_bytes = static_cast<const std::byte*>(op.local);
   // The proxy may crash mid-transfer under a fault plan. Each attempt uses
-  // fresh transfer state (so a restarted proxy never consumes a stale window
+  // fresh transfer state (so a restarted proxy never consumes a stale chunk
   // notification into the new transfer) and per-stage deadlines; a timed-out
   // attempt is reissued from scratch.
   detail::reissue_until_done(ctx, "proxy put", [&] {
     auto st = std::make_shared<ProxyPutState>();
-    proxy.post_request(ctx, 32,
-                       {.kind = CtrlMsg::Kind::kProxyPutReq,
-                        .remote = op.remote,
-                        .bytes = op.bytes,
-                        .state = st});
-    if (!ctx.wait_for_deadline([&] { return st->cts.done(); },
-                               rt_.deadline_after(timeout))) {
-      return false;
-    }
-    const std::size_t window = st->window;
-    for (std::size_t off = 0; off < op.bytes; off += window) {
-      std::size_t w = std::min(window, op.bytes - off);
-      // Wait until the proxy drained the previous window out of staging.
-      if (off > 0 &&
-          !ctx.wait_for_deadline([&] { return st->windows_done >= off / window; },
-                                 rt_.deadline_after(timeout))) {
-        return false;
+    // A bounce slot is reused once the RDMA that read it completed.
+    detail::StagedPipeline bounce(ctx, ctx.proc(), ctx.bounce(2 * chunk),
+                                  chunk);
+    for (std::size_t off = 0; off < op.bytes; off += chunk) {
+      const std::size_t c = std::min(chunk, op.bytes - off);
+      const std::size_t k = off / chunk;
+      const std::size_t s = k % 2;
+      const std::byte* from = src_bytes + off;
+      if (op.local_is_device) {
+        bounce.acquire(s);
+        rt_.cuda().memcpy_sync(ctx.proc(), bounce.slot(s), from, c);
+        from = bounce.slot(s);
       }
-      // The proxy drains staging on fin receipt, so the window's bytes must
-      // be there first: a replayed or unordered (srd) data write could
-      // otherwise land after the drain. host_src stays valid across replays
-      // (user buffer or whole-message bounce).
-      ctx.issue(ctx.proc(), [this, &ctx, me, src = src_bytes + off, &proxy,
-                             staging = st->staging, w] {
-        return rt_.ib().rdma_write(ctx.proc(), me, src, proxy.endpoint(),
-                                   staging, w);
-      });
+      if (k == 0) {
+        // Chunk 0 waits for the grant of both staging slots.
+        proxy.post_request(ctx, 32,
+                           {.kind = CtrlMsg::Kind::kProxyPutReq,
+                            .remote = op.remote,
+                            .bytes = op.bytes,
+                            .state = st});
+        if (!ctx.wait_for_deadline([&] { return st->cts.done(); },
+                                   rt_.deadline_after(timeout))) {
+          return false;
+        }
+        // A host source is posted in place: register it whole once, so
+        // every chunk's post hits that registration.
+        if (!op.local_is_device) {
+          rt_.verbs().register_local(ctx.proc(), me, op.local, op.bytes);
+        }
+      } else if (k >= 2) {
+        // Staging slot s is free once the proxy drained chunk k - 2.
+        if (!ctx.wait_for_deadline([&] { return st->windows_done + 1 >= k; },
+                                   rt_.deadline_after(timeout))) {
+          return false;
+        }
+      }
+      // The proxy drains a chunk on its fin's receipt, so the chunk's bytes
+      // must be there first: a replayed or unordered (srd) data write could
+      // otherwise land after the drain.
+      auto post = [this, &ctx, me, from, &proxy,
+                   to = st->staging + s * chunk, c] {
+        return rt_.ib().rdma_write(ctx.proc(), me, from, proxy.endpoint(), to,
+                                   c);
+      };
+      sim::CompletionPtr comp = ctx.issue(ctx.proc(), post);
+      if (op.local_is_device) bounce.record(s, std::move(comp), post);
       proxy.post_request(ctx, 0,
                          {.kind = CtrlMsg::Kind::kProxyPutFin,
                           .remote = op.remote,
-                          .bytes = w,
+                          .bytes = c,
                           .offset = off,
                           .state = st});
     }

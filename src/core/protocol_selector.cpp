@@ -66,7 +66,7 @@ Protocol ProtocolSelector::select_put(const RmaOp& op, int issuer) const {
   // (Table III), and with P2P revoked on the target node they are
   // unavailable outright. Stage through the target-side proxy in both cases
   // (its final hop is a plain IPC H->D copy, no GDR needed); a device source
-  // is first bounced to host whole.
+  // is bounced to host chunk by chunk on the way.
   const bool target_gdr_poor =
       dst_dev && (rt_.gdr_inter_socket(op.target_pe) ||
                   !rt_.gdr_available(op.target_pe));

@@ -1,5 +1,7 @@
 #include "core/proxy.hpp"
 
+#include <algorithm>
+
 #include "core/ctx.hpp"
 #include "core/device_api.hpp"
 #include "core/protocol_selector.hpp"
@@ -19,6 +21,10 @@ ProxyDaemon::ProxyDaemon(Runtime& rt, int node, std::size_t staging_bytes)
 }
 
 int ProxyDaemon::endpoint() const { return rt_.cluster().service_endpoint(node_); }
+
+std::size_t ProxyDaemon::staging_chunk() const {
+  return std::min(rt_.tuning().pipeline_chunk, staging_.size() / 2);
+}
 
 void ProxyDaemon::post_request(Ctx& ctx, std::size_t n, CtrlMsg msg) {
   msg.from = ctx.my_pe();
@@ -118,35 +124,38 @@ void ProxyDaemon::do_get(sim::Process& self, CtrlMsg& msg) {
 }
 
 void ProxyDaemon::do_put(sim::Process& self, CtrlMsg& req) {
-  // Staged put: grant our staging to the requester, then perform the final
-  // H->D IPC copy for each window it streams in.
+  // Staged put: grant both staging slots to the requester, then IPC-copy
+  // each chunk H->D out of its slot, chunk k out of slot k % 2, in chunk
+  // order whatever order the fins arrive in.
   ++puts_served_;
   auto st = std::static_pointer_cast<ProxyPutState>(req.state);
   const int requester = req.from;
   Runtime& rt = rt_;
-  const std::size_t window = staging_.size();
+  const std::size_t chunk = staging_chunk();
   rt_.metrics()
       .gauge("proxy/staging_used_bytes")
-      .set(std::min(window, req.bytes));
+      .set(std::min(2 * chunk, req.bytes));
   rt_.ib().post_send(self, endpoint(), requester, 16,
-                        [st, this, &rt, requester, window] {
+                        [st, this, &rt, requester] {
                           st->staging = staging_.data();
-                          st->window = window;
                           st->cts.fire();
                           rt.notify_pe(requester);
                         });
 
-  std::size_t copied = 0;
-  while (copied < req.bytes) {
+  auto next_fin = [&](const CtrlMsg& m) {
+    return m.kind == CtrlMsg::Kind::kProxyPutFin && m.state == req.state &&
+           m.offset == st->windows_done * chunk;
+  };
+  while (st->windows_done * chunk < req.bytes) {
     CtrlMsg m;
-    if (!stash_.empty() && stash_.front().kind == CtrlMsg::Kind::kProxyPutFin &&
-        stash_.front().state == req.state) {
-      m = stash_.front();
-      stash_.pop_front();
+    if (auto it = std::find_if(stash_.begin(), stash_.end(), next_fin);
+        it != stash_.end()) {
+      m = *it;
+      stash_.erase(it);
     } else {
       // Under a fault plan, a timed receive at twice the requester's
       // per-stage timeout: if the requester gave up on this transfer (it saw
-      // us crash and reissued, or died itself) the window notifications stop
+      // us crash and reissued, or died itself) the chunk notifications stop
       // coming and we must not serve this orphan forever. Requesters always
       // time out first, so an abort here can never strand a live requester.
       auto maybe = mb_.receive_until(
@@ -154,14 +163,16 @@ void ProxyDaemon::do_put(sim::Process& self, CtrlMsg& req) {
           rt_.deadline_after(Duration::us(2 * rt_.tuning().proxy_timeout_us)));
       if (!maybe) return;  // orphaned transfer: drop it, serve the next
       m = *maybe;
-    }
-    if (m.kind != CtrlMsg::Kind::kProxyPutFin || m.state != req.state) {
-      stash_.push_back(m);  // another transfer's message: serve it later
-      continue;
+      if (!next_fin(m)) {
+        // Another transfer's message, or a fin a retransmit let overtake
+        // the one before it: serve it later.
+        stash_.push_back(m);
+        continue;
+      }
     }
     auto* dst = static_cast<std::byte*>(m.remote) + m.offset;
-    rt_.cuda().memcpy_sync(self, dst, staging_.data(), m.bytes);
-    copied += m.bytes;
+    const std::byte* slot = staging_.data() + st->windows_done % 2 * chunk;
+    rt_.cuda().memcpy_sync(self, dst, slot, m.bytes);
     ++st->windows_done;
     rt_.notify_pe(requester);
   }
@@ -272,8 +283,7 @@ void ProxyDaemon::staged_device_get(sim::Process& self, Ctx& rctx,
 void ProxyDaemon::stream_out(sim::Process& self, Ctx& owner,
                              const std::byte* src, int target, std::byte* dst,
                              std::size_t bytes) {
-  const std::size_t chunk =
-      std::min(rt_.tuning().pipeline_chunk, staging_.size() / 2);
+  const std::size_t chunk = staging_chunk();
   rt_.metrics()
       .gauge("proxy/staging_used_bytes")
       .set(std::min(2 * chunk, bytes));

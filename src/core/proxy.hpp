@@ -9,8 +9,9 @@
 //   * kProxyGet: reverse pipeline — IPC cudaMemcpy D->H from the local PE's
 //     GPU heap into proxy staging, then RDMA-write chunks to the requester.
 //     The message's state is the completion fired once every chunk landed.
-//   * kProxyPutReq/kProxyPutFin: the requester streams windows into proxy
-//     staging over RDMA; the proxy performs the final H->D IPC copy.
+//   * kProxyPutReq/kProxyPutFin: the requester streams chunks over RDMA
+//     into two proxy staging slots, one fin per chunk; the proxy performs
+//     each chunk's final H->D IPC copy while the next chunk is on the wire.
 #pragma once
 
 #include <cstddef>
@@ -31,9 +32,8 @@ struct RmaOp;
 /// Shared state of one proxy-put transfer, carried in the control messages.
 struct ProxyPutState {
   sim::Completion cts;           // fired when the proxy grants staging
-  std::byte* staging = nullptr;  // granted staging window
-  std::size_t window = 0;        // window capacity in bytes
-  std::uint64_t windows_done = 0;  // windows the proxy has drained to the GPU
+  std::byte* staging = nullptr;  // granted staging: two staging_chunk() slots
+  std::uint64_t windows_done = 0;  // chunks the proxy has drained to the GPU
   std::shared_ptr<sim::Completion> done =
       std::make_shared<sim::Completion>();  // all bytes at final destination
 };
@@ -52,6 +52,9 @@ class ProxyDaemon {
 
   int node() const { return node_; }
   int endpoint() const;
+  /// Chunk size of the staged pipelines through this daemon's staging,
+  /// which holds two chunk slots.
+  std::size_t staging_chunk() const;
   sim::Mailbox<CtrlMsg>& mailbox() { return mb_; }
   /// Send request `msg` from `ctx`'s PE into this daemon's mailbox (an
   /// `n`-byte IB send to the service endpoint).

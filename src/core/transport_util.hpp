@@ -108,12 +108,13 @@ inline void rdma_get(Ctx& ctx, const RmaOp& op, Protocol proto) {
 }
 
 /// The two-slot staging pipeline behind every chunked protocol: the host
-/// rendezvous (Fig 1), pipeline-GDR-write (Fig 4), and the proxy's reverse
-/// pipeline (Fig 5). Chunk k stages through slot k % 2 while chunk k - 1 is
-/// on the wire. Each slot keeps the completion of the last chunk posted
-/// from it and the closure that re-posts that chunk, so an error completion
-/// is replayed while the slot still holds the chunk's bytes. Without a
-/// fault plan every wait here is a plain wait.
+/// rendezvous (Fig 1), pipeline-GDR-write (Fig 4), the proxy's reverse
+/// pipeline (Fig 5) and proxy-put's device-source bounce. Chunk k stages
+/// through slot k % 2 while chunk k - 1 is on the wire. Each slot keeps the
+/// completion of the last chunk posted from it and the closure that
+/// re-posts that chunk, so an error completion is replayed while the slot
+/// still holds the chunk's bytes. Without a fault plan every wait here is a
+/// plain wait.
 class StagedPipeline {
  public:
   using Post = std::function<sim::CompletionPtr()>;

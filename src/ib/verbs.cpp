@@ -21,12 +21,15 @@ RegistrationCache::Entry* RegistrationCache::find(int pe, const void* addr,
                                                   std::size_t len) {
   auto pit = ranges_.find(pe);
   if (pit == ranges_.end()) return nullptr;
+  PeRanges& pr = pit->second;
   auto key = reinterpret_cast<std::uintptr_t>(addr);
-  auto it = pit->second.ranges.upper_bound(key);
-  if (it == pit->second.ranges.begin()) return nullptr;
-  --it;
-  if (key >= it->first && key + len <= it->first + it->second.len) {
-    return &it->second;
+  // The nearest base at or below addr covers the range in the common case.
+  // Ranges may nest, so a miss there walks down through every base the
+  // longest range could reach from.
+  for (auto it = pr.ranges.upper_bound(key); it != pr.ranges.begin();) {
+    --it;
+    if (key - it->first > pr.max_len) break;
+    if (key + len <= it->first + it->second.len) return &it->second;
   }
   return nullptr;
 }
@@ -47,6 +50,7 @@ void RegistrationCache::register_at_init(int pe, const void* addr, std::size_t l
   if (!inserted && !e.pinned) pr.lru.erase(e.lru_pos);  // promote dynamic -> pinned
   e.len = len;
   e.pinned = true;
+  pr.max_len = std::max(pr.max_len, len);
 }
 
 void RegistrationCache::release(int pe, const void* addr) {
@@ -75,6 +79,7 @@ void RegistrationCache::get_or_register(sim::Process& proc, int pe,
   auto key = reinterpret_cast<std::uintptr_t>(addr);
   auto [it, inserted] = pr.ranges.try_emplace(key);
   Entry& e = it->second;
+  pr.max_len = std::max(pr.max_len, len);
   if (!inserted) {
     // Grow-in-place: a registration at this base exists but is too short to
     // cover [addr, addr+len). Extending it must keep a pinned entry pinned

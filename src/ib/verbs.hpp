@@ -75,13 +75,18 @@ class RegistrationCache {
     std::list<std::uintptr_t>::iterator lru_pos;
   };
   struct PeRanges {
-    // range start -> entry; ranges are non-overlapping.
+    // range start -> entry. Ranges may nest: a miss registers its whole
+    // range even when a shorter entry inside it exists.
     std::map<std::uintptr_t, Entry> ranges;
+    // Longest range ever entered; bounds find()'s walk below the nearest
+    // base.
+    std::size_t max_len = 0;
     // Dynamic entries, least recently used first.
     std::list<std::uintptr_t> lru;
   };
 
-  /// The registered range containing [addr, addr+len), or nullptr.
+  /// A registered range containing [addr, addr+len), or nullptr: the
+  /// nearest one at or below addr if it covers, else any enclosing one.
   Entry* find(int pe, const void* addr, std::size_t len);
   const Entry* find(int pe, const void* addr, std::size_t len) const;
 

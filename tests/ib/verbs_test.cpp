@@ -48,6 +48,26 @@ TEST(RegistrationCache, MissChargesHitIsFree) {
   EXPECT_EQ(f.verbs.reg_cache().hits(), 2u);
 }
 
+TEST(RegistrationCache, EnclosingRangeCoversAnInnerOneRegisteredFirst) {
+  // The nearest base at or below a sub-range is the inner entry, which is
+  // too short; the enclosing entry registered after it must still hit.
+  Fixture f;
+  std::vector<std::byte> buf(1 << 20);
+  RegistrationCache& rc = f.verbs.reg_cache();
+  f.eng.spawn("pe", [&](sim::Process& p) {
+    rc.get_or_register(p, 0, buf.data() + (256 << 10), 64 << 10);
+    rc.get_or_register(p, 0, buf.data(), buf.size());
+    EXPECT_EQ(rc.misses(), 2u);
+    rc.get_or_register(p, 0, buf.data() + (256 << 10), 256 << 10);
+    rc.get_or_register(p, 0, buf.data() + (512 << 10), 512 << 10);
+  });
+  f.eng.run();
+  EXPECT_EQ(rc.misses(), 2u);
+  EXPECT_EQ(rc.hits(), 2u);
+  EXPECT_TRUE(rc.covered(0, buf.data() + (300 << 10), 100 << 10));
+  EXPECT_FALSE(rc.covered(0, buf.data() + (512 << 10), (512 << 10) + 1));
+}
+
 TEST(RegistrationCache, PerPeIsolation) {
   Fixture f;
   std::vector<std::byte> buf(4096);
