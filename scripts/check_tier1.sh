@@ -26,15 +26,17 @@ done
 # exercising GDRSHMEM_IB_TRANSPORT parsing end-to-end plus every protocol
 # path over the selected QP discipline. EnhancedProtocolSelection joins
 # them so every protocol's payload check, host- and kernel-issued, runs on
-# each QP kind, and ProxyPutPipeline so the proxy-put's chunk and fin
-# ordering does too (srd is where a fin could overtake its chunk).
+# each QP kind, ProxyPutPipeline so the proxy-put's chunk and fin ordering
+# does too (srd is where a fin could overtake its chunk), and
+# ProxyGetPipeline so the staged proxy-get's landed notices do (srd is where
+# a notice could overtake its chunk).
 # (Timing-assertion suites stay on their pinned configs — transports move
 # the clock, never the bytes.)
 for ib_transport in rc ud dc srd; do
   echo "== ib-transport A/B: GDRSHMEM_IB_TRANSPORT=$ib_transport =="
   (cd build && GDRSHMEM_IB_TRANSPORT=$ib_transport \
      ctest --output-on-failure \
-       -R 'TransportDiff|Fuzz|OddSizes|EnhancedProtocolSelection|ProxyPutPipeline')
+       -R 'TransportDiff|Fuzz|OddSizes|EnhancedProtocolSelection|ProxyPutPipeline|ProxyGetPipeline')
 done
 
 # Benchmark build + smoke: perfbench compiles ../src on its own and reads

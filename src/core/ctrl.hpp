@@ -23,6 +23,7 @@ struct CtrlMsg {
     kProxyGet,       // enhanced: proxy, reverse-pipeline this device range
     kProxyPutReq,    // enhanced: proxy, I will stream into your staging
     kProxyPutFin,    // enhanced: streaming done, do the final H2D hop
+    kProxyGetCredit, // enhanced: staged get, this chunk's bounce slot is free
     kDeviceCmd,      // device-initiated: reverse-offload command descriptor
   };
 
@@ -31,7 +32,7 @@ struct CtrlMsg {
   void* local = nullptr;   // sender-side buffer involved (if any)
   void* remote = nullptr;  // receiver-side buffer involved (if any)
   std::size_t bytes = 0;
-  std::size_t offset = 0;  // chunk offset for kRendezvousChunk
+  std::size_t offset = 0;  // chunk offset (rendezvous chunk, fin, credit)
   /// True when this message answers a get request (the receiver is the
   /// original requester and completes locally instead of ACKing back).
   bool is_reply = false;

@@ -286,6 +286,17 @@ std::byte* Ctx::bounce(std::size_t min_bytes) {
   return bounce_.data();
 }
 
+void StagingSlots::acquire(Ctx& owner, sim::Process& worker, std::size_t s) {
+  if (comp[s]) {
+    comp[s] = owner.await_reliable(worker, std::move(comp[s]), repost[s]);
+  }
+}
+
+void Ctx::drain_bounce(sim::Process& worker) {
+  bounce_slots_.acquire(*this, worker, 0);
+  bounce_slots_.acquire(*this, worker, 1);
+}
+
 std::byte* Ctx::eager_src_slot(int peer) {
   auto [it, inserted] = eager_src_slots_.try_emplace(peer);
   if (inserted) {

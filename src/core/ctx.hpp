@@ -29,6 +29,21 @@ class DeviceCtx;
 /// Comparison operators for wait_until (SHMEM_CMP_*).
 enum class Cmp { kEq, kNe, kGt, kGe, kLt, kLe };
 
+class Ctx;
+
+/// The chunks in flight from a two-slot staging buffer
+/// (detail::StagedPipeline): per slot, the completion of the last chunk
+/// posted from it and the closure that re-posts that chunk.
+struct StagingSlots {
+  sim::CompletionPtr comp[2];
+  std::function<sim::CompletionPtr()> repost[2];
+  std::size_t chunk = 0;  // slot size the chunks in flight were staged at
+
+  /// Block `worker` until slot `s` has no chunk in flight, replaying an
+  /// error completion (fault plans only) under `owner`'s budget.
+  void acquire(Ctx& owner, sim::Process& worker, std::size_t s);
+};
+
 class Ctx {
  public:
   Ctx(Runtime& rt, int pe);
@@ -370,8 +385,15 @@ class Ctx {
                       sim::Time deadline);
   /// Backoff before software replay number `replays` (1-based).
   sim::Duration replay_backoff(int replays) const;
-  /// Host bounce buffer (registered at init) for staging pipelines.
+  /// Host bounce buffer (registered at init) for staging pipelines. Grow it
+  /// only after drain_bounce(): regrowth frees the old buffer.
   std::byte* bounce(std::size_t min_bytes);
+  /// The bounce buffer's two slots. They outlive the call that staged a
+  /// chunk, so a later call waits for a chunk an earlier one still sends.
+  StagingSlots& bounce_slots() { return bounce_slots_; }
+  /// Block `worker` until neither bounce slot has a chunk in flight, before
+  /// writing the bounce outside the slot rule or growing it.
+  void drain_bounce(sim::Process& worker);
   cudart::Stream& stream() { return stream_; }
   /// Target-side rendezvous staging (baseline): serialized by a busy flag.
   /// Registration cost (on growth) is charged to `worker`.
@@ -426,6 +448,7 @@ class Ctx {
   sim::Notification progress_note_;
 
   std::vector<std::byte> bounce_;
+  StagingSlots bounce_slots_;
   cudart::Stream stream_;
   std::vector<std::byte> rendezvous_staging_;
   bool staging_busy_ = false;

@@ -6,8 +6,10 @@
 //                          into the peer's host heap (shmem_ptr, Fig 3)
 //   inter-node   small  -> Direct GDR RDMA (Fig 4, solid)
 //   inter-node   large  -> pipeline-GDR-write for device sources (Fig 4,
-//                          dotted); per-node proxy for device-source gets
-//                          and inter-socket device targets (Fig 5)
+//                          dotted); per-node proxy for gets from a remote
+//                          GPU and puts into a GDR-poor one (Fig 5); a
+//                          proxy-get into our own GDR-poor GPU streams
+//                          through our bounce slots
 //
 // Thresholds are Tuning runtime parameters, shrunk when the HCA and GPU sit
 // on different sockets (Table III).
@@ -66,8 +68,7 @@ void EnhancedGdrTransport::pipeline_gdr_write(Ctx& ctx, const RmaOp& op) {
   // proxy-put or throws.)
   ctx.count_protocol(Protocol::kPipelineGdrWrite, op.bytes);
   const int me = ctx.my_pe();
-  const std::size_t chunk = rt_.tuning().pipeline_chunk;
-  detail::StagedPipeline pipe(ctx, ctx.proc(), ctx.bounce(2 * chunk), chunk);
+  detail::StagedPipeline pipe(ctx, ctx.proc(), rt_.tuning().pipeline_chunk);
   auto* local_bytes = static_cast<const std::byte*>(op.local);
   auto* remote_bytes = static_cast<std::byte*>(op.remote);
   pipe.for_each_chunk(op.bytes, [&](std::size_t off, std::size_t c,
@@ -89,10 +90,12 @@ void EnhancedGdrTransport::host_staged_get(Ctx& ctx, const RmaOp& op) {
   // RDMA-read chunks into host staging, then H->D copy them locally —
   // avoids an inter-socket GDR write into our own GPU. Each read is awaited
   // before the copy that consumes it, so a slot's guard is its H->D event,
-  // not a network completion (hence no StagedPipeline here).
+  // not a network completion (hence no StagedPipeline here); an earlier
+  // call's chunks still in the bounce slots go out first.
   ctx.count_protocol(Protocol::kHostStagedGet, op.bytes);
   const int me = ctx.my_pe();
   const std::size_t chunk = rt_.tuning().pipeline_chunk;
+  ctx.drain_bounce(ctx.proc());
   std::byte* bounce = ctx.bounce(2 * chunk);
   auto* local_bytes = static_cast<std::byte*>(op.local);
   auto* remote_bytes = static_cast<const std::byte*>(op.remote);
@@ -135,8 +138,7 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op) {
   detail::reissue_until_done(ctx, "proxy put", [&] {
     auto st = std::make_shared<ProxyPutState>();
     // A bounce slot is reused once the RDMA that read it completed.
-    detail::StagedPipeline bounce(ctx, ctx.proc(), ctx.bounce(2 * chunk),
-                                  chunk);
+    detail::StagedPipeline bounce(ctx, ctx.proc(), chunk);
     for (std::size_t off = 0; off < op.bytes; off += chunk) {
       const std::size_t c = std::min(chunk, op.bytes - off);
       const std::size_t k = off / chunk;
@@ -193,25 +195,69 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op) {
 }
 
 void EnhancedGdrTransport::proxy_get(Ctx& ctx, const RmaOp& op) {
+  // The target's proxy copies the source D->H out of the GPU heap, chunk by
+  // chunk through its staging (Fig 5), and sends it to us. A reissued
+  // attempt rewrites the same bytes — idempotent.
   ctx.count_protocol(Protocol::kProxyGet, op.bytes);
   const int me = ctx.my_pe();
   ProxyDaemon& proxy = rt_.proxy(rt_.cluster().placement(op.target_pe).node);
-  // One stage: the proxy streams straight into our destination buffer and
-  // fires done. A reissued attempt rewrites the same bytes — idempotent.
+  const sim::Duration timeout =
+      sim::Duration::us(rt_.tuning().proxy_timeout_us);
+  if (!op.local_is_device || !rt_.selector().gdr_poor(me)) {
+    // The proxy writes straight into our buffer, which registers by the
+    // Verbs rule; a host buffer too small to register gets its bytes in the
+    // proxy's completion send instead.
+    detail::reissue_until_done(ctx, "proxy get", [&] {
+      auto st = std::make_shared<ProxyGetState>();
+      if (!op.local_is_device && op.bytes <= ib::kInlineBytes) {
+        st->mode = ProxyGetState::Mode::kInline;
+      } else {
+        rt_.verbs().register_local(ctx.proc(), me, op.local, op.bytes);
+      }
+      proxy.post_request(ctx, 32,
+                         {.kind = CtrlMsg::Kind::kProxyGet,
+                          .local = op.local,    // our destination buffer
+                          .remote = op.remote,  // device range on its node
+                          .bytes = op.bytes,
+                          .state = st});
+      return ctx.finish_attempt(st->done, op.blocking,
+                                rt_.deadline_after(timeout));
+    });
+    return;
+  }
+  // Our own GDR write is poor: the proxy writes chunk k into bounce slot
+  // k % 2 and sends a landed notice, we copy the chunk H->D and, when chunk
+  // k + 2 exists, credit the slot back. Our buffer is never registered, and
+  // the call returns once the last chunk is copied out (nbi too), so the
+  // bounce is free again.
+  const std::size_t chunk = proxy.staging_chunk();
+  auto* dst = static_cast<std::byte*>(op.local);
   detail::reissue_until_done(ctx, "proxy get", [&] {
-    // The proxy RDMA-writes into our buffer: it must be registered under
-    // our endpoint (the registration cache softens the cost).
-    rt_.verbs().reg_cache().get_or_register(ctx.proc(), me, op.local, op.bytes);
-    auto done = std::make_shared<sim::Completion>();
+    ctx.drain_bounce(ctx.proc());
+    std::byte* bounce = ctx.bounce(2 * chunk);
+    auto st = std::make_shared<ProxyGetState>();
+    st->mode = ProxyGetState::Mode::kStaged;
     proxy.post_request(ctx, 32,
                        {.kind = CtrlMsg::Kind::kProxyGet,
-                        .local = op.local,    // our destination buffer
-                        .remote = op.remote,  // device range on the proxy's node
+                        .local = bounce,
+                        .remote = op.remote,
                         .bytes = op.bytes,
-                        .state = done});
-    return ctx.finish_attempt(
-        done, op.blocking,
-        rt_.deadline_after(sim::Duration::us(rt_.tuning().proxy_timeout_us)));
+                        .state = st});
+    for (std::size_t off = 0, k = 0; off < op.bytes; off += chunk, ++k) {
+      if (!ctx.wait_for_deadline([&] { return st->landed > k; },
+                                 rt_.deadline_after(timeout))) {
+        return false;
+      }
+      rt_.cuda().memcpy_sync(ctx.proc(), dst + off, bounce + k % 2 * chunk,
+                             std::min(chunk, op.bytes - off));
+      if (off + 2 * chunk < op.bytes) {
+        proxy.post_request(ctx, 0,
+                           {.kind = CtrlMsg::Kind::kProxyGetCredit,
+                            .offset = off,
+                            .state = st});
+      }
+    }
+    return true;
   });
 }
 

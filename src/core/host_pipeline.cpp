@@ -92,8 +92,11 @@ void HostPipelineTransport::put_intra(Ctx& ctx, const RmaOp& op) {
     // H-D or D-D put: map the destination, one IPC copy.
     return detail::run_unstaged(ctx, op, Protocol::kIpcCopy, /*is_get=*/false);
   }
-  // D-H put: IPC cannot map a host buffer — bounce D->H, then shm copy.
+  // D-H put: IPC cannot map a host buffer — bounce D->H, then shm copy. The
+  // whole message takes the bounce, so an earlier call's chunks still in its
+  // slots go out first.
   ctx.count_protocol(Protocol::kIpcStaged, op.bytes);
+  ctx.drain_bounce(ctx.proc());
   std::byte* b = ctx.bounce(op.bytes);
   rt_.cuda().memcpy_sync(ctx.proc(), b, op.local, op.bytes);
   detail::host_shm_copy(ctx, op.remote, b, op.bytes, op.target_pe);
@@ -107,9 +110,11 @@ void HostPipelineTransport::get_intra(Ctx& ctx, const RmaOp& op) {
     return detail::run_unstaged(ctx, op, Protocol::kIpcCopy, /*is_get=*/true);
   }
   if (rem_dev) {
-    // H-D get: IPC D->H into a bounce, then shm copy into the user buffer.
+    // H-D get: IPC D->H into a bounce, then shm copy into the user buffer
+    // (after the bounce slots drained, as for the D-H put).
     ctx.count_protocol(Protocol::kIpcStaged, op.bytes);
     rt_.map_peer_gpu_heap(ctx.proc(), ctx.my_pe(), op.target_pe);
+    ctx.drain_bounce(ctx.proc());
     std::byte* b = ctx.bounce(op.bytes);
     rt_.cuda().memcpy_sync(ctx.proc(), b, op.remote, op.bytes);
     detail::host_shm_copy(ctx, op.local, b, op.bytes, -1);
@@ -247,8 +252,7 @@ void HostPipelineTransport::rendezvous_put(Ctx& ctx, const RmaOp& op) {
 
   // Inter-node rendezvous is D-D only (see put()), so every chunk stages
   // D->H through the bounce slots.
-  const std::size_t chunk = rt_.tuning().pipeline_chunk;
-  detail::StagedPipeline pipe(ctx, ctx.proc(), ctx.bounce(2 * chunk), chunk);
+  detail::StagedPipeline pipe(ctx, ctx.proc(), rt_.tuning().pipeline_chunk);
   auto* local_bytes = static_cast<const std::byte*>(op.local);
   pipe.for_each_chunk(op.bytes, [&](std::size_t off, std::size_t c,
                                     std::size_t s) {
@@ -352,8 +356,7 @@ void HostPipelineTransport::on_get_req(Ctx& ctx, CtrlMsg& msg,
   const int requester = msg.from;
   // The source is GPU-resident (inter-node gets are D-D only, see get()),
   // so every chunk stages D->H through our bounce slots.
-  const std::size_t chunk = rt_.tuning().pipeline_chunk;
-  detail::StagedPipeline pipe(ctx, worker, ctx.bounce(2 * chunk), chunk);
+  detail::StagedPipeline pipe(ctx, worker, rt_.tuning().pipeline_chunk);
   auto* src_bytes = static_cast<const std::byte*>(msg.remote);
   pipe.for_each_chunk(msg.bytes, [&](std::size_t off, std::size_t c,
                                      std::size_t s) {

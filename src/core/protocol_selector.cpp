@@ -40,6 +40,10 @@ std::size_t ProtocolSelector::gdr_limit(const RmaOp& op, bool is_get,
   return limit;
 }
 
+bool ProtocolSelector::gdr_poor(int pe) const {
+  return rt_.gdr_inter_socket(pe) || !rt_.gdr_available(pe);
+}
+
 bool ProtocolSelector::gdr_blocked(const RmaOp& op, int issuer) const {
   return (op.local_is_device && !rt_.gdr_available(issuer)) ||
          (op.remote_domain == Domain::kGpu && !rt_.gdr_available(op.target_pe));
@@ -67,10 +71,9 @@ Protocol ProtocolSelector::select_put(const RmaOp& op, int issuer) const {
   // unavailable outright. Stage through the target-side proxy in both cases
   // (its final hop is a plain IPC H->D copy, no GDR needed); a device source
   // is bounced to host chunk by chunk on the way.
-  const bool target_gdr_poor =
-      dst_dev && (rt_.gdr_inter_socket(op.target_pe) ||
-                  !rt_.gdr_available(op.target_pe));
-  if (target_gdr_poor && proxy_usable()) return Protocol::kProxyPut;
+  if (dst_dev && gdr_poor(op.target_pe) && proxy_usable()) {
+    return Protocol::kProxyPut;
+  }
   if (dst_dev && !rt_.gdr_available(op.target_pe)) {
     throw ShmemError(
         "enhanced-gdr: target GPU lost P2P and no proxy is available");
@@ -106,12 +109,8 @@ Protocol ProtocolSelector::select_get(const RmaOp& op, int issuer) const {
   }
   if (rem_dev) return Protocol::kDirectGdr;
   // Remote host, local device, large: RDMA-read + local staging when our
-  // own GDR write leg is inter-socket or our node's P2P was revoked;
-  // otherwise read straight into the GPU.
-  if (loc_dev &&
-      (rt_.gdr_inter_socket(issuer) || !rt_.gdr_available(issuer))) {
-    return Protocol::kHostStagedGet;
-  }
+  // own GDR write is poor; otherwise read straight into the GPU.
+  if (loc_dev && gdr_poor(issuer)) return Protocol::kHostStagedGet;
   return Protocol::kDirectGdr;
 }
 

@@ -36,6 +36,11 @@ class ProtocolSelector {
   /// such op as one gdr-fallback event.
   bool gdr_blocked(const RmaOp& op, int issuer) const;
 
+  /// True when GDR writes into `pe`'s GPU are poor: its HCA sits on the
+  /// other socket (Table III's 1,179 MB/s P2P write) or its node's P2P was
+  /// revoked. Large transfers into such a GPU stage through host memory.
+  bool gdr_poor(int pe) const;
+
   /// Largest message Direct/loopback GDR should carry for this op, given
   /// which legs touch a GPU and the socket placement of each side. Legs on
   /// a node whose P2P capability was revoked get a limit of 0, steering

@@ -1,6 +1,8 @@
 #include "core/proxy.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include "core/ctx.hpp"
 #include "core/device_api.hpp"
@@ -96,8 +98,9 @@ void ProxyDaemon::serve(sim::Process& self) {
         do_device_cmd(self, msg);
         break;
       case CtrlMsg::Kind::kProxyPutFin:
+      case CtrlMsg::Kind::kProxyGetCredit:
         if (rt_.faults_enabled()) {
-          // A window notification for a transfer this (restarted) daemon no
+          // A chunk fin or credit for a transfer this (restarted) daemon no
           // longer knows about — the requester has already timed out and
           // reissued. Drop it.
           rt_.faults().on_event(sim::FaultEvent::kStaleCtrlDrop, node_);
@@ -112,15 +115,34 @@ void ProxyDaemon::serve(sim::Process& self) {
 
 void ProxyDaemon::do_get(sim::Process& self, CtrlMsg& msg) {
   // Reverse pipeline GDR write (Fig 5): IPC-copy D->H out of the local PE's
-  // GPU heap into proxy staging, RDMA-write chunks to the requester. The
+  // GPU heap into proxy staging, send the chunks to the requester. The
   // owning PE never participates.
   ++gets_served_;
   const int requester = msg.from;
-  stream_out(self, rt_.ctx(requester),
-             static_cast<const std::byte*>(msg.remote), requester,
-             static_cast<std::byte*>(msg.local), msg.bytes);
-  detail::send_done(rt_, self, endpoint(), requester,
-                    std::static_pointer_cast<sim::Completion>(msg.state));
+  auto st = std::static_pointer_cast<ProxyGetState>(msg.state);
+  auto* src = static_cast<const std::byte*>(msg.remote);
+  auto* dst = static_cast<std::byte*>(msg.local);
+  if (st->mode == ProxyGetState::Mode::kInline) {
+    // The bytes ride in the completion send, so the requester's buffer is
+    // never registered.
+    std::vector<std::byte> bytes(msg.bytes);
+    rt_.cuda().memcpy_sync(self, bytes.data(), src, msg.bytes);
+    rt_.ib().post_send(
+        self, endpoint(), requester, msg.bytes,
+        [&rt = rt_, requester, dst, st, bytes = std::move(bytes)] {
+          std::memcpy(dst, bytes.data(), bytes.size());
+          st->done->fire();
+          rt.notify_pe(requester);
+        });
+    return;
+  }
+  const bool staged = st->mode == ProxyGetState::Mode::kStaged;
+  if (!stream_out(self, rt_.ctx(requester), src, requester, dst, msg.bytes,
+                  staged ? st : nullptr)) {
+    return;  // orphaned transfer: drop it, serve the next
+  }
+  // A staged requester is done once it copied the last chunk out.
+  if (!staged) detail::send_done(rt_, self, endpoint(), requester, st->done);
 }
 
 void ProxyDaemon::do_put(sim::Process& self, CtrlMsg& req) {
@@ -142,41 +164,46 @@ void ProxyDaemon::do_put(sim::Process& self, CtrlMsg& req) {
                           rt.notify_pe(requester);
                         });
 
-  auto next_fin = [&](const CtrlMsg& m) {
-    return m.kind == CtrlMsg::Kind::kProxyPutFin && m.state == req.state &&
-           m.offset == st->windows_done * chunk;
-  };
   while (st->windows_done * chunk < req.bytes) {
-    CtrlMsg m;
-    if (auto it = std::find_if(stash_.begin(), stash_.end(), next_fin);
-        it != stash_.end()) {
-      m = *it;
-      stash_.erase(it);
-    } else {
-      // Under a fault plan, a timed receive at twice the requester's
-      // per-stage timeout: if the requester gave up on this transfer (it saw
-      // us crash and reissued, or died itself) the chunk notifications stop
-      // coming and we must not serve this orphan forever. Requesters always
-      // time out first, so an abort here can never strand a live requester.
-      auto maybe = mb_.receive_until(
-          self,
-          rt_.deadline_after(Duration::us(2 * rt_.tuning().proxy_timeout_us)));
-      if (!maybe) return;  // orphaned transfer: drop it, serve the next
-      m = *maybe;
-      if (!next_fin(m)) {
-        // Another transfer's message, or a fin a retransmit let overtake
-        // the one before it: serve it later.
-        stash_.push_back(m);
-        continue;
-      }
-    }
-    auto* dst = static_cast<std::byte*>(m.remote) + m.offset;
+    auto m = next_of(self, CtrlMsg::Kind::kProxyPutFin, req.state,
+                     st->windows_done * chunk);
+    if (!m) return;  // orphaned transfer: drop it, serve the next
+    auto* dst = static_cast<std::byte*>(m->remote) + m->offset;
     const std::byte* slot = staging_.data() + st->windows_done % 2 * chunk;
-    rt_.cuda().memcpy_sync(self, dst, slot, m.bytes);
+    rt_.cuda().memcpy_sync(self, dst, slot, m->bytes);
     ++st->windows_done;
     rt_.notify_pe(requester);
   }
   detail::send_done(rt_, self, endpoint(), requester, st->done);
+}
+
+std::optional<CtrlMsg> ProxyDaemon::next_of(sim::Process& self,
+                                            CtrlMsg::Kind kind,
+                                            const std::shared_ptr<void>& state,
+                                            std::size_t offset) {
+  auto is_next = [&](const CtrlMsg& m) {
+    return m.kind == kind && m.state == state && m.offset == offset;
+  };
+  if (auto it = std::find_if(stash_.begin(), stash_.end(), is_next);
+      it != stash_.end()) {
+    CtrlMsg m = *it;
+    stash_.erase(it);
+    return m;
+  }
+  while (true) {
+    // Under a fault plan, a timed receive at twice the requester's per-stage
+    // timeout: if the requester gave up on this transfer (it saw us crash
+    // and reissued, or died itself) its messages stop coming and we must
+    // not serve this orphan forever. Requesters always time out first, so
+    // giving up here can never strand a live requester.
+    auto m = mb_.receive_until(
+        self,
+        rt_.deadline_after(Duration::us(2 * rt_.tuning().proxy_timeout_us)));
+    if (!m || is_next(*m)) return m;
+    // Another transfer's message, or one a retransmit let overtake the one
+    // before it: serve it later.
+    stash_.push_back(*m);
+  }
 }
 
 void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
@@ -280,26 +307,47 @@ void ProxyDaemon::staged_device_get(sim::Process& self, Ctx& rctx,
   rt_.notify_pe(requester);
 }
 
-void ProxyDaemon::stream_out(sim::Process& self, Ctx& owner,
+bool ProxyDaemon::stream_out(sim::Process& self, Ctx& owner,
                              const std::byte* src, int target, std::byte* dst,
-                             std::size_t bytes) {
+                             std::size_t bytes,
+                             const std::shared_ptr<ProxyGetState>& staged) {
   const std::size_t chunk = staging_chunk();
   rt_.metrics()
       .gauge("proxy/staging_used_bytes")
       .set(std::min(2 * chunk, bytes));
   detail::StagedPipeline pipe(owner, self, staging_.data(), chunk);
-  pipe.for_each_chunk(bytes, [&](std::size_t off, std::size_t c,
-                                 std::size_t s) {
+  for (std::size_t off = 0; off < bytes; off += chunk) {
+    const std::size_t c = std::min(chunk, bytes - off);
+    const std::size_t s = off / chunk % 2;
     pipe.acquire(s);
     std::byte* slot = pipe.slot(s);
     rt_.cuda().memcpy_sync(self, slot, src + off, c);
-    pipe.post(s, [this, &self, slot, target, to = dst + off, c] {
+    auto post = [this, &self, slot, target,
+                 to = staged ? dst + s * chunk : dst + off, c] {
       return rt_.ib().rdma_write(self, endpoint(), slot, target, to, c);
-    });
-  });
+    };
+    if (!staged) {
+      pipe.post(s, post);
+      continue;
+    }
+    // The requester's slot s is free once it credited chunk k - 2 back, and
+    // the landed notice must not overtake the chunk (srd, a replay).
+    if (off >= 2 * chunk &&
+        !next_of(self, CtrlMsg::Kind::kProxyGetCredit, staged,
+                 off - 2 * chunk)) {
+      return false;
+    }
+    pipe.record(s, owner.issue(self, post, /*tracked=*/false), post);
+    rt_.ib().post_send(self, endpoint(), target, 0,
+                       [&rt = rt_, target, staged] {
+                         ++staged->landed;
+                         rt.notify_pe(target);
+                       });
+  }
   // The caller's completion must not fire before every chunk landed at its
   // final destination, whatever order the wire completes them in.
   pipe.drain();
+  return true;
 }
 
 }  // namespace gdrshmem::core

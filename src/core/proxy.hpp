@@ -7,8 +7,12 @@
 // at heap creation, avoiding context-switch overheads — III-C). It then
 // serves requests FIFO:
 //   * kProxyGet: reverse pipeline — IPC cudaMemcpy D->H from the local PE's
-//     GPU heap into proxy staging, then RDMA-write chunks to the requester.
-//     The message's state is the completion fired once every chunk landed.
+//     GPU heap into proxy staging, then send each chunk to the requester: an
+//     RDMA write into its buffer (completion fired once every chunk landed),
+//     the bytes of a small host buffer in the completion send, or, for a
+//     GDR-poor requester's GPU, an RDMA write into slot k % 2 of its bounce
+//     buffer, a landed notice, and a wait for kProxyGetCredit before the
+//     slot is written again.
 //   * kProxyPutReq/kProxyPutFin: the requester streams chunks over RDMA
 //     into two proxy staging slots, one fin per chunk; the proxy performs
 //     each chunk's final H->D IPC copy while the next chunk is on the wire.
@@ -16,6 +20,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <optional>
 
 #include "core/ctrl.hpp"
 #include "sim/engine.hpp"
@@ -36,6 +41,17 @@ struct ProxyPutState {
   std::uint64_t windows_done = 0;  // chunks the proxy has drained to the GPU
   std::shared_ptr<sim::Completion> done =
       std::make_shared<sim::Completion>();  // all bytes at final destination
+};
+
+/// Shared state of one proxy-get attempt, carried in the control messages.
+struct ProxyGetState {
+  /// How the bytes reach the requester's buffer: RDMA-written in place; in
+  /// the completion send (a host buffer of at most ib::kInlineBytes, which
+  /// never registers); or through the two slots of its bounce buffer.
+  enum class Mode { kDirect, kInline, kStaged } mode = Mode::kDirect;
+  std::uint64_t landed = 0;  // staged: chunks the proxy announced landed
+  std::shared_ptr<sim::Completion> done =
+      std::make_shared<sim::Completion>();  // direct, inline: bytes delivered
 };
 
 class ProxyDaemon {
@@ -84,16 +100,27 @@ class ProxyDaemon {
   /// The reverse pipeline (Fig 5) behind do_get and staged_device_put:
   /// IPC-copy each chunk of `src` into a two-slot staging window and
   /// RDMA-write it to `target`'s `dst`; returns once every chunk landed.
-  /// `owner`'s replay budget covers the chunks.
-  void stream_out(sim::Process& self, Ctx& owner, const std::byte* src,
-                  int target, std::byte* dst, std::size_t bytes);
+  /// `owner`'s replay budget covers the chunks. With `staged`, `dst` is the
+  /// requester's bounce buffer: chunk k goes to its slot k % 2, after the
+  /// credit of chunk k - 2, and is followed by a landed notice. False when
+  /// a credit never came (the requester gave up on the transfer).
+  bool stream_out(sim::Process& self, Ctx& owner, const std::byte* src,
+                  int target, std::byte* dst, std::size_t bytes,
+                  const std::shared_ptr<ProxyGetState>& staged = nullptr);
+  /// The next in-order message of a transfer: the `kind` message with the
+  /// transfer's `state` and `offset`, from the stash or else the mailbox;
+  /// every other message waits in the stash. Under a fault plan, nullopt
+  /// once nothing came for twice the requester's per-stage timeout.
+  std::optional<CtrlMsg> next_of(sim::Process& self, CtrlMsg::Kind kind,
+                                 const std::shared_ptr<void>& state,
+                                 std::size_t offset);
   void restart();
 
   Runtime& rt_;
   int node_;
   sim::ZeroPages staging_;
   sim::Mailbox<CtrlMsg> mb_;
-  std::deque<CtrlMsg> stash_;  // messages deferred while a put is active
+  std::deque<CtrlMsg> stash_;  // messages deferred while a transfer is active
   sim::Process* proc_ = nullptr;  // live daemon process (null while crashed)
   int restarts_ = 0;
   std::uint64_t gets_served_ = 0;

@@ -121,10 +121,28 @@ class StagedPipeline {
 
   /// `owner` is the PE whose replay budget covers the chunks; `worker` is
   /// the process that stages and posts them (the PE itself or a proxy
-  /// daemon); `staging` holds two `chunk`-byte slots.
+  /// daemon); `staging` holds two `chunk`-byte slots, used by this call
+  /// only.
   StagedPipeline(Ctx& owner, sim::Process& worker, std::byte* staging,
                  std::size_t chunk)
-      : owner_(owner), worker_(worker), staging_(staging), chunk_(chunk) {}
+      : owner_(owner), worker_(worker), staging_(staging), chunk_(chunk),
+        slots_(own_) {}
+
+  /// Over `owner`'s bounce buffer, whose slots' chunks in flight outlive
+  /// this call (Ctx::bounce_slots): acquiring a slot also waits for a chunk
+  /// an earlier call left in it. A new slot size first drains both slots.
+  StagedPipeline(Ctx& owner, sim::Process& worker, std::size_t chunk)
+      : owner_(owner), worker_(worker), chunk_(chunk),
+        slots_(owner.bounce_slots()) {
+    if (slots_.chunk != chunk) {
+      owner.drain_bounce(worker);
+      slots_.chunk = chunk;
+    }
+    staging_ = owner.bounce(2 * chunk);
+  }
+
+  StagedPipeline(const StagedPipeline&) = delete;
+  StagedPipeline& operator=(const StagedPipeline&) = delete;
 
   /// Call fn(offset, length, slot) for each chunk of a `bytes`-long
   /// message, in order.
@@ -139,16 +157,12 @@ class StagedPipeline {
 
   /// Wait until the chunk last posted from slot `s` has landed, so the
   /// slot can be overwritten.
-  void acquire(std::size_t s) {
-    if (comp_[s]) {
-      comp_[s] = owner_.await_reliable(worker_, std::move(comp_[s]), repost_[s]);
-    }
-  }
+  void acquire(std::size_t s) { slots_.acquire(owner_, worker_, s); }
 
   /// Remember `comp` as slot `s`'s outstanding chunk, re-posted by `repost`.
   void record(std::size_t s, sim::CompletionPtr comp, Post repost) {
-    comp_[s] = std::move(comp);
-    repost_[s] = std::move(repost);
+    slots_.comp[s] = std::move(comp);
+    slots_.repost[s] = std::move(repost);
   }
 
   /// Post the chunk staged in slot `s` and remember it.
@@ -165,11 +179,11 @@ class StagedPipeline {
 
   /// Let the operation return before remote completion: the outstanding
   /// chunks join the owner's quiet() set. Under a fault plan they are
-  /// drained first, because a repost closure reads its staging slot and
-  /// the next operation may overwrite it once this one returns.
+  /// drained first: quiet() cannot replay them, because a later call may
+  /// have reused their slots by then.
   void finish_async() {
     if (owner_.runtime().faults_enabled()) drain();
-    for (const sim::CompletionPtr& comp : comp_) {
+    for (const sim::CompletionPtr& comp : slots_.comp) {
       if (comp) owner_.track(comp);
     }
   }
@@ -177,10 +191,10 @@ class StagedPipeline {
  private:
   Ctx& owner_;
   sim::Process& worker_;
-  std::byte* staging_;
+  std::byte* staging_ = nullptr;
   std::size_t chunk_;
-  sim::CompletionPtr comp_[2];
-  Post repost_[2];
+  StagingSlots own_;
+  StagingSlots& slots_;
 };
 
 /// Run `attempt` until it reports success, reissuing an attempt that timed

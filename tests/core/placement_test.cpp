@@ -46,11 +46,11 @@ constexpr int kRounds = 40;
 constexpr std::size_t kMsg = 64;
 
 /// Two PEs on two nodes exchange p, g, put_signal and 64-byte
-/// putmem_nbi/getmem_nbi/getmem for kRounds rounds. With `vary`, round r
-/// runs r % 8 frames deep and uses a private heap buffer at offset
-/// (r % 8) * 512 bytes; otherwise every round runs in the same frame on the
-/// same buffer.
-PlacementRun run_rounds(const std::string& plan, bool vary) {
+/// putmem_nbi/getmem_nbi/getmem for kRounds rounds. The p/g word and the get
+/// source live in `domain`. With `vary`, round r runs r % 8 frames deep and
+/// uses a private heap buffer at offset (r % 8) * 512 bytes; otherwise every
+/// round runs in the same frame on the same buffer.
+PlacementRun run_rounds(const std::string& plan, bool vary, Domain domain) {
   RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
   opts.host_heap_bytes = 8u << 20;
   opts.gpu_heap_bytes = 8u << 20;
@@ -59,11 +59,11 @@ PlacementRun run_rounds(const std::string& plan, bool vary) {
   rt.run([&](Ctx& ctx) {
     const int me = ctx.my_pe();
     const int peer = 1 - me;
-    auto* word = static_cast<std::int64_t*>(ctx.shmalloc(8, Domain::kHost));
+    auto* word = static_cast<std::int64_t*>(ctx.shmalloc(8, domain));
     auto* sig = static_cast<std::uint64_t*>(ctx.shmalloc(8, Domain::kHost));
     auto* put_dst =
         static_cast<unsigned char*>(ctx.shmalloc(2 * kMsg, Domain::kHost));
-    auto* get_src = static_cast<unsigned char*>(ctx.shmalloc(kMsg, Domain::kHost));
+    auto* get_src = static_cast<unsigned char*>(ctx.shmalloc(kMsg, domain));
     std::memset(get_src, me + 1, kMsg);
     std::vector<unsigned char> heap(7 * 512 + 2 * kMsg);
     ctx.barrier_all();
@@ -93,10 +93,16 @@ PlacementRun run_rounds(const std::string& plan, bool vary) {
 }
 
 TEST(Placement, VirtualTimeIgnoresStackDepthAndHeapOffset) {
-  for (const char* plan : {"", "seed=5,crash=1@400,revoke=1@300"}) {
-    SCOPED_TRACE(std::string("plan '") + plan + "'");
-    PlacementRun fixed = run_rounds(plan, /*vary=*/false);
-    PlacementRun moved = run_rounds(plan, /*vary=*/true);
+  // Under the revoke plan, a g or 64-byte get of a GPU word on the revoked
+  // node takes proxy-get into a small host buffer.
+  const char* revoke = "seed=5,crash=1@400,revoke=1@300";
+  for (auto [plan, domain] : {std::pair{"", Domain::kHost},
+                              std::pair{revoke, Domain::kHost},
+                              std::pair{revoke, Domain::kGpu}}) {
+    SCOPED_TRACE(std::string("plan '") + plan + "', " +
+                 (domain == Domain::kGpu ? "GPU" : "host") + " word");
+    PlacementRun fixed = run_rounds(plan, /*vary=*/false, domain);
+    PlacementRun moved = run_rounds(plan, /*vary=*/true, domain);
     EXPECT_EQ(fixed.end_ns, moved.end_ns);
     EXPECT_EQ(fixed.events, moved.events);
     EXPECT_EQ(fixed.reg_misses, moved.reg_misses);

@@ -1,10 +1,13 @@
-// The pipelined proxy-put (DESIGN §5e): chunk k of a put into a GDR-poor
-// GPU streams through proxy staging slot k % 2, and a device source also
-// through bounce slot k % 2. Every byte must land from host and device
-// sources, blocking and nbi, on the fault-free path and on the ordered path
-// a fault plan selects, with two requesters sharing one proxy and across a
-// proxy crash. Also the registration-cache lookup the host source relies on
-// when its chunks post from sub-ranges of one registration.
+// The pipelined proxy-put and the staged proxy-get (DESIGN §5e). A put into
+// a GDR-poor GPU streams chunk k through proxy staging slot k % 2, and a
+// device source also through bounce slot k % 2; a get into a GDR-poor
+// requester's GPU streams chunk k through proxy staging slot k % 2 into the
+// requester's bounce slot k % 2. Every byte must land, blocking and nbi, on
+// the fault-free path and on the ordered path a fault plan selects, with two
+// requesters sharing one proxy and across a proxy crash. The bounce slots'
+// chunks in flight must survive the next staged call before quiet(). Also
+// the registration-cache lookup the host source relies on when its chunks
+// post from sub-ranges of one registration.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +15,7 @@
 #include <vector>
 
 #include "core/proxy.hpp"
+#include "ib/verbs.hpp"
 #include "sim/fault.hpp"
 #include "test_util.hpp"
 
@@ -213,6 +217,284 @@ TEST(ProxyPutPipeline, PipelineWriteThenProxyPutBeforeQuiet) {
   });
   EXPECT_EQ(rt->stats().ops(Protocol::kPipelineGdrWrite), 1u);
   EXPECT_EQ(rt->stats().ops(Protocol::kProxyPut), 1u);
+}
+
+struct GetCase {
+  std::size_t bytes;
+  bool blocking;
+  bool revoked;  // requester's P2P revoked (fault plan) instead of inter-socket
+};
+
+std::string get_case_name(const ::testing::TestParamInfo<GetCase>& info) {
+  const GetCase& c = info.param;
+  return std::to_string(c.bytes) + "B" + (c.blocking ? "Blocking" : "Nbi") +
+         (c.revoked ? "IntoRevokedGpu" : "IntoInterSocketGpu");
+}
+
+class ProxyGetPipeline : public ::testing::TestWithParam<GetCase> {};
+
+TEST_P(ProxyGetPipeline, MovesEveryByteThroughTheBounce) {
+  // PE 0 gets from PE 1's GPU into its own GPU, whose GDR write is poor: the
+  // proxy writes each chunk into PE 0's bounce slots, so the destination is
+  // never registered and the bounce never grows.
+  const GetCase c = GetParam();
+  hw::ClusterConfig cluster = make_cluster(2, 1, /*same_socket=*/c.revoked);
+  RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
+  if (c.revoked) opts.faults = sim::FaultPlan::parse("revoke=0@0");
+  auto rt = run_spmd(cluster, opts, [&](Ctx& ctx) {
+    auto* src =
+        static_cast<unsigned char*>(ctx.shmalloc(c.bytes, Domain::kGpu));
+    if (ctx.my_pe() == 1) {
+      for (std::size_t i = 0; i < c.bytes; ++i) src[i] = pattern(6, i);
+    }
+    ctx.barrier_all();
+    if (ctx.my_pe() == 0) {
+      auto* dst = static_cast<unsigned char*>(ctx.cuda_malloc(c.bytes));
+      const std::byte* before = ctx.bounce(0);
+      if (c.blocking) {
+        ctx.getmem(dst, src, c.bytes, 1);
+      } else {
+        ctx.getmem_nbi(dst, src, c.bytes, 1);
+        ctx.quiet();
+      }
+      EXPECT_EQ(first_mismatch(dst, c.bytes, 6), c.bytes);
+      EXPECT_EQ(ctx.bounce(0), before);
+      EXPECT_FALSE(ctx.runtime().verbs().reg_cache().covered(0, dst, 1));
+    }
+    ctx.barrier_all();
+  });
+  EXPECT_EQ(rt->stats().ops(Protocol::kProxyGet), 1u);
+  EXPECT_EQ(rt->proxy(1).gets_served(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ProxyGetPipeline,
+    ::testing::ValuesIn([] {
+      std::vector<GetCase> cases;
+      for (std::size_t bytes : {std::size_t{64} << 10, std::size_t{256} << 10,
+                                kBytes, std::size_t{4} << 20}) {
+        for (bool revoked : {false, true}) {
+          for (bool blocking : {true, false}) {
+            cases.push_back({bytes, blocking, revoked});
+          }
+        }
+      }
+      return cases;
+    }()),
+    get_case_name);
+
+TEST(ProxyGetPipeline, StagedGetAndProxyPutShareOneProxy) {
+  // PE 0 gets from PE 2's GPU into its own GPU while PE 1 puts into PE 3's
+  // GPU: node 1's proxy serves the staged get and the proxy-put at once,
+  // one of them from its stash.
+  hw::ClusterConfig cluster = make_cluster(2, 2, /*same_socket=*/false);
+  RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
+  auto rt = run_spmd(cluster, opts, [&](Ctx& ctx) {
+    const int me = ctx.my_pe();
+    auto* sym = static_cast<unsigned char*>(ctx.shmalloc(kBytes, Domain::kGpu));
+    auto* local = static_cast<unsigned char*>(ctx.cuda_malloc(kBytes));
+    for (std::size_t i = 0; i < kBytes; ++i) {
+      sym[i] = pattern(me, i);
+      local[i] = pattern(10 + me, i);
+    }
+    ctx.barrier_all();
+    if (me == 0) ctx.getmem_nbi(local, sym, kBytes, 2);
+    if (me == 1) ctx.putmem_nbi(sym, local, kBytes, 3);
+    ctx.quiet();
+    ctx.barrier_all();
+    if (me == 0) {
+      EXPECT_EQ(first_mismatch(local, kBytes, 2), kBytes);
+    } else if (me == 3) {
+      EXPECT_EQ(first_mismatch(sym, kBytes, 11), kBytes);
+    }
+    ctx.barrier_all();
+  });
+  EXPECT_EQ(rt->stats().ops(Protocol::kProxyGet), 1u);
+  EXPECT_EQ(rt->stats().ops(Protocol::kProxyPut), 1u);
+  EXPECT_EQ(rt->proxy(1).gets_served(), 1u);
+  EXPECT_EQ(rt->proxy(1).puts_served(), 1u);
+}
+
+/// PE 0 gets 4 MiB from PE 1's GPU into its own inter-socket GPU under
+/// `opts`, and every byte must land.
+std::unique_ptr<Runtime> staged_get_4mib(const RuntimeOptions& opts) {
+  const std::size_t n = 4u << 20;
+  return run_spmd(make_cluster(2, 1, /*same_socket=*/false), opts,
+                  [&](Ctx& ctx) {
+    auto* src = static_cast<unsigned char*>(ctx.shmalloc(n, Domain::kGpu));
+    if (ctx.my_pe() == 1) {
+      for (std::size_t i = 0; i < n; ++i) src[i] = pattern(7, i);
+    }
+    ctx.barrier_all();
+    if (ctx.my_pe() == 0) {
+      auto* dst = static_cast<unsigned char*>(ctx.cuda_malloc(n));
+      ctx.getmem(dst, src, n, 1);
+      EXPECT_EQ(first_mismatch(dst, n, 7), n);
+    }
+    ctx.barrier_all();
+  });
+}
+
+TEST(ProxyGetPipeline, ProxyCrashMidGetIsRecovered) {
+  // The proxy dies 300 us in, in the middle of a 4 MiB staged get; the
+  // requester's landed wait times out and the reissued attempt restreams
+  // every chunk through the bounce slots.
+  RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
+  opts.faults = sim::FaultPlan::parse("crash=1@300");
+  auto rt = staged_get_4mib(opts);
+  EXPECT_EQ(rt->stats().ops(Protocol::kProxyGet), 1u);
+  EXPECT_EQ(rt->faults().count(sim::FaultEvent::kProxyCrash), 1u);
+  EXPECT_EQ(rt->faults().count(sim::FaultEvent::kProxyRestart), 1u);
+  EXPECT_GE(rt->faults().count(sim::FaultEvent::kProxyReissue), 1u);
+}
+
+TEST(ProxyGetPipeline, RestartedProxyDropsAStaleCredit) {
+  // Restarted at once, the proxy finds the requester's credit for the lost
+  // attempt in its mailbox and drops it. Pinned to rc: whether a credit is
+  // in flight at the crash instant is a matter of the QP kind's timing.
+  RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
+  opts.ib_transport = ib::QpKind::kRc;
+  opts.faults = sim::FaultPlan::parse("crash=1@300,restart_us=0");
+  auto rt = staged_get_4mib(opts);
+  EXPECT_GE(rt->faults().count(sim::FaultEvent::kProxyReissue), 1u);
+  EXPECT_EQ(rt->faults().count(sim::FaultEvent::kStaleCtrlDrop), 1u);
+}
+
+TEST(ProxyGetPipeline, LandedNoticeNeverOvertakesItsChunkOnSrd) {
+  // srd delivers a chunk's segments out of order with a delivery jitter far
+  // above a chunk's copy time: a landed notice sent as soon as the chunk's
+  // write was posted would let the requester copy the slot before the chunk
+  // arrived.
+  hw::ClusterConfig cluster = make_cluster(2, 1, /*same_socket=*/false);
+  RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
+  opts.ib_transport = ib::QpKind::kSrd;
+  opts.ib_srd_jitter_us = 200.0;
+  auto rt = run_spmd(cluster, opts, [&](Ctx& ctx) {
+    auto* src = static_cast<unsigned char*>(ctx.shmalloc(kBytes, Domain::kGpu));
+    if (ctx.my_pe() == 1) {
+      for (std::size_t i = 0; i < kBytes; ++i) src[i] = pattern(16, i);
+    }
+    ctx.barrier_all();
+    if (ctx.my_pe() == 0) {
+      auto* dst = static_cast<unsigned char*>(ctx.cuda_malloc(kBytes));
+      ctx.getmem(dst, src, kBytes, 1);
+      EXPECT_EQ(first_mismatch(dst, kBytes, 16), kBytes);
+    }
+    ctx.barrier_all();
+  });
+  EXPECT_EQ(rt->stats().ops(Protocol::kProxyGet), 1u);
+}
+
+// The bounce buffer's two slots keep their chunks in flight across calls:
+// a later staged call that writes the bounce waits for them, and nothing
+// regrows (and so frees) the bounce under them.
+
+TEST(BounceSlots, TwoDeviceSourcePutsBeforeQuiet) {
+  // A 4 MiB host-source put holds PE 0's port, so the chunks of the first
+  // 512 KiB device-source put (pipeline-gdr-write) are still in the bounce
+  // slots when the second one stages its own.
+  hw::ClusterConfig cluster = make_cluster(2, 1);
+  RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
+  const std::size_t big = 4u << 20;
+  const std::size_t n = 512u << 10;
+  auto rt = run_spmd(cluster, opts, [&](Ctx& ctx) {
+    auto* dst =
+        static_cast<unsigned char*>(ctx.shmalloc(big + 2 * n, Domain::kHost));
+    ctx.barrier_all();
+    if (ctx.my_pe() == 0) {
+      std::vector<unsigned char> host(big);
+      auto* a = static_cast<unsigned char*>(ctx.cuda_malloc(n));
+      auto* b = static_cast<unsigned char*>(ctx.cuda_malloc(n));
+      for (std::size_t i = 0; i < n; ++i) {
+        a[i] = pattern(8, i);
+        b[i] = pattern(9, i);
+      }
+      ctx.putmem_nbi(dst, host.data(), big, 1);
+      ctx.putmem_nbi(dst + big, a, n, 1);
+      ctx.putmem_nbi(dst + big + n, b, n, 1);
+      ctx.quiet();
+    }
+    ctx.barrier_all();
+    if (ctx.my_pe() == 1) {
+      EXPECT_EQ(first_mismatch(dst + big, n, 8), n);
+      EXPECT_EQ(first_mismatch(dst + big + n, n, 9), n);
+    }
+    ctx.barrier_all();
+  });
+  EXPECT_EQ(rt->stats().ops(Protocol::kPipelineGdrWrite), 2u);
+}
+
+TEST(BounceSlots, HostPipelineRendezvousThenIntraNodeStagedPut) {
+  // Host-pipeline transport: a 1 MiB D-D put to the other node (rendezvous)
+  // returns with its last chunks in the bounce slots; a 2 MiB D-H put to the
+  // same-node peer then bounces the whole message and grows the bounce.
+  hw::ClusterConfig cluster = make_cluster(2, 2);
+  RuntimeOptions opts = make_options(TransportKind::kHostPipeline);
+  const std::size_t small = 1u << 20;
+  const std::size_t large = 2u << 20;
+  auto rt = run_spmd(cluster, opts, [&](Ctx& ctx) {
+    auto* gpu_dst =
+        static_cast<unsigned char*>(ctx.shmalloc(small, Domain::kGpu));
+    auto* host_dst =
+        static_cast<unsigned char*>(ctx.shmalloc(large, Domain::kHost));
+    ctx.barrier_all();
+    if (ctx.my_pe() == 0) {
+      auto* a = static_cast<unsigned char*>(ctx.cuda_malloc(small));
+      auto* b = static_cast<unsigned char*>(ctx.cuda_malloc(large));
+      for (std::size_t i = 0; i < small; ++i) a[i] = pattern(12, i);
+      for (std::size_t i = 0; i < large; ++i) b[i] = pattern(13, i);
+      ctx.putmem(gpu_dst, a, small, 2);
+      ctx.putmem(host_dst, b, large, 1);
+      ctx.quiet();
+    }
+    ctx.barrier_all();
+    if (ctx.my_pe() == 2) {
+      EXPECT_EQ(first_mismatch(gpu_dst, small, 12), small);
+    } else if (ctx.my_pe() == 1) {
+      EXPECT_EQ(first_mismatch(host_dst, large, 13), large);
+    }
+    ctx.barrier_all();
+  });
+  EXPECT_EQ(rt->stats().ops(Protocol::kRendezvous), 1u);
+  EXPECT_EQ(rt->stats().ops(Protocol::kIpcStaged), 1u);
+}
+
+TEST(BounceSlots, DeviceSourcePutThenStagedProxyGetBeforeQuiet) {
+  // HCA and GPU on other sockets. A 4 MiB host-source put holds PE 0's
+  // port, a 1 MiB device-source put into PE 1's host heap leaves its chunks
+  // in the bounce slots, and a staged proxy-get into PE 0's GPU then has
+  // the proxy write into those slots.
+  hw::ClusterConfig cluster = make_cluster(2, 1, /*same_socket=*/false);
+  RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
+  const std::size_t big = 4u << 20;
+  const std::size_t n = 1u << 20;
+  auto rt = run_spmd(cluster, opts, [&](Ctx& ctx) {
+    auto* host_dst =
+        static_cast<unsigned char*>(ctx.shmalloc(big + n, Domain::kHost));
+    auto* gpu_src = static_cast<unsigned char*>(ctx.shmalloc(n, Domain::kGpu));
+    if (ctx.my_pe() == 1) {
+      for (std::size_t i = 0; i < n; ++i) gpu_src[i] = pattern(14, i);
+    }
+    ctx.barrier_all();
+    if (ctx.my_pe() == 0) {
+      std::vector<unsigned char> host(big);
+      auto* a = static_cast<unsigned char*>(ctx.cuda_malloc(n));
+      auto* got = static_cast<unsigned char*>(ctx.cuda_malloc(n));
+      for (std::size_t i = 0; i < n; ++i) a[i] = pattern(15, i);
+      ctx.putmem_nbi(host_dst, host.data(), big, 1);
+      ctx.putmem_nbi(host_dst + big, a, n, 1);
+      ctx.getmem_nbi(got, gpu_src, n, 1);
+      ctx.quiet();
+      EXPECT_EQ(first_mismatch(got, n, 14), n);
+    }
+    ctx.barrier_all();
+    if (ctx.my_pe() == 1) {
+      EXPECT_EQ(first_mismatch(host_dst + big, n, 15), n);
+    }
+    ctx.barrier_all();
+  });
+  EXPECT_EQ(rt->stats().ops(Protocol::kPipelineGdrWrite), 1u);
+  EXPECT_EQ(rt->stats().ops(Protocol::kProxyGet), 1u);
 }
 
 TEST(ProxyGet, IntoRangeEnclosingAnEarlierGetsDestination) {
