@@ -123,7 +123,7 @@ void HostPipelineTransport::get_intra(Ctx& ctx, const RmaOp& op) {
   // D-H get: one H->D copy from the peer's host heap ("on par", Fig 7d).
   // The baseline's protocol table counts it as an IPC copy.
   detail::peer_cuda_copy(ctx, op.local, op.remote, op.bytes, op.target_pe,
-                         Protocol::kIpcCopy, false);
+                         Protocol::kIpcCopy, false, op.blocking);
 }
 
 // ---------------------------------------------------------------------------

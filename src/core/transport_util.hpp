@@ -215,13 +215,34 @@ void reissue_until_done(Ctx& ctx, const char* what, Attempt&& attempt) {
 /// One-copy cudaMemcpy touching a peer's memory: CUDA IPC when the peer
 /// buffer is on a GPU (one-time mapping cost), plain access to the peer's
 /// host heap otherwise (the Fig 3 shmem_ptr design). Executed and charged
-/// entirely on the calling PE — true one-sided.
+/// entirely on the calling PE — true one-sided. An nbi copy whose
+/// serialization outlasts a copy launch is queued on the PE's stream and
+/// joins quiet()'s set: the call returns at once, and the bytes move when
+/// the copy ends, which wakes the issuer and the peer. A shorter nbi copy
+/// stays synchronous (DESIGN §5i).
 inline void peer_cuda_copy(Ctx& ctx, void* dst, const void* src, std::size_t n,
-                           int peer, Protocol proto, bool peer_mem_is_device) {
+                           int peer, Protocol proto, bool peer_mem_is_device,
+                           bool blocking) {
   Runtime& rt = ctx.runtime();
+  cudart::CudaRuntime& cuda = rt.cuda();
   ctx.count_protocol(proto, n);
   if (peer_mem_is_device) rt.map_peer_gpu_heap(ctx.proc(), ctx.my_pe(), peer);
-  rt.cuda().memcpy_sync(ctx.proc(), dst, src, n);
+  const sim::Duration launch =
+      sim::Duration::us(rt.cluster().params().cuda_copy_launch_us);
+  if (!blocking &&
+      cuda.copy_path(cuda.attributes(dst), cuda.attributes(src),
+                     rt.cluster().placement(ctx.my_pe()).node)
+              .serialization(n) > launch) {
+    sim::CompletionPtr done =
+        cuda.memcpy_async(dst, src, n, ctx.stream())->completion();
+    done->subscribe([&rt, me = ctx.my_pe(), peer] {
+      rt.notify_pe(me);
+      rt.notify_pe(peer);
+    });
+    ctx.track(std::move(done));
+    return;
+  }
+  cuda.memcpy_sync(ctx.proc(), dst, src, n);
   rt.notify_pe(peer);
 }
 
@@ -229,8 +250,9 @@ inline void peer_cuda_copy(Ctx& ctx, void* dst, const void* src, std::size_t n,
 /// PE completes on its own process with one host copy (host-shm), one
 /// possibly-loopback RDMA op (loopback-gdr, direct-rdma, direct-gdr) or one
 /// cudaMemcpy touching the peer's memory (ipc-copy into or out of its GPU
-/// heap, shmem-ptr-copy into or out of its host heap). The host transports
-/// and the GPU-IB device backend run every such op through here.
+/// heap, shmem-ptr-copy into or out of its host heap; a long nbi one on
+/// its stream). The host transports and the GPU-IB device backend run
+/// every such op through here.
 inline void run_unstaged(Ctx& ctx, const RmaOp& op, Protocol proto,
                          bool is_get) {
   void* dst = is_get ? op.local : op.remote;
@@ -246,7 +268,7 @@ inline void run_unstaged(Ctx& ctx, const RmaOp& op, Protocol proto,
     case Protocol::kIpcCopy:
     case Protocol::kShmemPtrCopy:
       return peer_cuda_copy(ctx, dst, src, op.bytes, op.target_pe, proto,
-                            proto == Protocol::kIpcCopy);
+                            proto == Protocol::kIpcCopy, op.blocking);
     default:
       throw ShmemError(std::string("not a one-step protocol: ") +
                        to_string(proto));

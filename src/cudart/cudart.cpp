@@ -118,8 +118,7 @@ std::shared_ptr<CudaEvent> CudaRuntime::enqueue(Stream& stream, Duration cost,
   ev->ready_ = done;
   eng_.schedule_at(done, [ev, body = std::move(body)] {
     body();
-    ev->fired_ = true;
-    ev->completed_.notify();
+    ev->completion_->fire();
   });
   return ev;
 }
@@ -140,8 +139,7 @@ std::shared_ptr<CudaEvent> CudaRuntime::memcpy_async(void* dst, const void* src,
   ev->ready_ = done;
   eng_.schedule_at(done, [ev, dst, src, n] {
     std::memcpy(dst, src, n);
-    ev->fired_ = true;
-    ev->completed_.notify();
+    ev->completion_->fire();
   });
   return ev;
 }

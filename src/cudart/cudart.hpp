@@ -26,6 +26,7 @@
 
 #include "hw/topology.hpp"
 #include "sim/engine.hpp"
+#include "sim/future.hpp"
 #include "sim/zero_pages.hpp"
 
 namespace gdrshmem::cudart {
@@ -76,15 +77,15 @@ struct IpcHandle {
 class CudaEvent {
  public:
   bool done(const sim::Engine& eng) const { return eng.now() >= ready_; }
-  void synchronize(sim::Process& proc) {
-    proc.await_until(completed_, [&] { return fired_; });
-  }
+  void synchronize(sim::Process& proc) { completion_->wait(proc); }
+  /// Fires (in event context) when the work ends, after its effect: the
+  /// handle a caller tracks or subscribes to instead of blocking.
+  const sim::CompletionPtr& completion() const { return completion_; }
 
  private:
   friend class CudaRuntime;
   sim::Time ready_;
-  bool fired_ = false;
-  sim::Notification completed_;
+  sim::CompletionPtr completion_ = std::make_shared<sim::Completion>();
 };
 
 /// A CUDA stream: serializes the async operations enqueued on it.

@@ -363,5 +363,63 @@ TEST(FromEnv, CollAlgoFlowsIntoARun) {
   EXPECT_NE(report.find("coll_bytes/allreduce/ring"), std::string::npos);
 }
 
+TEST(FromEnv, GdrLimitsParseSizeSuffixes) {
+  // The four GDR window thresholds the paper calls runtime parameters, and
+  // the divisor that shrinks them when the HCA and GPU sit on different
+  // sockets.
+  ScopedEnv e1("GDRSHMEM_LOOPBACK_GDR_WRITE_LIMIT", "128K");
+  ScopedEnv e2("GDRSHMEM_LOOPBACK_GDR_READ_LIMIT", "16k");
+  ScopedEnv e3("GDRSHMEM_DIRECT_GDR_WRITE_LIMIT", "1M");
+  ScopedEnv e4("GDRSHMEM_DIRECT_GDR_READ_LIMIT", "4096");
+  ScopedEnv e5("GDRSHMEM_INTER_SOCKET_GDR_DIVISOR", "4");
+  const core::Tuning t = RuntimeOptions::from_env().tuning;
+  EXPECT_EQ(t.loopback_gdr_write_limit, 128u << 10);
+  EXPECT_EQ(t.loopback_gdr_read_limit, 16u << 10);
+  EXPECT_EQ(t.direct_gdr_write_limit, 1u << 20);
+  EXPECT_EQ(t.direct_gdr_read_limit, 4096u);
+  EXPECT_EQ(t.inter_socket_gdr_divisor, 4u);
+}
+
+TEST(FromEnv, GdrLimitAndDivisorBadValuesAreErrors) {
+  for (const char* var :
+       {"GDRSHMEM_LOOPBACK_GDR_WRITE_LIMIT", "GDRSHMEM_LOOPBACK_GDR_READ_LIMIT",
+        "GDRSHMEM_DIRECT_GDR_WRITE_LIMIT", "GDRSHMEM_DIRECT_GDR_READ_LIMIT"}) {
+    SCOPED_TRACE(var);
+    ScopedEnv e(var, "12Q");
+    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
+  }
+  // A zero divisor would divide every inter-socket window by zero.
+  for (const char* bad : {"0", "-3", "two"}) {
+    SCOPED_TRACE(bad);
+    ScopedEnv e("GDRSHMEM_INTER_SOCKET_GDR_DIVISOR", bad);
+    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
+  }
+}
+
+TEST(FromEnv, LoopbackReadLimitSteersAnIntraNodeDevicePut) {
+  // A 16 KiB same-node D-D put reads its source over the loopback GDR read
+  // leg, so the read window decides: above the default 8 KiB it takes one
+  // IPC copy, inside a 64 KiB window loopback RDMA.
+  auto protocol_of_put = [] {
+    RuntimeOptions opts = RuntimeOptions::from_env();
+    opts.transport = TransportKind::kEnhancedGdr;
+    core::Protocol proto = core::Protocol::kCount_;
+    run_spmd(make_cluster(1, 2), opts, [&](Ctx& ctx) {
+      constexpr std::size_t n = 16u << 10;
+      void* dst = ctx.shmalloc(n, Domain::kGpu);
+      void* src = ctx.cuda_malloc(n);
+      if (ctx.my_pe() == 0) {
+        ctx.putmem(dst, src, n, 1);
+        proto = ctx.last_protocol();
+      }
+      ctx.barrier_all();
+    });
+    return proto;
+  };
+  EXPECT_STREQ(core::to_string(protocol_of_put()), "ipc-copy");
+  ScopedEnv e("GDRSHMEM_LOOPBACK_GDR_READ_LIMIT", "64K");
+  EXPECT_STREQ(core::to_string(protocol_of_put()), "loopback-gdr");
+}
+
 }  // namespace
 }  // namespace gdrshmem
