@@ -29,16 +29,18 @@ done
 # each QP kind, ProxyPutPipeline so the proxy-put's chunk and fin ordering
 # does too (srd is where a fin could overtake its chunk),
 # ProxyGetPipeline so the staged proxy-get's landed notices do (srd is where
-# a notice could overtake its chunk), and NbiCopyOverlap so an nbi
+# a notice could overtake its chunk), NbiCopyOverlap so an nbi
 # intra-node copy queued on the stream overlaps each QP kind's other-node
-# op and still completes at quiet().
+# op and still completes at quiet(), and RegistrationMiss so a first use of
+# an unregistered buffer stages every byte through the bounce slots, and
+# its reuse goes zero-copy, on each QP kind.
 # (Timing-assertion suites stay on their pinned configs — transports move
 # the clock, never the bytes.)
 for ib_transport in rc ud dc srd; do
   echo "== ib-transport A/B: GDRSHMEM_IB_TRANSPORT=$ib_transport =="
   (cd build && GDRSHMEM_IB_TRANSPORT=$ib_transport \
      ctest --output-on-failure \
-       -R 'TransportDiff|Fuzz|OddSizes|EnhancedProtocolSelection|ProxyPutPipeline|ProxyGetPipeline|NbiCopyOverlap')
+       -R 'TransportDiff|Fuzz|OddSizes|EnhancedProtocolSelection|ProxyPutPipeline|ProxyGetPipeline|NbiCopyOverlap|RegistrationMiss')
 done
 
 # Benchmark build + smoke: perfbench compiles ../src on its own and reads

@@ -281,7 +281,7 @@ std::byte* Ctx::bounce(std::size_t min_bytes) {
     rt_->verbs().reg_cache().release(pe_, bounce_.data());
     bounce_.assign(min_bytes, std::byte{0});
     rt_->verbs().reg_cache().get_or_register(proc(), pe_, bounce_.data(),
-                                             bounce_.size());
+                                             bounce_.size(), /*pinned=*/true);
   }
   return bounce_.data();
 }
@@ -315,9 +315,9 @@ std::byte* Ctx::rendezvous_staging(std::size_t bytes, sim::Process& worker) {
   if (rendezvous_staging_.size() < bytes) {
     rt_->verbs().reg_cache().release(pe_, rendezvous_staging_.data());
     rendezvous_staging_.assign(bytes, std::byte{0});
-    rt_->verbs().reg_cache().get_or_register(worker, pe_,
-                                             rendezvous_staging_.data(),
-                                             rendezvous_staging_.size());
+    rt_->verbs().reg_cache().get_or_register(
+        worker, pe_, rendezvous_staging_.data(), rendezvous_staging_.size(),
+        /*pinned=*/true);
   }
   return rendezvous_staging_.data();
 }
@@ -331,7 +331,7 @@ void* Ctx::cuda_malloc(std::size_t bytes) {
 }
 
 void Ctx::cuda_memcpy(void* dst, const void* src, std::size_t n) {
-  rt_->cuda().memcpy_sync(proc(), dst, src, n);
+  rt_->cuda().memcpy_sync(proc(), node(), dst, src, n);
 }
 
 void Ctx::launch_kernel(std::size_t cells, double per_cell_ns,

@@ -53,6 +53,8 @@ class Ctx {
 
   // ---- identity -----------------------------------------------------------
   int my_pe() const { return pe_; }
+  /// The node this PE runs on.
+  int node() const { return stream_.node(); }
   int n_pes() const { return rt_->num_pes(); }
   Runtime& runtime() { return *rt_; }
   sim::Process& proc();
@@ -386,7 +388,8 @@ class Ctx {
   /// Backoff before software replay number `replays` (1-based).
   sim::Duration replay_backoff(int replays) const;
   /// Host bounce buffer (registered at init) for staging pipelines. Grow it
-  /// only after drain_bounce(): regrowth frees the old buffer.
+  /// only after drain_bounce(): regrowth frees the old buffer. A regrown
+  /// buffer registers pinned, like the first one.
   std::byte* bounce(std::size_t min_bytes);
   /// The bounce buffer's two slots. They outlive the call that staged a
   /// chunk, so a later call waits for a chunk an earlier one still sends.
@@ -396,7 +399,8 @@ class Ctx {
   void drain_bounce(sim::Process& worker);
   cudart::Stream& stream() { return stream_; }
   /// Target-side rendezvous staging (baseline): serialized by a busy flag.
-  /// Registration cost (on growth) is charged to `worker`.
+  /// Registration cost (on growth) is charged to `worker`; the grown buffer
+  /// registers pinned.
   std::byte* rendezvous_staging(std::size_t bytes);
   std::byte* rendezvous_staging(std::size_t bytes, sim::Process& worker);
   bool staging_busy() const { return staging_busy_; }

@@ -10,6 +10,9 @@
 //                          GPU and puts into a GDR-poor one (Fig 5); a
 //                          proxy-get into our own GDR-poor GPU streams
 //                          through our bounce slots
+//   inter-node   large, local buffer not registered
+//                       -> the staged sibling through the bounce slots,
+//                          while a helper registers the buffer (§5j)
 //
 // Thresholds are Tuning runtime parameters, shrunk when the HCA and GPU sit
 // on different sockets (Table III).
@@ -26,7 +29,12 @@ namespace gdrshmem::core {
 // Protocol selection lives in core::ProtocolSelector (shared with the
 // device-initiated backends); this transport only executes the choice. The
 // one-step protocols run through detail::run_unstaged, as for every other
-// transport; the staged ones are below.
+// transport; the staged ones are below. A large transfer whose local buffer
+// the registration cache does not cover runs its protocol's staged sibling
+// instead of registering the buffer first: direct-gdr becomes
+// pipeline-gdr-write or host-staged-get, and proxy-put and proxy-get stage
+// a buffer they would post in place. The PE's registration helper
+// registers the buffer meanwhile, so its next transfer goes zero-copy.
 
 void EnhancedGdrTransport::put(Ctx& ctx, const RmaOp& op) {
   run(ctx, op, /*is_get=*/false);
@@ -44,13 +52,19 @@ void EnhancedGdrTransport::run(Ctx& ctx, const RmaOp& op, bool is_get) {
   }
   const Protocol proto =
       is_get ? sel.select_get(op, me) : sel.select_put(op, me);
+  const bool stage = sel.stage_unregistered(op, proto, is_get, me);
+  if (stage) rt_.verbs().reg_cache().register_async(me, op.local, op.bytes);
   switch (proto) {
+    case Protocol::kDirectGdr:
+      if (!stage) break;
+      return is_get ? host_staged_get(ctx, op) : pipeline_gdr_write(ctx, op);
     case Protocol::kPipelineGdrWrite: return pipeline_gdr_write(ctx, op);
     case Protocol::kHostStagedGet: return host_staged_get(ctx, op);
-    case Protocol::kProxyPut: return proxy_put(ctx, op);
-    case Protocol::kProxyGet: return proxy_get(ctx, op);
-    default: return detail::run_unstaged(ctx, op, proto, is_get);
+    case Protocol::kProxyPut: return proxy_put(ctx, op, stage);
+    case Protocol::kProxyGet: return proxy_get(ctx, op, stage);
+    default: break;
   }
+  detail::run_unstaged(ctx, op, proto, is_get);
 }
 
 void EnhancedGdrTransport::handle_ctrl(Ctx&, CtrlMsg&, sim::Process&) {
@@ -63,7 +77,8 @@ void EnhancedGdrTransport::handle_ctrl(Ctx&, CtrlMsg&, sim::Process&) {
 
 void EnhancedGdrTransport::pipeline_gdr_write(Ctx& ctx, const RmaOp& op) {
   // Device source, large put. Avoid the P2P *read* bottleneck by IPC-copying
-  // D->H into registered host staging, then RDMA (GDR-)writing each chunk.
+  // D->H into registered host staging, then RDMA (GDR-)writing each chunk;
+  // an unregistered host source is copied into the staging by the CPU.
   // (GDR-poor targets never reach here: the selector diverts them to
   // proxy-put or throws.)
   ctx.count_protocol(Protocol::kPipelineGdrWrite, op.bytes);
@@ -75,7 +90,7 @@ void EnhancedGdrTransport::pipeline_gdr_write(Ctx& ctx, const RmaOp& op) {
                                     std::size_t s) {
     pipe.acquire(s);
     std::byte* slot = pipe.slot(s);
-    rt_.cuda().memcpy_sync(ctx.proc(), slot, local_bytes + off, c);
+    rt_.cuda().memcpy_sync(ctx.proc(), ctx.node(), slot, local_bytes + off, c);
     pipe.post(s, [this, &ctx, me, slot, target = op.target_pe,
                   dst = remote_bytes + off, c] {
       return rt_.ib().rdma_write(ctx.proc(), me, slot, target, dst, c);
@@ -88,10 +103,11 @@ void EnhancedGdrTransport::pipeline_gdr_write(Ctx& ctx, const RmaOp& op) {
 
 void EnhancedGdrTransport::host_staged_get(Ctx& ctx, const RmaOp& op) {
   // RDMA-read chunks into host staging, then H->D copy them locally —
-  // avoids an inter-socket GDR write into our own GPU. Each read is awaited
-  // before the copy that consumes it, so a slot's guard is its H->D event,
-  // not a network completion (hence no StagedPipeline here); an earlier
-  // call's chunks still in the bounce slots go out first.
+  // avoids an inter-socket GDR write into our own GPU, or registering a
+  // destination the cache does not cover (which may be host memory: H->H).
+  // Each read is awaited before the copy that consumes it, so a slot's guard
+  // is its copy's event, not a network completion (hence no StagedPipeline
+  // here); an earlier call's chunks still in the bounce slots go out first.
   ctx.count_protocol(Protocol::kHostStagedGet, op.bytes);
   const int me = ctx.my_pe();
   const std::size_t chunk = rt_.tuning().pipeline_chunk;
@@ -117,13 +133,15 @@ void EnhancedGdrTransport::host_staged_get(Ctx& ctx, const RmaOp& op) {
   }
 }
 
-void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op) {
+void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
+                                     bool stage_source) {
   // The target's GDR write is slow (inter-socket) or gone (P2P revoked):
   // stream the message through two slots of the target-side proxy's
   // staging, and let the proxy do the last hop with an IPC copy. Chunk k
-  // uses proxy staging slot k % 2, and a device source is first copied D->H
-  // into bounce slot k % 2, so the D->H copy of chunk k + 1, the RDMA of
-  // chunk k and the proxy's H->D copy of chunk k - 1 overlap.
+  // uses proxy staging slot k % 2, and a device source (or, with
+  // `stage_source`, an unregistered host one) is first copied into bounce
+  // slot k % 2, so that copy of chunk k + 1, the RDMA of chunk k and the
+  // proxy's H->D copy of chunk k - 1 overlap.
   ctx.count_protocol(Protocol::kProxyPut, op.bytes);
   const int me = ctx.my_pe();
   ProxyDaemon& proxy = rt_.proxy(rt_.cluster().placement(op.target_pe).node);
@@ -131,6 +149,7 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op) {
   const sim::Duration timeout =
       sim::Duration::us(rt_.tuning().proxy_timeout_us);
   auto* src_bytes = static_cast<const std::byte*>(op.local);
+  const bool bounced = op.local_is_device || stage_source;
   // The proxy may crash mid-transfer under a fault plan. Each attempt uses
   // fresh transfer state (so a restarted proxy never consumes a stale chunk
   // notification into the new transfer) and per-stage deadlines; a timed-out
@@ -144,9 +163,9 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op) {
       const std::size_t k = off / chunk;
       const std::size_t s = k % 2;
       const std::byte* from = src_bytes + off;
-      if (op.local_is_device) {
+      if (bounced) {
         bounce.acquire(s);
-        rt_.cuda().memcpy_sync(ctx.proc(), bounce.slot(s), from, c);
+        rt_.cuda().memcpy_sync(ctx.proc(), ctx.node(), bounce.slot(s), from, c);
         from = bounce.slot(s);
       }
       if (k == 0) {
@@ -162,7 +181,7 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op) {
         }
         // A host source is posted in place: register it whole once, so
         // every chunk's post hits that registration.
-        if (!op.local_is_device) {
+        if (!bounced) {
           rt_.verbs().register_local(ctx.proc(), me, op.local, op.bytes);
         }
       } else if (k >= 2) {
@@ -181,7 +200,7 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op) {
                                    c);
       };
       sim::CompletionPtr comp = ctx.issue(ctx.proc(), post);
-      if (op.local_is_device) bounce.record(s, std::move(comp), post);
+      if (bounced) bounce.record(s, std::move(comp), post);
       proxy.post_request(ctx, 0,
                          {.kind = CtrlMsg::Kind::kProxyPutFin,
                           .remote = op.remote,
@@ -194,7 +213,8 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op) {
   });
 }
 
-void EnhancedGdrTransport::proxy_get(Ctx& ctx, const RmaOp& op) {
+void EnhancedGdrTransport::proxy_get(Ctx& ctx, const RmaOp& op,
+                                     bool stage_dest) {
   // The target's proxy copies the source D->H out of the GPU heap, chunk by
   // chunk through its staging (Fig 5), and sends it to us. A reissued
   // attempt rewrites the same bytes — idempotent.
@@ -203,7 +223,7 @@ void EnhancedGdrTransport::proxy_get(Ctx& ctx, const RmaOp& op) {
   ProxyDaemon& proxy = rt_.proxy(rt_.cluster().placement(op.target_pe).node);
   const sim::Duration timeout =
       sim::Duration::us(rt_.tuning().proxy_timeout_us);
-  if (!op.local_is_device || !rt_.selector().gdr_poor(me)) {
+  if (!stage_dest && (!op.local_is_device || !rt_.selector().gdr_poor(me))) {
     // The proxy writes straight into our buffer, which registers by the
     // Verbs rule; a host buffer too small to register gets its bytes in the
     // proxy's completion send instead.
@@ -225,11 +245,12 @@ void EnhancedGdrTransport::proxy_get(Ctx& ctx, const RmaOp& op) {
     });
     return;
   }
-  // Our own GDR write is poor: the proxy writes chunk k into bounce slot
-  // k % 2 and sends a landed notice, we copy the chunk H->D and, when chunk
-  // k + 2 exists, credit the slot back. Our buffer is never registered, and
-  // the call returns once the last chunk is copied out (nbi too), so the
-  // bounce is free again.
+  // Our own GDR write is poor, or our buffer is not registered: the proxy
+  // writes chunk k into bounce slot k % 2 and sends a landed notice, we copy
+  // the chunk out (H->D, or H->H into a host buffer) and, when chunk k + 2
+  // exists, credit the slot back. Our buffer is never registered, and the
+  // call returns once the last chunk is copied out (nbi too), so the bounce
+  // is free again.
   const std::size_t chunk = proxy.staging_chunk();
   auto* dst = static_cast<std::byte*>(op.local);
   detail::reissue_until_done(ctx, "proxy get", [&] {
@@ -248,7 +269,8 @@ void EnhancedGdrTransport::proxy_get(Ctx& ctx, const RmaOp& op) {
                                  rt_.deadline_after(timeout))) {
         return false;
       }
-      rt_.cuda().memcpy_sync(ctx.proc(), dst + off, bounce + k % 2 * chunk,
+      rt_.cuda().memcpy_sync(ctx.proc(), ctx.node(), dst + off,
+                             bounce + k % 2 * chunk,
                              std::min(chunk, op.bytes - off));
       if (off + 2 * chunk < op.bytes) {
         proxy.post_request(ctx, 0,

@@ -98,7 +98,7 @@ void HostPipelineTransport::put_intra(Ctx& ctx, const RmaOp& op) {
   ctx.count_protocol(Protocol::kIpcStaged, op.bytes);
   ctx.drain_bounce(ctx.proc());
   std::byte* b = ctx.bounce(op.bytes);
-  rt_.cuda().memcpy_sync(ctx.proc(), b, op.local, op.bytes);
+  rt_.cuda().memcpy_sync(ctx.proc(), ctx.node(), b, op.local, op.bytes);
   detail::host_shm_copy(ctx, op.remote, b, op.bytes, op.target_pe);
 }
 
@@ -116,7 +116,7 @@ void HostPipelineTransport::get_intra(Ctx& ctx, const RmaOp& op) {
     rt_.map_peer_gpu_heap(ctx.proc(), ctx.my_pe(), op.target_pe);
     ctx.drain_bounce(ctx.proc());
     std::byte* b = ctx.bounce(op.bytes);
-    rt_.cuda().memcpy_sync(ctx.proc(), b, op.remote, op.bytes);
+    rt_.cuda().memcpy_sync(ctx.proc(), ctx.node(), b, op.remote, op.bytes);
     detail::host_shm_copy(ctx, op.local, b, op.bytes, -1);
     return;
   }
@@ -143,7 +143,7 @@ void HostPipelineTransport::eager_put(Ctx& ctx, const RmaOp& op) {
 
   // Source staging: D->H bounce, so the user buffer is immediately reusable.
   std::byte* slot_src = ctx.eager_src_slot(dst);
-  rt_.cuda().memcpy_sync(ctx.proc(), slot_src, op.local, op.bytes);
+  rt_.cuda().memcpy_sync(ctx.proc(), ctx.node(), slot_src, op.local, op.bytes);
 
   void* remote_slot = rt_.eager_slot(dst, me);
   auto data_post = [this, &ctx, me, slot_src, dst, remote_slot,
@@ -171,7 +171,7 @@ void HostPipelineTransport::eager_put(Ctx& ctx, const RmaOp& op) {
 void HostPipelineTransport::on_eager_data(Ctx& ctx, CtrlMsg& msg,
                                           sim::Process& worker) {
   // Last pipeline hop, executed by the TARGET: eager slot -> final buffer.
-  rt_.cuda().memcpy_sync(worker, msg.remote,
+  rt_.cuda().memcpy_sync(worker, ctx.node(), msg.remote,
                          rt_.eager_slot(ctx.my_pe(), msg.from), msg.bytes);
   auto done = std::static_pointer_cast<sim::Completion>(msg.state);
   if (msg.is_reply) {
@@ -190,7 +190,7 @@ void HostPipelineTransport::on_eager_get_req(Ctx& ctx, CtrlMsg& msg,
   const int requester = msg.from;
   const int me = ctx.my_pe();
   std::byte* slot_src = ctx.eager_src_slot(requester);
-  rt_.cuda().memcpy_sync(worker, slot_src, msg.remote, msg.bytes);
+  rt_.cuda().memcpy_sync(worker, ctx.node(), slot_src, msg.remote, msg.bytes);
   auto data_post = [this, &worker, me, slot_src, requester,
                     remote_slot = rt_.eager_slot(requester, me),
                     bytes = msg.bytes] {
@@ -258,7 +258,7 @@ void HostPipelineTransport::rendezvous_put(Ctx& ctx, const RmaOp& op) {
                                     std::size_t s) {
     pipe.acquire(s);
     std::byte* slot = pipe.slot(s);
-    rt_.cuda().memcpy_sync(ctx.proc(), slot, local_bytes + off, c);
+    rt_.cuda().memcpy_sync(ctx.proc(), ctx.node(), slot, local_bytes + off, c);
     auto data_post = [this, &ctx, me, slot, dst, staging = st->staging + off,
                       c] {
       return rt_.ib().rdma_write(ctx.proc(), me, slot, dst, staging, c);
@@ -280,7 +280,8 @@ void HostPipelineTransport::rendezvous_put(Ctx& ctx, const RmaOp& op) {
 void HostPipelineTransport::on_chunk(Ctx& ctx, CtrlMsg& msg,
                                      sim::Process& worker) {
   auto st = std::static_pointer_cast<RndvState>(msg.state);
-  rt_.cuda().memcpy_sync(worker, static_cast<std::byte*>(msg.remote) + msg.offset,
+  rt_.cuda().memcpy_sync(worker, ctx.node(),
+                         static_cast<std::byte*>(msg.remote) + msg.offset,
                          st->staging + msg.offset, msg.bytes);
   st->copied += msg.bytes;
   if (st->copied < st->total) return;
@@ -362,7 +363,7 @@ void HostPipelineTransport::on_get_req(Ctx& ctx, CtrlMsg& msg,
                                      std::size_t s) {
     pipe.acquire(s);
     std::byte* slot = pipe.slot(s);
-    rt_.cuda().memcpy_sync(worker, slot, src_bytes + off, c);
+    rt_.cuda().memcpy_sync(worker, ctx.node(), slot, src_bytes + off, c);
     auto data_post = [this, &worker, me, slot, requester,
                       staging = st->staging + off, c] {
       return rt_.ib().rdma_write(worker, me, slot, requester, staging, c);

@@ -44,6 +44,22 @@ bool ProtocolSelector::gdr_poor(int pe) const {
   return rt_.gdr_inter_socket(pe) || !rt_.gdr_available(pe);
 }
 
+bool ProtocolSelector::stage_unregistered(const RmaOp& op, Protocol proto,
+                                          bool is_get, int issuer) const {
+  const bool registers =
+      proto == Protocol::kDirectGdr ||
+      (proto == Protocol::kProxyPut && !op.local_is_device) ||
+      (proto == Protocol::kProxyGet &&
+       !(op.local_is_device && gdr_poor(issuer)));
+  if (!registers || op.same_node ||
+      op.bytes <= gdr_limit(op, is_get, /*intra_node=*/false, issuer)) {
+    return false;
+  }
+  // A host range of at most ib::kInlineBytes never registers.
+  if (!op.local_is_device && op.bytes <= ib::kInlineBytes) return false;
+  return !rt_.verbs().reg_cache().covered(issuer, op.local, op.bytes);
+}
+
 bool ProtocolSelector::gdr_blocked(const RmaOp& op, int issuer) const {
   return (op.local_is_device && !rt_.gdr_available(issuer)) ||
          (op.remote_domain == Domain::kGpu && !rt_.gdr_available(op.target_pe));

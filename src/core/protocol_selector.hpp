@@ -41,6 +41,15 @@ class ProtocolSelector {
   /// revoked. Large transfers into such a GPU stage through host memory.
   bool gdr_poor(int pe) const;
 
+  /// True when `proto`, selected for an inter-node `op` larger than its
+  /// direct-GDR window, would register a local range that the registration
+  /// cache does not cover: direct-gdr, proxy-put from a host source, or a
+  /// proxy-get the proxy writes in place. The transport then runs the
+  /// protocol's staged sibling through the bounce buffer while the PE's
+  /// registration helper registers the range (DESIGN §5j).
+  bool stage_unregistered(const RmaOp& op, Protocol proto, bool is_get,
+                          int issuer) const;
+
   /// Largest message Direct/loopback GDR should carry for this op, given
   /// which legs touch a GPU and the socket placement of each side. Legs on
   /// a node whose P2P capability was revoked get a limit of 0, steering

@@ -126,7 +126,7 @@ void ProxyDaemon::do_get(sim::Process& self, CtrlMsg& msg) {
     // The bytes ride in the completion send, so the requester's buffer is
     // never registered.
     std::vector<std::byte> bytes(msg.bytes);
-    rt_.cuda().memcpy_sync(self, bytes.data(), src, msg.bytes);
+    rt_.cuda().memcpy_sync(self, node_, bytes.data(), src, msg.bytes);
     rt_.ib().post_send(
         self, endpoint(), requester, msg.bytes,
         [&rt = rt_, requester, dst, st, bytes = std::move(bytes)] {
@@ -170,7 +170,7 @@ void ProxyDaemon::do_put(sim::Process& self, CtrlMsg& req) {
     if (!m) return;  // orphaned transfer: drop it, serve the next
     auto* dst = static_cast<std::byte*>(m->remote) + m->offset;
     const std::byte* slot = staging_.data() + st->windows_done % 2 * chunk;
-    rt_.cuda().memcpy_sync(self, dst, slot, m->bytes);
+    rt_.cuda().memcpy_sync(self, node_, dst, slot, m->bytes);
     ++st->windows_done;
     rt_.notify_pe(requester);
   }
@@ -239,7 +239,7 @@ void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
         const void* src = is_get ? op.remote : op.local;
         rctx.count_protocol(
             kind, dev_leg ? Protocol::kIpcCopy : Protocol::kHostShm, op.bytes);
-        rt_.cuda().memcpy_sync(self, dst, src, op.bytes);
+        rt_.cuda().memcpy_sync(self, node_, dst, src, op.bytes);
         rt_.notify_pe(op.target_pe);
       } else if (!rt_.selector().offload_staged(op, is_get, requester)) {
         // Small enough for one direct posting from this node's HCA, issued
@@ -302,7 +302,7 @@ void ProxyDaemon::staged_device_get(sim::Process& self, Ctx& rctx,
       return rt_.ib().rdma_read(self, endpoint(), staging_.data(), target,
                                 src + off, c);
     });
-    rt_.cuda().memcpy_sync(self, dst + off, staging_.data(), c);
+    rt_.cuda().memcpy_sync(self, node_, dst + off, staging_.data(), c);
   }
   rt_.notify_pe(requester);
 }
@@ -321,7 +321,7 @@ bool ProxyDaemon::stream_out(sim::Process& self, Ctx& owner,
     const std::size_t s = off / chunk % 2;
     pipe.acquire(s);
     std::byte* slot = pipe.slot(s);
-    rt_.cuda().memcpy_sync(self, slot, src + off, c);
+    rt_.cuda().memcpy_sync(self, node_, slot, src + off, c);
     auto post = [this, &self, slot, target,
                  to = staged ? dst + s * chunk : dst + off, c] {
       return rt_.ib().rdma_write(self, endpoint(), slot, target, to, c);

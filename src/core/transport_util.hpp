@@ -230,8 +230,7 @@ inline void peer_cuda_copy(Ctx& ctx, void* dst, const void* src, std::size_t n,
   const sim::Duration launch =
       sim::Duration::us(rt.cluster().params().cuda_copy_launch_us);
   if (!blocking &&
-      cuda.copy_path(cuda.attributes(dst), cuda.attributes(src),
-                     rt.cluster().placement(ctx.my_pe()).node)
+      cuda.copy_path(cuda.attributes(dst), cuda.attributes(src), ctx.node())
               .serialization(n) > launch) {
     sim::CompletionPtr done =
         cuda.memcpy_async(dst, src, n, ctx.stream())->completion();
@@ -242,7 +241,7 @@ inline void peer_cuda_copy(Ctx& ctx, void* dst, const void* src, std::size_t n,
     ctx.track(std::move(done));
     return;
   }
-  cuda.memcpy_sync(ctx.proc(), dst, src, n);
+  cuda.memcpy_sync(ctx.proc(), ctx.node(), dst, src, n);
   rt.notify_pe(peer);
 }
 

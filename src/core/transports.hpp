@@ -59,8 +59,10 @@ class EnhancedGdrTransport final : public Transport {
   void run(Ctx& ctx, const RmaOp& op, bool is_get);
   void pipeline_gdr_write(Ctx& ctx, const RmaOp& op);
   void host_staged_get(Ctx& ctx, const RmaOp& op);
-  void proxy_put(Ctx& ctx, const RmaOp& op);
-  void proxy_get(Ctx& ctx, const RmaOp& op);
+  /// `stage_source`: copy a host source through the bounce slots too.
+  void proxy_put(Ctx& ctx, const RmaOp& op, bool stage_source);
+  /// `stage_dest`: land the bytes in the bounce slots, not in place.
+  void proxy_get(Ctx& ctx, const RmaOp& op, bool stage_dest);
 
   Runtime& rt_;
 };

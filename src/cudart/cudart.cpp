@@ -80,7 +80,7 @@ PtrAttr CudaRuntime::attributes(const void* p) const {
 // ---------------------------------------------------------------------------
 // CudaRuntime: copies
 
-Path CudaRuntime::copy_path(const PtrAttr& dst, const PtrAttr& src, int node_hint) {
+Path CudaRuntime::copy_path(const PtrAttr& dst, const PtrAttr& src, int node) {
   const bool src_dev = src.space == MemSpace::kDevice;
   const bool dst_dev = dst.space == MemSpace::kDevice;
   if (src_dev && dst_dev) {
@@ -91,19 +91,14 @@ Path CudaRuntime::copy_path(const PtrAttr& dst, const PtrAttr& src, int node_hin
   }
   if (src_dev) return cluster_.cuda_d2h(src.node, src.device);
   if (dst_dev) return cluster_.cuda_h2d(dst.node, dst.device);
-  // Host to host: a plain CPU copy on the hinted node.
-  return cluster_.host_copy(node_hint);
+  // Host to host: a plain CPU copy on the caller's node.
+  return cluster_.host_copy(node);
 }
 
-void CudaRuntime::memcpy_sync(sim::Process& proc, void* dst, const void* src,
-                              std::size_t n) {
+void CudaRuntime::memcpy_sync(sim::Process& proc, int node, void* dst,
+                              const void* src, std::size_t n) {
   if (n == 0) return;
-  PtrAttr d = attributes(dst);
-  PtrAttr s = attributes(src);
-  int node_hint = d.space == MemSpace::kDevice ? d.node
-                  : s.space == MemSpace::kDevice ? s.node
-                                                 : 0;
-  Path path = copy_path(d, s, node_hint);
+  Path path = copy_path(attributes(dst), attributes(src), node);
   Time done = path.schedule(eng_.now(), n);
   proc.delay(done - eng_.now());
   std::memcpy(dst, src, n);
@@ -125,12 +120,7 @@ std::shared_ptr<CudaEvent> CudaRuntime::enqueue(Stream& stream, Duration cost,
 
 std::shared_ptr<CudaEvent> CudaRuntime::memcpy_async(void* dst, const void* src,
                                                      std::size_t n, Stream& stream) {
-  PtrAttr d = attributes(dst);
-  PtrAttr s = attributes(src);
-  int node_hint = d.space == MemSpace::kDevice ? d.node
-                  : s.space == MemSpace::kDevice ? s.node
-                                                 : stream.node();
-  Path path = copy_path(d, s, node_hint);
+  Path path = copy_path(attributes(dst), attributes(src), stream.node());
   // Stream ordering: the copy cannot start before earlier stream work ends.
   Time start = sim::max(eng_.now(), stream.busy_until_);
   Time done = path.schedule(start, n);

@@ -152,8 +152,10 @@ class CudaRuntime {
 
   // ---- copies ---------------------------------------------------------------
   /// Synchronous cudaMemcpy: direction inferred via UVA; charges the full
-  /// hardware cost to the calling process, then moves the bytes.
-  void memcpy_sync(sim::Process& proc, void* dst, const void* src, std::size_t n);
+  /// hardware cost to the calling process, then moves the bytes. `node` is
+  /// where that process runs: a host-to-host copy is a CPU copy there.
+  void memcpy_sync(sim::Process& proc, int node, void* dst, const void* src,
+                   std::size_t n);
   /// Stream-ordered async copy; bytes move at simulated completion.
   std::shared_ptr<CudaEvent> memcpy_async(void* dst, const void* src,
                                           std::size_t n, Stream& stream);
@@ -184,8 +186,9 @@ class CudaRuntime {
                               const std::function<void(KernelContext&)>& body);
 
   // Exposed for the transports: the raw copy path between two locations on
-  // one node (used to price pipeline stages without issuing them).
-  sim::Path copy_path(const PtrAttr& dst, const PtrAttr& src, int node_hint);
+  // one node (used to price pipeline stages without issuing them); a
+  // host-to-host copy runs on `node`.
+  sim::Path copy_path(const PtrAttr& dst, const PtrAttr& src, int node);
 
  private:
   std::shared_ptr<CudaEvent> enqueue(Stream& stream, sim::Duration cost,

@@ -47,10 +47,20 @@ void RegistrationCache::register_at_init(int pe, const void* addr, std::size_t l
   PeRanges& pr = ranges_[pe];
   auto [it, inserted] = pr.ranges.try_emplace(reinterpret_cast<std::uintptr_t>(addr));
   Entry& e = it->second;
-  if (!inserted && !e.pinned) pr.lru.erase(e.lru_pos);  // promote dynamic -> pinned
+  if (!inserted) touch(pr, e, /*pin=*/true);
   e.len = len;
   e.pinned = true;
   pr.max_len = std::max(pr.max_len, len);
+}
+
+void RegistrationCache::touch(PeRanges& pr, Entry& e, bool pin) {
+  if (e.pinned) return;
+  if (pin) {
+    pr.lru.erase(e.lru_pos);
+    e.pinned = true;
+  } else {
+    pr.lru.splice(pr.lru.end(), pr.lru, e.lru_pos);
+  }
 }
 
 void RegistrationCache::release(int pe, const void* addr) {
@@ -61,21 +71,14 @@ void RegistrationCache::release(int pe, const void* addr) {
   pr.ranges.erase(it);
 }
 
-void RegistrationCache::get_or_register(sim::Process& proc, int pe,
-                                        const void* addr, std::size_t len) {
-  PeRanges& pr = ranges_[pe];
-  if (Entry* e = find(pe, addr, len)) {
-    ++hits_;
-    if (!e->pinned) {
-      // LRU bump: move the containing range to the most-recent end.
-      pr.lru.splice(pr.lru.end(), pr.lru, e->lru_pos);
-    }
-    return;
-  }
-  ++misses_;
+Duration RegistrationCache::registration_cost(std::size_t len) const {
   double mb = static_cast<double>(len) / 1e6;
-  proc.delay(Duration::us(params_.mr_register_base_us +
-                          params_.mr_register_per_mb_us * mb));
+  return Duration::us(params_.mr_register_base_us +
+                      params_.mr_register_per_mb_us * mb);
+}
+
+void RegistrationCache::insert(PeRanges& pr, const void* addr, std::size_t len,
+                               bool pinned) {
   auto key = reinterpret_cast<std::uintptr_t>(addr);
   auto [it, inserted] = pr.ranges.try_emplace(key);
   Entry& e = it->second;
@@ -86,20 +89,53 @@ void RegistrationCache::get_or_register(sim::Process& proc, int pe,
     // and must not mint a second LRU node for a dynamic one — the stale node
     // would inflate lru.size(), shrink effective capacity, and eventually
     // evict through an orphaned iterator. A dynamic entry keeps its single
-    // node, bumped to most-recent.
+    // node, bumped to most-recent, unless this registration pins it.
     ++grows_;
     e.len = std::max(e.len, len);
-    if (!e.pinned) pr.lru.splice(pr.lru.end(), pr.lru, e.lru_pos);
+    touch(pr, e, pinned);
     return;
   }
   e.len = len;
-  e.pinned = false;
+  e.pinned = pinned;
+  if (pinned) return;
   e.lru_pos = pr.lru.insert(pr.lru.end(), key);
   while (capacity_ != 0 && pr.lru.size() > capacity_) {
     pr.ranges.erase(pr.lru.front());
     pr.lru.pop_front();
     ++evictions_;
   }
+}
+
+void RegistrationCache::get_or_register(sim::Process& proc, int pe,
+                                        const void* addr, std::size_t len,
+                                        bool pinned) {
+  PeRanges& pr = ranges_[pe];
+  if (Entry* e = find(pe, addr, len)) {
+    ++hits_;
+    touch(pr, *e, pinned);
+    return;
+  }
+  ++misses_;
+  proc.delay(registration_cost(len));
+  insert(pr, addr, len, pinned);
+}
+
+void RegistrationCache::register_async(int pe, const void* addr,
+                                       std::size_t len) {
+  PeRanges& pr = ranges_[pe];
+  auto key = reinterpret_cast<std::uintptr_t>(addr);
+  for (const auto& [base, n] : pr.registering) {
+    if (base <= key && key + len <= base + n) return;
+  }
+  ++misses_;
+  pr.helper_free =
+      sim::max(eng_.now(), pr.helper_free) + registration_cost(len);
+  pr.registering.emplace_back(key, len);
+  eng_.schedule_at(pr.helper_free, [this, pe, addr, len] {
+    PeRanges& r = ranges_[pe];
+    r.registering.pop_front();
+    if (find(pe, addr, len) == nullptr) insert(r, addr, len, /*pinned=*/false);
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <list>
 #include <map>
@@ -44,9 +45,17 @@ class RegistrationCache {
 
   /// Ensure [addr, addr+len) is registered for `pe`, charging the calling
   /// process the registration cost on a miss (a re-registration after an
-  /// LRU eviction pays it again).
+  /// LRU eviction pays it again). A `pinned` range is never evicted: a
+  /// runtime-owned staging buffer regrown after init registers this way.
   void get_or_register(sim::Process& proc, int pe, const void* addr,
-                       std::size_t len);
+                       std::size_t len, bool pinned = false);
+  /// Register [addr, addr+len) for `pe` on the PE's registration helper
+  /// instead of the calling process: the helper registers one range at a
+  /// time, in issue order, at the cost get_or_register charges, and the
+  /// range enters the cache (LRU, grow and eviction as a miss there) when
+  /// its registration ends. Counts a miss when issued; a range inside one
+  /// already on the helper is not registered twice.
+  void register_async(int pe, const void* addr, std::size_t len);
   /// Register without a calling process (used at init before PEs run);
   /// charges nothing — init-time registration cost is charged by the caller.
   /// Pinned: never evicted.
@@ -83,12 +92,25 @@ class RegistrationCache {
     std::size_t max_len = 0;
     // Dynamic entries, least recently used first.
     std::list<std::uintptr_t> lru;
+    // Ranges on the registration helper, in issue order (so completion
+    // order), and when the helper is free again.
+    std::deque<std::pair<std::uintptr_t, std::size_t>> registering;
+    sim::Time helper_free;
   };
 
   /// A registered range containing [addr, addr+len), or nullptr: the
   /// nearest one at or below addr if it covers, else any enclosing one.
   Entry* find(int pe, const void* addr, std::size_t len);
   const Entry* find(int pe, const void* addr, std::size_t len) const;
+  /// A use of `e`: a dynamic entry moves to the most-recent end of the LRU
+  /// order, or leaves it when `pin` pins it.
+  void touch(PeRanges& pr, Entry& e, bool pin);
+  /// What registering `len` bytes costs (SystemParams::mr_register_*).
+  sim::Duration registration_cost(std::size_t len) const;
+  /// Enter a registered range that `find` does not cover: extend an entry
+  /// at the same base in place (a grow), else add one, evicting the least
+  /// recently used dynamic entries beyond the capacity.
+  void insert(PeRanges& pr, const void* addr, std::size_t len, bool pinned);
 
   sim::Engine& eng_;
   const hw::SystemParams& params_;

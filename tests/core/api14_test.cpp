@@ -12,6 +12,7 @@
 
 #include "core/report.hpp"
 #include "gdrshmem/shmem.h"
+#include "sim/fault.hpp"
 #include "test_util.hpp"
 
 namespace gdrshmem {
@@ -419,6 +420,73 @@ TEST(FromEnv, LoopbackReadLimitSteersAnIntraNodeDevicePut) {
   EXPECT_STREQ(core::to_string(protocol_of_put()), "ipc-copy");
   ScopedEnv e("GDRSHMEM_LOOPBACK_GDR_READ_LIMIT", "64K");
   EXPECT_STREQ(core::to_string(protocol_of_put()), "loopback-gdr");
+}
+
+TEST(FromEnv, ProxyTimeoutAndReissueBudgetParse) {
+  {
+    ScopedEnv e1("GDRSHMEM_PROXY_TIMEOUT_US", "250.5");
+    ScopedEnv e2("GDRSHMEM_PROXY_MAX_REISSUES", "3");
+    const core::Tuning t = RuntimeOptions::from_env().tuning;
+    EXPECT_DOUBLE_EQ(t.proxy_timeout_us, 250.5);
+    EXPECT_EQ(t.proxy_max_reissues, 3);
+  }
+  for (const char* var :
+       {"GDRSHMEM_PROXY_TIMEOUT_US", "GDRSHMEM_PROXY_MAX_REISSUES"}) {
+    for (const char* bad : {"0", "-5", "soon"}) {
+      SCOPED_TRACE(std::string(var) + "=" + bad);
+      ScopedEnv e(var, bad);
+      EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
+    }
+  }
+}
+
+/// Runs a 4 MiB get through node 1's proxy, which crashes 300 us in and
+/// restarts 300 us later, under the environment's tuning; returns the get's
+/// virtual time and the reissues it took.
+std::pair<double, std::uint64_t> get_across_proxy_crash() {
+  RuntimeOptions opts = RuntimeOptions::from_env();
+  opts.transport = TransportKind::kEnhancedGdr;
+  opts.host_heap_bytes = 16u << 20;
+  opts.gpu_heap_bytes = 16u << 20;
+  opts.faults = sim::FaultPlan::parse("crash=1@300");
+  constexpr std::size_t n = 4u << 20;
+  double us = 0;
+  auto rt = run_spmd(make_cluster(2, 1), opts, [&](Ctx& ctx) {
+    void* src = ctx.shmalloc(n, Domain::kGpu);
+    void* dst = ctx.cuda_malloc(n);
+    ctx.barrier_all();
+    if (ctx.my_pe() == 0) {
+      const sim::Time t0 = ctx.now();
+      ctx.getmem(dst, src, n, 1);
+      us = (ctx.now() - t0).to_us();
+    }
+    ctx.barrier_all();
+  });
+  return {us, rt->faults().count(sim::FaultEvent::kProxyReissue)};
+}
+
+TEST(FromEnv, ProxyTimeoutSetsWhenAStalledTransferIsReissued) {
+  // The requester reissues once a stage of the transfer has waited the
+  // timeout: the default 4 ms, or 1 ms.
+  const auto [slow_us, slow_reissues] = get_across_proxy_crash();
+  ScopedEnv e("GDRSHMEM_PROXY_TIMEOUT_US", "1000");
+  const auto [fast_us, fast_reissues] = get_across_proxy_crash();
+  EXPECT_EQ(slow_reissues, 1u);
+  EXPECT_EQ(fast_reissues, 1u);
+  EXPECT_NEAR(slow_us - fast_us, 3000.0, 1.0);
+}
+
+TEST(FromEnv, ProxyMaxReissuesBoundsTheReissues) {
+  // With a 200 us timeout the requester gives up on the crashed proxy twice
+  // before it restarts: a budget of 1 reissue fails the get, 2 let it
+  // complete.
+  ScopedEnv timeout("GDRSHMEM_PROXY_TIMEOUT_US", "200");
+  {
+    ScopedEnv budget("GDRSHMEM_PROXY_MAX_REISSUES", "2");
+    EXPECT_EQ(get_across_proxy_crash().second, 2u);
+  }
+  ScopedEnv budget("GDRSHMEM_PROXY_MAX_REISSUES", "1");
+  EXPECT_THROW(get_across_proxy_crash(), ShmemError);
 }
 
 }  // namespace

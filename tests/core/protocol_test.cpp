@@ -75,6 +75,11 @@ TEST_P(EnhancedProtocolSelection, PicksPaperProtocol) {
     unsigned char* local = host_local.data();
     if (c.local_dev) local = static_cast<unsigned char*>(ctx.cuda_malloc(c.bytes));
     for (std::size_t i = 0; i < c.bytes; ++i) local[i] = pattern(kSourceSeed, i);
+    // Section III's protocol is the one a registered buffer takes: a large
+    // inter-node transfer on an unregistered one runs a staged sibling
+    // while the buffer registers (DESIGN §5j).
+    ctx.runtime().verbs().reg_cache().get_or_register(ctx.proc(), me, local,
+                                                      c.bytes);
     ctx.barrier_all();
     if (me == 0) {
       ops_before = ctx.runtime().stats().ops(c.expected);
@@ -227,6 +232,9 @@ TEST(ProtocolSelection, ProxyDisabledFallsBackToDirect) {
     void* g = ctx.shmalloc(1u << 20, Domain::kGpu);
     void* local = ctx.cuda_malloc(1u << 20);
     if (ctx.my_pe() == 0) {
+      // Registered first, or the get would stage while it registers.
+      ctx.runtime().verbs().reg_cache().get_or_register(ctx.proc(), 0, local,
+                                                        1u << 20);
       ctx.getmem(local, g, 1u << 20, 1);  // large D-D get
     }
     ctx.barrier_all();

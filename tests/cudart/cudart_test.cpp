@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 namespace gdrshmem::cudart {
@@ -90,16 +91,41 @@ TEST(CudaRuntime, MemcpyMovesBytesAndChargesTime) {
             reinterpret_cast<unsigned char*>(host.data()) + 1024, 0);
   sim::Time h2d_done;
   f.eng.spawn("pe", [&](sim::Process& p) {
-    f.cuda.memcpy_sync(p, d, host.data(), 1024);
+    f.cuda.memcpy_sync(p, 0, d, host.data(), 1024);
     h2d_done = f.eng.now();
     std::vector<std::byte> back(1024);
-    f.cuda.memcpy_sync(p, back.data(), d, 1024);
+    f.cuda.memcpy_sync(p, 0, back.data(), d, 1024);
     EXPECT_EQ(std::memcmp(back.data(), host.data(), 1024), 0);
   });
   f.eng.run();
   // H2D of 1 KB: launch overhead dominates; must be > 5 us and < 10 us.
   EXPECT_GT(h2d_done.to_us(), 5.0);
   EXPECT_LT(h2d_done.to_us(), 10.0);
+}
+
+TEST(CudaRuntime, HostCopiesRunOnTheCallersNode) {
+  // Processes on two nodes copy 4 MiB host to host at the same instant:
+  // each copy loads only its own node's memory, so both end when one copy
+  // alone would.
+  Fixture f;
+  constexpr std::size_t n = 4u << 20;
+  std::vector<std::byte> src(n, std::byte{7});
+  std::vector<std::byte> dst[2] = {std::vector<std::byte>(n),
+                                   std::vector<std::byte>(n)};
+  sim::Time end[2];
+  for (int node : {0, 1}) {
+    f.eng.spawn("pe" + std::to_string(node), [&, node](sim::Process& p) {
+      f.cuda.memcpy_sync(p, node, dst[node].data(), src.data(), n);
+      end[node] = f.eng.now();
+    });
+  }
+  f.eng.run();
+  const hw::SystemParams& prm = f.cfg.params;
+  const double alone_us = prm.host_memcpy_overhead_us +
+                          static_cast<double>(n) / prm.host_memcpy_bw_mbps;
+  EXPECT_NEAR(end[0].to_us(), alone_us, 0.01);
+  EXPECT_EQ(end[0], end[1]);
+  EXPECT_EQ(dst[1], src);
 }
 
 TEST(CudaRuntime, MemcpyCrossNodeDeviceToDeviceThrows) {
@@ -109,7 +135,7 @@ TEST(CudaRuntime, MemcpyCrossNodeDeviceToDeviceThrows) {
   bool threw = false;
   f.eng.spawn("pe", [&](sim::Process& p) {
     try {
-      f.cuda.memcpy_sync(p, d1, d0, 64);
+      f.cuda.memcpy_sync(p, 0, d1, d0, 64);
     } catch (const CudaError&) {
       threw = true;
     }
@@ -125,9 +151,9 @@ TEST(CudaRuntime, LargeCopyTimeScalesWithSize) {
   sim::Time t_small, t_large;
   f.eng.spawn("pe", [&](sim::Process& p) {
     sim::Time start = f.eng.now();
-    f.cuda.memcpy_sync(p, d, host.data(), 1u << 20);
+    f.cuda.memcpy_sync(p, 0, d, host.data(), 1u << 20);
     t_small = f.eng.now();
-    f.cuda.memcpy_sync(p, d, host.data(), 8u << 20);
+    f.cuda.memcpy_sync(p, 0, d, host.data(), 8u << 20);
     t_large = f.eng.now();
     (void)start;
   });

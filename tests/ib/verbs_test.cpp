@@ -68,6 +68,74 @@ TEST(RegistrationCache, EnclosingRangeCoversAnInnerOneRegisteredFirst) {
   EXPECT_FALSE(rc.covered(0, buf.data() + (512 << 10), (512 << 10) + 1));
 }
 
+TEST(RegistrationCache, AsyncRegistrationsQueueOnEachPesHelper) {
+  // PE 0's helper registers two ranges one after the other, each entering
+  // the cache when its registration ends; a range inside one still
+  // registering is not registered again; PE 1's helper runs alongside.
+  Fixture f;
+  std::vector<std::byte> a(1 << 20), b(2 << 20), c(1 << 20);
+  RegistrationCache& rc = f.verbs.reg_cache();
+  const hw::SystemParams& p = f.cluster.params();
+  auto cost = [&p](std::size_t n) {
+    return sim::Duration::us(p.mr_register_base_us +
+                             p.mr_register_per_mb_us *
+                                 static_cast<double>(n) / 1e6);
+  };
+  rc.register_async(0, a.data(), a.size());
+  rc.register_async(0, b.data(), b.size());
+  rc.register_async(0, a.data() + 64, 4096);
+  rc.register_async(1, c.data(), c.size());
+  EXPECT_EQ(rc.misses(), 3u);  // counted when issued
+  f.eng.spawn("pe", [&](sim::Process& proc) {
+    proc.delay(cost(a.size()) - sim::Duration::ns(1));
+    EXPECT_FALSE(rc.covered(0, a.data(), a.size()));
+    EXPECT_FALSE(rc.covered(1, c.data(), c.size()));
+    proc.delay(sim::Duration::ns(1));
+    EXPECT_TRUE(rc.covered(0, a.data(), a.size()));
+    EXPECT_TRUE(rc.covered(1, c.data(), c.size()));
+    EXPECT_FALSE(rc.covered(0, b.data(), b.size()));
+    proc.delay(cost(b.size()));
+    EXPECT_TRUE(rc.covered(0, b.data(), b.size()));
+  });
+  f.eng.run();
+  EXPECT_EQ(rc.misses(), 3u);
+  EXPECT_EQ(rc.hits(), 0u);
+}
+
+TEST(RegistrationCache, AsyncRegistrationEvictsLikeAMiss) {
+  // A finished helper registration enters the LRU order: beyond the
+  // capacity the least recently used dynamic range goes.
+  Fixture f;
+  std::vector<std::byte> a(64 << 10), b(64 << 10);
+  RegistrationCache& rc = f.verbs.reg_cache();
+  rc.set_capacity(1);
+  rc.register_async(0, a.data(), a.size());
+  rc.register_async(0, b.data(), b.size());
+  f.eng.run();
+  EXPECT_FALSE(rc.covered(0, a.data(), a.size()));
+  EXPECT_TRUE(rc.covered(0, b.data(), b.size()));
+  EXPECT_EQ(rc.evictions(), 1u);
+}
+
+TEST(RegistrationCache, PinnedRegistrationIsNeverEvicted) {
+  // A pinned range (a regrown staging buffer) costs a miss like any other
+  // and stays registered past the capacity.
+  Fixture f;
+  std::vector<std::byte> pinned(1 << 20), a(64 << 10), b(64 << 10);
+  RegistrationCache& rc = f.verbs.reg_cache();
+  rc.set_capacity(1);
+  f.eng.spawn("pe", [&](sim::Process& p) {
+    rc.get_or_register(p, 0, pinned.data(), pinned.size(), /*pinned=*/true);
+    rc.get_or_register(p, 0, a.data(), a.size());
+    rc.get_or_register(p, 0, b.data(), b.size());
+  });
+  f.eng.run();
+  EXPECT_TRUE(rc.covered(0, pinned.data(), pinned.size()));
+  EXPECT_FALSE(rc.covered(0, a.data(), a.size()));
+  EXPECT_EQ(rc.misses(), 3u);
+  EXPECT_EQ(rc.evictions(), 1u);
+}
+
 TEST(RegistrationCache, PerPeIsolation) {
   Fixture f;
   std::vector<std::byte> buf(4096);
