@@ -31,16 +31,18 @@ done
 # ProxyGetPipeline so the staged proxy-get's landed notices do (srd is where
 # a notice could overtake its chunk), NbiCopyOverlap so an nbi
 # intra-node copy queued on the stream overlaps each QP kind's other-node
-# op and still completes at quiet(), and RegistrationMiss so a first use of
+# op and still completes at quiet(), RegistrationMiss so a first use of
 # an unregistered buffer stages every byte through the bounce slots, and
-# its reuse goes zero-copy, on each QP kind.
+# its reuse goes zero-copy, on each QP kind, and DeviceGetPipeline so a
+# kernel-issued get that the proxy pulls through its staging slots lands
+# every byte on each QP kind.
 # (Timing-assertion suites stay on their pinned configs — transports move
 # the clock, never the bytes.)
 for ib_transport in rc ud dc srd; do
   echo "== ib-transport A/B: GDRSHMEM_IB_TRANSPORT=$ib_transport =="
   (cd build && GDRSHMEM_IB_TRANSPORT=$ib_transport \
      ctest --output-on-failure \
-       -R 'TransportDiff|Fuzz|OddSizes|EnhancedProtocolSelection|ProxyPutPipeline|ProxyGetPipeline|NbiCopyOverlap|RegistrationMiss')
+       -R 'TransportDiff|Fuzz|OddSizes|EnhancedProtocolSelection|ProxyPutPipeline|ProxyGetPipeline|NbiCopyOverlap|RegistrationMiss|DeviceGetPipeline')
 done
 
 # Benchmark build + smoke: perfbench compiles ../src on its own and reads
@@ -53,6 +55,11 @@ python3 perfbench/selftest.py
 # build-scan/ (~2 min on 4 cores); fails when a global function defined in
 # src/ is linked into no test, bench or example binary.
 python3 scripts/api_scan.py
+
+# Knob census: fails when a GDRSHMEM_* variable RuntimeOptions::from_env
+# parses is named by no file under tests/, or when the parser's known: list
+# differs from what it parses (reads options.cpp and tests/, builds nothing).
+python3 scripts/knob_scan.py
 
 scripts/check_sanitize.sh
 

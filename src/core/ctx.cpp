@@ -342,9 +342,7 @@ void Ctx::launch_kernel(std::size_t cells, double per_cell_ns,
 void Ctx::compute(sim::Duration d) {
   // The service-thread design steals CPU resources from the application
   // (Section III-C: "threads will consume half of the CPU resources").
-  if (rt_->options().service_thread) {
-    d = d * (1.0 + rt_->options().service_thread_compute_penalty);
-  }
+  if (rt_->options().service_thread) d = d * 2.0;
   proc().delay(d);
 }
 

@@ -394,8 +394,10 @@ class Ctx {
   /// The bounce buffer's two slots. They outlive the call that staged a
   /// chunk, so a later call waits for a chunk an earlier one still sends.
   StagingSlots& bounce_slots() { return bounce_slots_; }
-  /// Block `worker` until neither bounce slot has a chunk in flight, before
-  /// writing the bounce outside the slot rule or growing it.
+  /// Block `worker` until neither bounce slot has a chunk in flight: in a
+  /// StagedPipeline that changes the slot size, and before the staged
+  /// proxy-get or the host pipeline's whole-message bounce writes the
+  /// bounce outside the slot rule or grows it.
   void drain_bounce(sim::Process& worker);
   cudart::Stream& stream() { return stream_; }
   /// Target-side rendezvous staging (baseline): serialized by a busy flag.

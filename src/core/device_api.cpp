@@ -112,10 +112,11 @@ class GpuIbBackend final : public DeviceBackend {
     const ProtocolSelector& sel = rt_.selector();
     const bool blocked = sel.gdr_blocked(op, me);
     if (blocked) rt_.faults().on_event(sim::FaultEvent::kGdrFallback, me);
-    if (!op.same_node && (blocked || sel.offload_staged(op, is_get, me))) {
-      // Either the HCA can no longer DMA a GPU leg (P2P revoked) or the
-      // message is too large for one direct GDR posting: hand the op to the
-      // host proxy, which runs the staged protocols on our behalf.
+    const Protocol offloaded = sel.select_offload(op, is_get, me);
+    if (offloaded == Protocol::kProxyPut || offloaded == Protocol::kProxyGet) {
+      // The message is too large for one direct GDR posting, or the HCA can
+      // no longer DMA a GPU leg (P2P revoked): hand the op to the host
+      // proxy, which runs the staged protocols on our behalf.
       if (rt_.tuning().use_proxy && rt_.proxies_enabled()) {
         auto cmd = std::make_shared<DeviceCmd>();
         cmd->op = is_get ? DeviceCmd::Op::kGet : DeviceCmd::Op::kPut;

@@ -102,35 +102,13 @@ void EnhancedGdrTransport::pipeline_gdr_write(Ctx& ctx, const RmaOp& op) {
 }
 
 void EnhancedGdrTransport::host_staged_get(Ctx& ctx, const RmaOp& op) {
-  // RDMA-read chunks into host staging, then H->D copy them locally —
+  // RDMA-read chunks into the bounce slots, then H->D copy them locally —
   // avoids an inter-socket GDR write into our own GPU, or registering a
   // destination the cache does not cover (which may be host memory: H->H).
-  // Each read is awaited before the copy that consumes it, so a slot's guard
-  // is its copy's event, not a network completion (hence no StagedPipeline
-  // here); an earlier call's chunks still in the bounce slots go out first.
   ctx.count_protocol(Protocol::kHostStagedGet, op.bytes);
-  const int me = ctx.my_pe();
-  const std::size_t chunk = rt_.tuning().pipeline_chunk;
-  ctx.drain_bounce(ctx.proc());
-  std::byte* bounce = ctx.bounce(2 * chunk);
-  auto* local_bytes = static_cast<std::byte*>(op.local);
-  auto* remote_bytes = static_cast<const std::byte*>(op.remote);
-  std::shared_ptr<cudart::CudaEvent> h2d[2];
-  for (std::size_t off = 0; off < op.bytes; off += chunk) {
-    std::size_t c = std::min(chunk, op.bytes - off);
-    std::size_t s = (off / chunk) % 2;
-    std::byte* slot = bounce + s * chunk;
-    if (h2d[s]) h2d[s]->synchronize(ctx.proc());  // staging slot reusable
-    // Reads are idempotent into the staging slot: replay in place.
-    ctx.await_reliable(ctx.proc(), [this, &ctx, me, slot, target = op.target_pe,
-                                    src = remote_bytes + off, c] {
-      return rt_.ib().rdma_read(ctx.proc(), me, slot, target, src, c);
-    });
-    h2d[s] = rt_.cuda().memcpy_async(local_bytes + off, slot, c, ctx.stream());
-  }
-  for (auto& ev : h2d) {
-    if (ev) ev->synchronize(ctx.proc());
-  }
+  detail::StagedPipeline(ctx, ctx.proc(), rt_.tuning().pipeline_chunk)
+      .pull(ctx.my_pe(), op.target_pe, static_cast<const std::byte*>(op.remote),
+            static_cast<std::byte*>(op.local), op.bytes, ctx.stream());
 }
 
 void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,

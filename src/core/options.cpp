@@ -155,9 +155,6 @@ RuntimeOptions RuntimeOptions::from_env() {
       }
     } else if (key == "GDRSHMEM_SERVICE_THREAD") {
       opts.service_thread = env_bool(key, value);
-    } else if (key == "GDRSHMEM_SERVICE_THREAD_PENALTY") {
-      opts.service_thread_compute_penalty = env_double(key, value);
-      if (opts.service_thread_compute_penalty < 1.0) bad(key, "must be >= 1");
     } else if (key == "GDRSHMEM_USE_PROXY") {
       opts.tuning.use_proxy = env_bool(key, value);
     } else if (key == "GDRSHMEM_EAGER_LIMIT") {
@@ -309,7 +306,7 @@ RuntimeOptions RuntimeOptions::from_env() {
           "unknown GDRSHMEM_* variable (known: SIM_BACKEND, SIM_QUEUE, "
           "SIM_BATCH, SIM_FIBER_SWITCH, SIM_STACK_KB, SIM_STACK_POOL, "
           "TRANSPORT, HOST_HEAP, GPU_HEAP, PMEM_HEAP, SERVICE_THREAD, "
-          "SERVICE_THREAD_PENALTY, USE_PROXY, EAGER_LIMIT, PIPELINE_CHUNK, "
+          "USE_PROXY, EAGER_LIMIT, PIPELINE_CHUNK, "
           "LOOPBACK_GDR_WRITE_LIMIT, LOOPBACK_GDR_READ_LIMIT, "
           "DIRECT_GDR_WRITE_LIMIT, DIRECT_GDR_READ_LIMIT, "
           "INTER_SOCKET_GDR_DIVISOR, COLL_ALGO, "

@@ -130,11 +130,15 @@ Protocol ProtocolSelector::select_get(const RmaOp& op, int issuer) const {
   return Protocol::kDirectGdr;
 }
 
-bool ProtocolSelector::offload_staged(const RmaOp& op, bool is_get,
-                                      int issuer) const {
-  if (op.same_node) return false;
-  if (!op.local_is_device && op.remote_domain != Domain::kGpu) return false;
-  return op.bytes > gdr_limit(op, is_get, /*intra_node=*/false, issuer);
+Protocol ProtocolSelector::select_offload(const RmaOp& op, bool is_get,
+                                          int issuer) const {
+  const bool dev_leg = op.local_is_device || op.remote_domain == Domain::kGpu;
+  if (op.same_node) return dev_leg ? Protocol::kIpcCopy : Protocol::kHostShm;
+  if (!dev_leg) return Protocol::kDirectRdma;
+  if (op.bytes <= gdr_limit(op, is_get, /*intra_node=*/false, issuer)) {
+    return Protocol::kDirectGdr;
+  }
+  return is_get ? Protocol::kProxyGet : Protocol::kProxyPut;
 }
 
 }  // namespace gdrshmem::core

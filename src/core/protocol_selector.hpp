@@ -57,10 +57,13 @@ class ProtocolSelector {
   std::size_t gdr_limit(const RmaOp& op, bool is_get, bool intra_node,
                         int issuer) const;
 
-  /// For the host-side progress engine serving a device-offloaded op: true
-  /// when the op is too large for a single direct posting and must be
-  /// chunked through the proxy's staging buffer.
-  bool offload_staged(const RmaOp& op, bool is_get, int issuer) const;
+  /// Protocol the proxy runs for a device command: a put (or a get when
+  /// `is_get`) from `issuer`'s kernel. ipc-copy or host-shm on the same
+  /// node; direct-rdma between host buffers; direct-gdr within the
+  /// direct-GDR window; past it (a revoked GPU leg's window is 0) proxy-put
+  /// or proxy-get, chunked through the proxy's staging. GPU-IB offloads
+  /// exactly the ops this sends to proxy-put or proxy-get.
+  Protocol select_offload(const RmaOp& op, bool is_get, int issuer) const;
 
  private:
   bool proxy_usable() const;

@@ -15,7 +15,7 @@ namespace gdrshmem::core {
 using sim::Duration;
 
 ProxyDaemon::ProxyDaemon(Runtime& rt, int node, std::size_t staging_bytes)
-    : rt_(rt), node_(node), staging_(staging_bytes) {
+    : rt_(rt), node_(node), staging_(staging_bytes), stream_(node, 0) {
   // Proxy staging is registered under the node's service endpoint so PEs
   // can RDMA-write into it.
   rt_.verbs().reg_cache().register_at_init(endpoint(), staging_.data(),
@@ -26,6 +26,14 @@ int ProxyDaemon::endpoint() const { return rt_.cluster().service_endpoint(node_)
 
 std::size_t ProxyDaemon::staging_chunk() const {
   return std::min(rt_.tuning().pipeline_chunk, staging_.size() / 2);
+}
+
+std::size_t ProxyDaemon::claim_staging(std::size_t bytes) {
+  const std::size_t chunk = staging_chunk();
+  rt_.metrics()
+      .gauge("proxy/staging_used_bytes")
+      .set(std::min(2 * chunk, bytes));
+  return chunk;
 }
 
 void ProxyDaemon::post_request(Ctx& ctx, std::size_t n, CtrlMsg msg) {
@@ -153,10 +161,7 @@ void ProxyDaemon::do_put(sim::Process& self, CtrlMsg& req) {
   auto st = std::static_pointer_cast<ProxyPutState>(req.state);
   const int requester = req.from;
   Runtime& rt = rt_;
-  const std::size_t chunk = staging_chunk();
-  rt_.metrics()
-      .gauge("proxy/staging_used_bytes")
-      .set(std::min(2 * chunk, req.bytes));
+  const std::size_t chunk = claim_staging(req.bytes);
   rt_.ib().post_send(self, endpoint(), requester, 16,
                         [st, this, &rt, requester] {
                           st->staging = staging_.data();
@@ -217,52 +222,52 @@ void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
   const int requester = cmd->requester;
   Ctx& rctx = rt_.ctx(requester);
   const RmaOp& op = cmd->rma;
-  const TraceEvent::Kind kind = cmd->kind();
-
-  switch (cmd->op) {
-    case DeviceCmd::Op::kAmo: {
-      rctx.count_protocol(kind, Protocol::kAtomicHw, sizeof(std::uint64_t));
-      rctx.await_reliable(self, [this, &self, &cmd] {
-        return rt_.ib().atomic(self, endpoint(), cmd->rma.target_pe,
-                               cmd->amo_word, cmd->amo, cmd->amo_result.get());
-      });
-      break;
-    }
-    case DeviceCmd::Op::kPut:
-    case DeviceCmd::Op::kGet: {
-      const bool is_get = cmd->op == DeviceCmd::Op::kGet;
-      const bool dev_leg =
-          op.local_is_device || op.remote_domain == Domain::kGpu;
-      if (op.same_node) {
+  if (cmd->op == DeviceCmd::Op::kAmo) {
+    rctx.count_protocol(cmd->kind(), Protocol::kAtomicHw,
+                        sizeof(std::uint64_t));
+    rctx.await_reliable(self, [this, &self, &cmd] {
+      return rt_.ib().atomic(self, endpoint(), cmd->rma.target_pe,
+                             cmd->amo_word, cmd->amo, cmd->amo_result.get());
+    });
+  } else {
+    const bool is_get = cmd->op == DeviceCmd::Op::kGet;
+    const Protocol proto =
+        rt_.selector().select_offload(op, is_get, requester);
+    rctx.count_protocol(cmd->kind(), proto, op.bytes);
+    auto* local = static_cast<std::byte*>(op.local);
+    auto* remote = static_cast<std::byte*>(op.remote);
+    switch (proto) {
+      case Protocol::kIpcCopy:
+      case Protocol::kHostShm:
         // Peer copy through our IPC mappings — one hop, no network.
-        void* dst = is_get ? op.local : op.remote;
-        const void* src = is_get ? op.remote : op.local;
-        rctx.count_protocol(
-            kind, dev_leg ? Protocol::kIpcCopy : Protocol::kHostShm, op.bytes);
-        rt_.cuda().memcpy_sync(self, node_, dst, src, op.bytes);
+        rt_.cuda().memcpy_sync(self, node_, is_get ? local : remote,
+                               is_get ? remote : local, op.bytes);
         rt_.notify_pe(op.target_pe);
-      } else if (!rt_.selector().offload_staged(op, is_get, requester)) {
-        // Small enough for one direct posting from this node's HCA, issued
-        // under the requester's endpoint, so the Verbs registration rule
-        // and delivery match a host-initiated call.
-        rctx.count_protocol(
-            kind, dev_leg ? Protocol::kDirectGdr : Protocol::kDirectRdma,
-            op.bytes);
-        auto post = [this, &self, requester, &op, is_get] {
+        break;
+      case Protocol::kProxyPut:
+        // The reverse pipeline run at the source node; the final write
+        // lands directly in the target heap.
+        stream_out(self, rctx, local, op.target_pe, remote, op.bytes);
+        break;
+      case Protocol::kProxyGet:
+        // host-staged-get's pull through our staging, copied out on our
+        // own stream.
+        detail::StagedPipeline(rctx, self, staging_.data(),
+                               claim_staging(op.bytes))
+            .pull(endpoint(), op.target_pe, remote, local, op.bytes, stream_);
+        break;
+      default:
+        // direct-gdr or direct-rdma: one posting from this node's HCA,
+        // issued under the requester's endpoint, so the Verbs registration
+        // rule and delivery match a host-initiated call.
+        rctx.await_reliable(self, [this, &self, requester, &op, is_get] {
           if (is_get) {
             return rt_.ib().rdma_read(self, requester, op.local,
-                                         op.target_pe, op.remote, op.bytes);
+                                      op.target_pe, op.remote, op.bytes);
           }
           return rt_.ib().rdma_write(self, requester, op.local,
-                                        op.target_pe, op.remote, op.bytes);
-        };
-        rctx.await_reliable(self, post);
-      } else if (is_get) {
-        staged_device_get(self, rctx, op);
-      } else {
-        staged_device_put(self, rctx, op);
-      }
-      break;
+                                     op.target_pe, op.remote, op.bytes);
+        });
     }
   }
   // Completion notification: the CQ entry (or ring status word) the kernel
@@ -271,50 +276,11 @@ void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
   detail::send_done(rt_, self, endpoint(), requester, cmd->done);
 }
 
-void ProxyDaemon::staged_device_put(sim::Process& self, Ctx& rctx,
-                                    const RmaOp& op) {
-  // Large device-initiated put: D->H IPC chunks out of the requester's GPU
-  // heap into our staging, RDMA-write each chunk out — the do_get pipeline
-  // shape, running at the *source* node. The final write lands directly in
-  // the target heap (a GDR leg when the target is GPU-resident).
-  rctx.count_protocol(TraceEvent::Kind::kPut, Protocol::kProxyPut, op.bytes);
-  stream_out(self, rctx, static_cast<const std::byte*>(op.local), op.target_pe,
-             static_cast<std::byte*>(op.remote), op.bytes);
-}
-
-void ProxyDaemon::staged_device_get(sim::Process& self, Ctx& rctx,
-                                    const RmaOp& op) {
-  // Large device-initiated get: RDMA-read chunks into our staging, then
-  // H->D IPC them into the requester's buffer. Reads into staging are
-  // idempotent, so fault replays re-post in place.
-  const int requester = rctx.my_pe();
-  const std::size_t chunk =
-      std::min(rt_.tuning().pipeline_chunk, staging_.size());
-  rctx.count_protocol(TraceEvent::Kind::kGet, Protocol::kProxyGet, op.bytes);
-  rt_.metrics()
-      .gauge("proxy/staging_used_bytes")
-      .set(std::min(chunk, op.bytes));
-  auto* src = static_cast<const std::byte*>(op.remote);
-  auto* dst = static_cast<std::byte*>(op.local);
-  for (std::size_t off = 0; off < op.bytes; off += chunk) {
-    std::size_t c = std::min(chunk, op.bytes - off);
-    rctx.await_reliable(self, [this, &self, target = op.target_pe, src, off, c] {
-      return rt_.ib().rdma_read(self, endpoint(), staging_.data(), target,
-                                src + off, c);
-    });
-    rt_.cuda().memcpy_sync(self, node_, dst + off, staging_.data(), c);
-  }
-  rt_.notify_pe(requester);
-}
-
 bool ProxyDaemon::stream_out(sim::Process& self, Ctx& owner,
                              const std::byte* src, int target, std::byte* dst,
                              std::size_t bytes,
                              const std::shared_ptr<ProxyGetState>& staged) {
-  const std::size_t chunk = staging_chunk();
-  rt_.metrics()
-      .gauge("proxy/staging_used_bytes")
-      .set(std::min(2 * chunk, bytes));
+  const std::size_t chunk = claim_staging(bytes);
   detail::StagedPipeline pipe(owner, self, staging_.data(), chunk);
   for (std::size_t off = 0; off < bytes; off += chunk) {
     const std::size_t c = std::min(chunk, bytes - off);

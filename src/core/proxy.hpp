@@ -16,6 +16,15 @@
 //   * kProxyPutReq/kProxyPutFin: the requester streams chunks over RDMA
 //     into two proxy staging slots, one fin per chunk; the proxy performs
 //     each chunk's final H->D IPC copy while the next chunk is on the wire.
+//   * kDeviceCmd: a local kernel's reverse-offload command, run under the
+//     protocol ProtocolSelector::select_offload names: a peer copy through
+//     the IPC mappings, one posting, the reverse pipeline for a proxy-put,
+//     or host-staged-get's detail::StagedPipeline::pull through the proxy
+//     staging, copied out on the proxy's own stream, for a proxy-get. The
+//     copy and the posting run here rather than through
+//     detail::run_unstaged, because they run on the proxy's process and IPC
+//     mappings and every posting is awaited before the kernel's completion
+//     fires.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +32,7 @@
 #include <optional>
 
 #include "core/ctrl.hpp"
+#include "cudart/cudart.hpp"
 #include "sim/engine.hpp"
 #include "sim/future.hpp"
 #include "sim/mailbox.hpp"
@@ -32,7 +42,6 @@ namespace gdrshmem::core {
 
 class Runtime;
 class Ctx;
-struct RmaOp;
 
 /// Shared state of one proxy-put transfer, carried in the control messages.
 struct ProxyPutState {
@@ -88,16 +97,12 @@ class ProxyDaemon {
   void do_get(sim::Process& self, CtrlMsg& msg);
   void do_put(sim::Process& self, CtrlMsg& req);
   /// Execute one reverse-offload command descriptor (device-initiated op)
-  /// on behalf of a local PE's kernel: peer copies intra-node, a single
-  /// posting or the staged pipelines inter-node, hardware atomics. Fires
+  /// on behalf of a local PE's kernel, under the protocol
+  /// ProtocolSelector::select_offload names (hardware atomics aside). Fires
   /// the command's completion through a send back to the requester (the CQ
   /// entry the kernel polls).
   void do_device_cmd(sim::Process& self, CtrlMsg& msg);
-  /// The staged pipelines behind oversized device commands (do_get shape,
-  /// run at the requester's node).
-  void staged_device_put(sim::Process& self, Ctx& rctx, const RmaOp& op);
-  void staged_device_get(sim::Process& self, Ctx& rctx, const RmaOp& op);
-  /// The reverse pipeline (Fig 5) behind do_get and staged_device_put:
+  /// The reverse pipeline (Fig 5) behind do_get and a device proxy-put:
   /// IPC-copy each chunk of `src` into a two-slot staging window and
   /// RDMA-write it to `target`'s `dst`; returns once every chunk landed.
   /// `owner`'s replay budget covers the chunks. With `staged`, `dst` is the
@@ -115,10 +120,16 @@ class ProxyDaemon {
                                  const std::shared_ptr<void>& state,
                                  std::size_t offset);
   void restart();
+  /// staging_chunk() for a transfer of `bytes` served here, recording the
+  /// staging it occupies in the proxy/staging_used_bytes gauge.
+  std::size_t claim_staging(std::size_t bytes);
 
   Runtime& rt_;
   int node_;
   sim::ZeroPages staging_;
+  /// The proxy's own CUDA stream: a device proxy-get's copy-outs queue here,
+  /// never behind the requester's stream work.
+  cudart::Stream stream_;
   sim::Mailbox<CtrlMsg> mb_;
   std::deque<CtrlMsg> stash_;  // messages deferred while a transfer is active
   sim::Process* proc_ = nullptr;  // live daemon process (null while crashed)

@@ -109,12 +109,13 @@ inline void rdma_get(Ctx& ctx, const RmaOp& op, Protocol proto) {
 
 /// The two-slot staging pipeline behind every chunked protocol: the host
 /// rendezvous (Fig 1), pipeline-GDR-write (Fig 4), the proxy's reverse
-/// pipeline (Fig 5) and proxy-put's device-source bounce. Chunk k stages
-/// through slot k % 2 while chunk k - 1 is on the wire. Each slot keeps the
-/// completion of the last chunk posted from it and the closure that
-/// re-posts that chunk, so an error completion is replayed while the slot
-/// still holds the chunk's bytes. Without a fault plan every wait here is a
-/// plain wait.
+/// pipeline (Fig 5) and proxy-put's device-source bounce push chunks out;
+/// host-staged-get and the proxy's staged device get pull them in (pull()).
+/// Chunk k stages through slot k % 2 while chunk k - 1 is on the wire. Each
+/// slot keeps the completion of the last chunk posted from it and the
+/// closure that re-posts that chunk, so an error completion is replayed
+/// while the slot still holds the chunk's bytes. Without a fault plan every
+/// wait here is a plain wait.
 class StagedPipeline {
  public:
   using Post = std::function<sim::CompletionPtr()>;
@@ -169,6 +170,27 @@ class StagedPipeline {
   void post(std::size_t s, Post post) {
     sim::CompletionPtr comp = post();
     record(s, std::move(comp), std::move(post));
+  }
+
+  /// Pull `bytes` from `target`'s `src` into `dst`: chunk k is RDMA-read
+  /// from endpoint `ep` into slot k % 2 (a read replays in place) and then
+  /// copied out on `stream`, and that copy guards the slot, so the read of
+  /// chunk k + 1 overlaps the copy of chunk k. Returns once every chunk is
+  /// in `dst`.
+  void pull(int ep, int target, const std::byte* src, std::byte* dst,
+            std::size_t bytes, cudart::Stream& stream) {
+    Runtime& rt = owner_.runtime();
+    for_each_chunk(bytes, [&](std::size_t off, std::size_t c, std::size_t s) {
+      acquire(s);
+      std::byte* to = slot(s);
+      owner_.await_reliable(worker_, [this, &rt, ep, to, target,
+                                      from = src + off, c] {
+        return rt.ib().rdma_read(worker_, ep, to, target, from, c);
+      });
+      record(s, rt.cuda().memcpy_async(dst + off, to, c, stream)->completion(),
+             nullptr);
+    });
+    drain();
   }
 
   /// Wait for every slot's outstanding chunk, slot 0 then slot 1.

@@ -489,5 +489,138 @@ TEST(FromEnv, ProxyMaxReissuesBoundsTheReissues) {
   EXPECT_THROW(get_across_proxy_crash(), ShmemError);
 }
 
+/// Runs FaultInjection.LongFlapSurfacesErrorsAndSoftwareReplays's program
+/// (six 256 KiB host puts, each followed by quiet()) across a 5 ms flap of
+/// node 1's port under the environment's tuning; returns the puts' virtual
+/// time and the software replays. The test's own 2.5 ms flap needs a single
+/// replay, and a budget of 0 is rejected; 5 ms needs two.
+std::pair<double, std::uint64_t> puts_across_long_flap() {
+  RuntimeOptions opts = RuntimeOptions::from_env();
+  opts.transport = TransportKind::kEnhancedGdr;
+  opts.host_heap_bytes = 8u << 20;
+  opts.faults = sim::FaultPlan::parse("flap=1@40+5000");
+  constexpr std::size_t n = 256u << 10;
+  double us = 0;
+  auto rt = run_spmd(make_cluster(2, 1), opts, [&](Ctx& ctx) {
+    void* dst = ctx.shmalloc(n, Domain::kHost);
+    std::vector<unsigned char> buf(n);
+    if (ctx.my_pe() == 0) {
+      const sim::Time t0 = ctx.now();
+      for (int iter = 0; iter < 6; ++iter) {
+        ctx.putmem(dst, buf.data(), n, 1);
+        ctx.quiet();
+      }
+      us = (ctx.now() - t0).to_us();
+    }
+    ctx.barrier_all();
+  });
+  return {us, rt->faults().count(sim::FaultEvent::kSwReplay)};
+}
+
+TEST(FromEnv, ReplayBudgetAndBackoffBadValuesAreErrors) {
+  for (const char* bad : {"0", "-2", "many"}) {
+    SCOPED_TRACE(std::string("GDRSHMEM_MAX_SW_REPLAYS=") + bad);
+    ScopedEnv e("GDRSHMEM_MAX_SW_REPLAYS", bad);
+    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
+  }
+  for (const char* bad : {"0", "-1", "soon"}) {
+    SCOPED_TRACE(std::string("GDRSHMEM_REPLAY_BACKOFF_US=") + bad);
+    ScopedEnv e("GDRSHMEM_REPLAY_BACKOFF_US", bad);
+    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
+  }
+}
+
+TEST(FromEnv, MaxSwReplaysBoundsTheReplays) {
+  // One put outlasts the HCA's retry envelope twice: the default budget of
+  // 12 lets it complete after 2 software replays, a budget of 2 too, and a
+  // budget of 1 fails it.
+  EXPECT_EQ(puts_across_long_flap().second, 2u);
+  {
+    ScopedEnv e("GDRSHMEM_MAX_SW_REPLAYS", "2");
+    EXPECT_EQ(RuntimeOptions::from_env().tuning.max_sw_replays, 2);
+    EXPECT_EQ(puts_across_long_flap().second, 2u);
+  }
+  ScopedEnv e("GDRSHMEM_MAX_SW_REPLAYS", "1");
+  try {
+    puts_across_long_flap();
+    ADD_FAILURE() << "a budget of one replay let the puts complete";
+  } catch (const ShmemError& err) {
+    EXPECT_NE(std::string(err.what()).find("still failing after 1 software"),
+              std::string::npos)
+        << err.what();
+  }
+}
+
+TEST(FromEnv, ReplayBackoffSetsWhenTheReplaysFire) {
+  // Replay k waits base * 2^(k-1) first. From the default 25 us base the
+  // first replay fires while the port is still down and a second one is
+  // needed; a 2 ms first wait outlasts most of the outage, so one replay
+  // lands.
+  const auto [default_us, default_replays] = puts_across_long_flap();
+  ScopedEnv e("GDRSHMEM_REPLAY_BACKOFF_US", "2000");
+  EXPECT_DOUBLE_EQ(RuntimeOptions::from_env().tuning.replay_backoff_base_us,
+                   2000.0);
+  const auto [slow_us, slow_replays] = puts_across_long_flap();
+  EXPECT_EQ(default_replays, 2u);
+  EXPECT_EQ(slow_replays, 1u);
+  EXPECT_NE(slow_us, default_us);
+}
+
+TEST(FromEnv, EagerLimitSteersAnInterNodeHostPipelinePut) {
+  // A 4 KiB inter-node D-D put on the host pipeline goes eager under the
+  // default 8 KiB limit, and rendezvous under a 2 KiB one.
+  auto protocol_of_put = [] {
+    RuntimeOptions opts = RuntimeOptions::from_env();
+    opts.transport = TransportKind::kHostPipeline;
+    core::Protocol proto = core::Protocol::kCount_;
+    run_spmd(make_cluster(2, 1), opts, [&](Ctx& ctx) {
+      constexpr std::size_t n = 4u << 10;
+      void* dst = ctx.shmalloc(n, Domain::kGpu);
+      void* src = ctx.cuda_malloc(n);
+      if (ctx.my_pe() == 0) {
+        ctx.putmem(dst, src, n, 1);
+        proto = ctx.last_protocol();
+      }
+      ctx.barrier_all();
+    });
+    return proto;
+  };
+  EXPECT_STREQ(core::to_string(protocol_of_put()), "eager");
+  ScopedEnv e("GDRSHMEM_EAGER_LIMIT", "2K");
+  EXPECT_EQ(RuntimeOptions::from_env().tuning.eager_limit, 2048u);
+  EXPECT_STREQ(core::to_string(protocol_of_put()), "rendezvous");
+}
+
+TEST(FromEnv, ServiceThreadParses) {
+  {
+    ScopedEnv e("GDRSHMEM_SERVICE_THREAD", "1");
+    EXPECT_TRUE(RuntimeOptions::from_env().service_thread);
+  }
+  {
+    ScopedEnv e("GDRSHMEM_SERVICE_THREAD", "yes");
+    EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
+  }
+  // The thread's cost is the paper's half of the CPU, not a knob.
+  ScopedEnv e("GDRSHMEM_SERVICE_THREAD_PENALTY", "1");
+  EXPECT_THROW(RuntimeOptions::from_env(), ShmemError);
+}
+
+/// Virtual time Ctx::compute(100 us) takes under the environment's options.
+double compute_100us() {
+  double us = 0;
+  run_spmd(make_cluster(1, 1), RuntimeOptions::from_env(), [&](Ctx& ctx) {
+    const sim::Time t0 = ctx.now();
+    ctx.compute(sim::Duration::us(100));
+    us = (ctx.now() - t0).to_us();
+  });
+  return us;
+}
+
+TEST(FromEnv, ServiceThreadDoublesCompute) {
+  EXPECT_DOUBLE_EQ(compute_100us(), 100.0);
+  ScopedEnv thread("GDRSHMEM_SERVICE_THREAD", "1");
+  EXPECT_DOUBLE_EQ(compute_100us(), 200.0);
+}
+
 }  // namespace
 }  // namespace gdrshmem

@@ -7,13 +7,17 @@
 // requesters sharing one proxy and across a proxy crash. The bounce slots'
 // chunks in flight must survive the next staged call before quiet(). Also
 // the registration-cache lookup the host source relies on when its chunks
-// post from sub-ranges of one registration.
+// post from sub-ranges of one registration, and a kernel-issued get past
+// the direct-GDR window, which the requester's proxy pulls through its two
+// staging slots.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "core/device_api.hpp"
 #include "core/proxy.hpp"
 #include "ib/verbs.hpp"
 #include "sim/fault.hpp"
@@ -522,6 +526,144 @@ TEST(ProxyGet, IntoRangeEnclosingAnEarlierGetsDestination) {
     ctx.barrier_all();
   });
   EXPECT_EQ(rt->stats().ops(Protocol::kProxyGet), 2u);
+}
+
+// A kernel-issued get past the direct-GDR window: the proxy on the
+// requester's node reads chunk k from the remote GPU into its staging slot
+// k % 2 and copies it out on the requester's stream while it reads chunk
+// k + 1 (detail::StagedPipeline::pull, host-staged-get's loop).
+
+struct DeviceGetCase {
+  DeviceBackendKind backend;
+  std::size_t bytes;
+  bool blocking;
+  bool device_dest;
+  bool same_socket;
+};
+
+std::string device_get_case_name(
+    const ::testing::TestParamInfo<DeviceGetCase>& info) {
+  const DeviceGetCase& c = info.param;
+  return std::string(c.backend == DeviceBackendKind::kGpuIb ? "GpuIb"
+                                                            : "Reverse") +
+         std::to_string(c.bytes) + "B" + (c.blocking ? "Blocking" : "Nbi") +
+         (c.device_dest ? "IntoDevice" : "IntoHost") +
+         (c.same_socket ? "SameSocket" : "CrossSocket");
+}
+
+/// PE 0's resident kernel gets `c.bytes` from PE 1's GPU heap into its own
+/// GPU or a host buffer and quiets, under `opts` on 2 nodes x 1 PE; every
+/// byte must land. `us`, when given, receives the kernel's virtual time,
+/// launch included. `before`, when given, runs on PE 0 just before the
+/// kernel launch.
+std::unique_ptr<Runtime> kernel_get(
+    const DeviceGetCase& c, RuntimeOptions opts, double* us = nullptr,
+    const std::function<void(Ctx&)>& before = nullptr) {
+  opts.device_backend = c.backend;
+  return run_spmd(make_cluster(2, 1, c.same_socket), opts, [&](Ctx& ctx) {
+    auto* src = static_cast<unsigned char*>(ctx.shmalloc(c.bytes, Domain::kGpu));
+    if (ctx.my_pe() == 1) {
+      for (std::size_t i = 0; i < c.bytes; ++i) src[i] = pattern(20, i);
+    }
+    ctx.barrier_all();
+    if (ctx.my_pe() == 0) {
+      std::vector<unsigned char> host(c.device_dest ? 0 : c.bytes);
+      auto* dst = c.device_dest
+                      ? static_cast<unsigned char*>(ctx.cuda_malloc(c.bytes))
+                      : host.data();
+      if (before) before(ctx);
+      const sim::Time t0 = ctx.now();
+      ctx.launch_kernel_device(1.0, DeviceScope::kThread, [&](DeviceCtx& d) {
+        if (c.blocking) {
+          d.getmem(dst, src, c.bytes, 1);
+        } else {
+          d.getmem_nbi(dst, src, c.bytes, 1);
+        }
+        d.quiet();
+      });
+      if (us != nullptr) *us = (ctx.now() - t0).to_us();
+      EXPECT_EQ(first_mismatch(dst, c.bytes, 20), c.bytes);
+    }
+    ctx.barrier_all();
+  });
+}
+
+class DeviceGetPipeline : public ::testing::TestWithParam<DeviceGetCase> {};
+
+TEST_P(DeviceGetPipeline, MovesEveryByte) {
+  const DeviceGetCase c = GetParam();
+  auto rt = kernel_get(c, make_options(TransportKind::kEnhancedGdr));
+  EXPECT_EQ(rt->stats().ops(Protocol::kProxyGet), 1u);
+  EXPECT_EQ(rt->proxy(0).device_cmds_served(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, DeviceGetPipeline,
+    ::testing::ValuesIn([] {
+      std::vector<DeviceGetCase> cases;
+      for (DeviceBackendKind backend :
+           {DeviceBackendKind::kGpuIb, DeviceBackendKind::kReverseOffload}) {
+        for (std::size_t bytes : {std::size_t{64} << 10,
+                                  std::size_t{256} << 10, kBytes,
+                                  std::size_t{4} << 20}) {
+          for (bool blocking : {true, false}) {
+            for (bool device_dest : {true, false}) {
+              for (bool same_socket : {true, false}) {
+                cases.push_back(
+                    {backend, bytes, blocking, device_dest, same_socket});
+              }
+            }
+          }
+        }
+      }
+      return cases;
+    }()),
+    device_get_case_name);
+
+TEST(DeviceGetPipeline, ReverseGetAcrossAProxyCrash) {
+  // The requester's own proxy dies 300 us in, in the middle of the pull;
+  // the kernel's command times out and its reissue pulls every chunk again.
+  RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
+  opts.faults = sim::FaultPlan::parse("crash=0@300");
+  auto rt = kernel_get({DeviceBackendKind::kReverseOffload, 4u << 20,
+                        /*blocking=*/true, /*device_dest=*/true,
+                        /*same_socket=*/true},
+                       opts);
+  EXPECT_EQ(rt->faults().count(sim::FaultEvent::kProxyCrash), 1u);
+  EXPECT_GE(rt->faults().count(sim::FaultEvent::kProxyReissue), 1u);
+}
+
+TEST(DeviceGetPipeline, ReadOfChunkOverlapsCopyOfThePrevious) {
+  // A 4 MiB same-socket get into the GPU takes 1,386.2 us when the read of
+  // each chunk overlaps the copy-out of the one before, and 1,864.2 us with
+  // one staging slot copied out synchronously. Pinned to rc, whose timing
+  // the numbers are.
+  RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
+  opts.ib_transport = ib::QpKind::kRc;
+  double us = 0;
+  kernel_get({DeviceBackendKind::kGpuIb, 4u << 20, /*blocking=*/true,
+              /*device_dest=*/true, /*same_socket=*/true},
+             opts, &us);
+  EXPECT_LT(us, 1600.0);
+}
+
+TEST(DeviceGetPipeline, CopyOutDoesNotQueueBehindTheRequestersStream) {
+  // The proxy is its own process and copies each pulled chunk out on its own
+  // stream, so a 5 ms kernel the PE queued on its stream just before does
+  // not delay a kernel get; copied out on the PE's stream, the get's first
+  // chunk would wait for that kernel. Pinned to rc.
+  RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
+  opts.ib_transport = ib::QpKind::kRc;
+  const DeviceGetCase c{DeviceBackendKind::kGpuIb, 4u << 20, /*blocking=*/true,
+                        /*device_dest=*/true, /*same_socket=*/true};
+  double alone = 0;
+  double queued = 0;
+  kernel_get(c, opts, &alone);
+  kernel_get(c, opts, &queued, [](Ctx& ctx) {
+    ctx.runtime().cuda().launch_kernel_async(5'000'000, 1.0, [] {},
+                                             ctx.stream());
+  });
+  EXPECT_DOUBLE_EQ(queued, alone);
 }
 
 }  // namespace
