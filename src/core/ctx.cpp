@@ -13,6 +13,7 @@ using sim::Duration;
 Ctx::Ctx(Runtime& rt, int pe)
     : rt_(&rt),
       pe_(pe),
+      bounce_(kStagingSlots * rt.tuning().pipeline_chunk),
       stream_(rt.cluster().placement(pe).node, rt.cluster().placement(pe).gpu),
       coll_layout_(coll::SyncLayout::make(rt.num_pes(), rt.tuning(),
                                           rt.options().host_heap_bytes)),
@@ -23,7 +24,6 @@ Ctx::Ctx(Runtime& rt, int pe)
   coll_pool_ = static_cast<std::byte*>(
       rt_->heap(pe_, Domain::kHost).allocate(coll_layout_.pool_bytes()));
 
-  bounce_.resize(2 * rt.tuning().pipeline_chunk);
   rt.verbs().reg_cache().register_at_init(pe_, bounce_.data(), bounce_.size());
 }
 
@@ -279,7 +279,7 @@ void Ctx::progress() {
 std::byte* Ctx::bounce(std::size_t min_bytes) {
   if (bounce_.size() < min_bytes) {
     rt_->verbs().reg_cache().release(pe_, bounce_.data());
-    bounce_.assign(min_bytes, std::byte{0});
+    bounce_ = sim::ZeroPages(min_bytes);
     rt_->verbs().reg_cache().get_or_register(proc(), pe_, bounce_.data(),
                                              bounce_.size(), /*pinned=*/true);
   }
@@ -292,9 +292,12 @@ void StagingSlots::acquire(Ctx& owner, sim::Process& worker, std::size_t s) {
   }
 }
 
+void StagingSlots::drain(Ctx& owner, sim::Process& worker) {
+  for (std::size_t s = 0; s < kStagingSlots; ++s) acquire(owner, worker, s);
+}
+
 void Ctx::drain_bounce(sim::Process& worker) {
-  bounce_slots_.acquire(*this, worker, 0);
-  bounce_slots_.acquire(*this, worker, 1);
+  bounce_slots_.drain(*this, worker);
 }
 
 std::byte* Ctx::eager_src_slot(int peer) {

@@ -21,6 +21,7 @@
 #include "core/transport.hpp"
 #include "sim/future.hpp"
 #include "sim/mailbox.hpp"
+#include "sim/zero_pages.hpp"
 
 namespace gdrshmem::core {
 
@@ -31,17 +32,27 @@ enum class Cmp { kEq, kNe, kGt, kGe, kLt, kLe };
 
 class Ctx;
 
-/// The chunks in flight from a two-slot staging buffer
-/// (detail::StagedPipeline): per slot, the completion of the last chunk
-/// posted from it and the closure that re-posts that chunk.
+/// Slots in every staging ring of the staged protocols
+/// (detail::StagedPipeline): a PE's bounce buffer and a proxy's staging each
+/// hold this many chunks, so up to kStagingSlots - 1 chunks are in flight
+/// while the next one is staged. The chunk (Tuning::pipeline_chunk) sets how
+/// long a pipeline takes to fill and drain; the ring sets the bytes in
+/// flight.
+inline constexpr std::size_t kStagingSlots = 4;
+
+/// The chunks in flight from a staging ring (detail::StagedPipeline): per
+/// slot, the completion of the last chunk posted from it and the closure
+/// that re-posts that chunk.
 struct StagingSlots {
-  sim::CompletionPtr comp[2];
-  std::function<sim::CompletionPtr()> repost[2];
+  sim::CompletionPtr comp[kStagingSlots];
+  std::function<sim::CompletionPtr()> repost[kStagingSlots];
   std::size_t chunk = 0;  // slot size the chunks in flight were staged at
 
   /// Block `worker` until slot `s` has no chunk in flight, replaying an
   /// error completion (fault plans only) under `owner`'s budget.
   void acquire(Ctx& owner, sim::Process& worker, std::size_t s);
+  /// acquire() every slot, in slot order.
+  void drain(Ctx& owner, sim::Process& worker);
 };
 
 class Ctx {
@@ -387,14 +398,17 @@ class Ctx {
                       sim::Time deadline);
   /// Backoff before software replay number `replays` (1-based).
   sim::Duration replay_backoff(int replays) const;
-  /// Host bounce buffer (registered at init) for staging pipelines. Grow it
-  /// only after drain_bounce(): regrowth frees the old buffer. A regrown
-  /// buffer registers pinned, like the first one.
+  /// Host bounce buffer (registered at init, kStagingSlots chunks) for
+  /// staging pipelines. Its pages are committed on first touch, so a PE
+  /// that never stages holds none. Grow it only after drain_bounce():
+  /// regrowth frees the old buffer. A regrown buffer registers pinned, like
+  /// the first one.
   std::byte* bounce(std::size_t min_bytes);
-  /// The bounce buffer's two slots. They outlive the call that staged a
-  /// chunk, so a later call waits for a chunk an earlier one still sends.
+  /// The bounce buffer's kStagingSlots slots. They outlive the call that
+  /// staged a chunk, so a later call waits for a chunk an earlier one still
+  /// sends.
   StagingSlots& bounce_slots() { return bounce_slots_; }
-  /// Block `worker` until neither bounce slot has a chunk in flight: in a
+  /// Block `worker` until no bounce slot has a chunk in flight: in a
   /// StagedPipeline that changes the slot size, and before the staged
   /// proxy-get or the host pipeline's whole-message bounce writes the
   /// bounce outside the slot rule or grows it.
@@ -453,7 +467,7 @@ class Ctx {
   sim::Mailbox<CtrlMsg> rx_;
   sim::Notification progress_note_;
 
-  std::vector<std::byte> bounce_;
+  sim::ZeroPages bounce_;
   StagingSlots bounce_slots_;
   cudart::Stream stream_;
   std::vector<std::byte> rendezvous_staging_;

@@ -114,12 +114,12 @@ void EnhancedGdrTransport::host_staged_get(Ctx& ctx, const RmaOp& op) {
 void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
                                      bool stage_source) {
   // The target's GDR write is slow (inter-socket) or gone (P2P revoked):
-  // stream the message through two slots of the target-side proxy's
-  // staging, and let the proxy do the last hop with an IPC copy. Chunk k
-  // uses proxy staging slot k % 2, and a device source (or, with
+  // stream the message through the target-side proxy's staging ring, and
+  // let the proxy do the last hop with an IPC copy. Chunk k uses proxy
+  // staging slot k % kStagingSlots, and a device source (or, with
   // `stage_source`, an unregistered host one) is first copied into bounce
-  // slot k % 2, so that copy of chunk k + 1, the RDMA of chunk k and the
-  // proxy's H->D copy of chunk k - 1 overlap.
+  // slot k % kStagingSlots, so that copy of chunk k + 1, the RDMA of chunk k
+  // and the proxy's H->D copy of an earlier chunk overlap.
   ctx.count_protocol(Protocol::kProxyPut, op.bytes);
   const int me = ctx.my_pe();
   ProxyDaemon& proxy = rt_.proxy(rt_.cluster().placement(op.target_pe).node);
@@ -139,7 +139,7 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
     for (std::size_t off = 0; off < op.bytes; off += chunk) {
       const std::size_t c = std::min(chunk, op.bytes - off);
       const std::size_t k = off / chunk;
-      const std::size_t s = k % 2;
+      const std::size_t s = k % kStagingSlots;
       const std::byte* from = src_bytes + off;
       if (bounced) {
         bounce.acquire(s);
@@ -147,7 +147,7 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
         from = bounce.slot(s);
       }
       if (k == 0) {
-        // Chunk 0 waits for the grant of both staging slots.
+        // Chunk 0 waits for the grant of the whole staging ring.
         proxy.post_request(ctx, 32,
                            {.kind = CtrlMsg::Kind::kProxyPutReq,
                             .remote = op.remote,
@@ -162,10 +162,12 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
         if (!bounced) {
           rt_.verbs().register_local(ctx.proc(), me, op.local, op.bytes);
         }
-      } else if (k >= 2) {
-        // Staging slot s is free once the proxy drained chunk k - 2.
-        if (!ctx.wait_for_deadline([&] { return st->windows_done + 1 >= k; },
-                                   rt_.deadline_after(timeout))) {
+      } else if (k >= kStagingSlots) {
+        // Staging slot s is free once the proxy drained the chunk
+        // kStagingSlots before this one.
+        if (!ctx.wait_for_deadline(
+                [&] { return st->windows_done + kStagingSlots - 1 >= k; },
+                rt_.deadline_after(timeout))) {
           return false;
         }
       }
@@ -224,16 +226,16 @@ void EnhancedGdrTransport::proxy_get(Ctx& ctx, const RmaOp& op,
     return;
   }
   // Our own GDR write is poor, or our buffer is not registered: the proxy
-  // writes chunk k into bounce slot k % 2 and sends a landed notice, we copy
-  // the chunk out (H->D, or H->H into a host buffer) and, when chunk k + 2
-  // exists, credit the slot back. Our buffer is never registered, and the
-  // call returns once the last chunk is copied out (nbi too), so the bounce
-  // is free again.
+  // writes chunk k into bounce slot k % kStagingSlots and sends a landed
+  // notice, we copy the chunk out (H->D, or H->H into a host buffer) and,
+  // when chunk k + kStagingSlots exists, credit the slot back. Our buffer is
+  // never registered, and the call returns once the last chunk is copied
+  // out (nbi too), so the bounce is free again.
   const std::size_t chunk = proxy.staging_chunk();
   auto* dst = static_cast<std::byte*>(op.local);
   detail::reissue_until_done(ctx, "proxy get", [&] {
     ctx.drain_bounce(ctx.proc());
-    std::byte* bounce = ctx.bounce(2 * chunk);
+    std::byte* bounce = ctx.bounce(kStagingSlots * chunk);
     auto st = std::make_shared<ProxyGetState>();
     st->mode = ProxyGetState::Mode::kStaged;
     proxy.post_request(ctx, 32,
@@ -248,9 +250,9 @@ void EnhancedGdrTransport::proxy_get(Ctx& ctx, const RmaOp& op,
         return false;
       }
       rt_.cuda().memcpy_sync(ctx.proc(), ctx.node(), dst + off,
-                             bounce + k % 2 * chunk,
+                             bounce + k % kStagingSlots * chunk,
                              std::min(chunk, op.bytes - off));
-      if (off + 2 * chunk < op.bytes) {
+      if (off + kStagingSlots * chunk < op.bytes) {
         proxy.post_request(ctx, 0,
                            {.kind = CtrlMsg::Kind::kProxyGetCredit,
                             .offset = off,

@@ -25,14 +25,14 @@ ProxyDaemon::ProxyDaemon(Runtime& rt, int node, std::size_t staging_bytes)
 int ProxyDaemon::endpoint() const { return rt_.cluster().service_endpoint(node_); }
 
 std::size_t ProxyDaemon::staging_chunk() const {
-  return std::min(rt_.tuning().pipeline_chunk, staging_.size() / 2);
+  return std::min(rt_.tuning().pipeline_chunk, staging_.size() / kStagingSlots);
 }
 
 std::size_t ProxyDaemon::claim_staging(std::size_t bytes) {
   const std::size_t chunk = staging_chunk();
   rt_.metrics()
       .gauge("proxy/staging_used_bytes")
-      .set(std::min(2 * chunk, bytes));
+      .set(std::min(kStagingSlots * chunk, bytes));
   return chunk;
 }
 
@@ -154,9 +154,9 @@ void ProxyDaemon::do_get(sim::Process& self, CtrlMsg& msg) {
 }
 
 void ProxyDaemon::do_put(sim::Process& self, CtrlMsg& req) {
-  // Staged put: grant both staging slots to the requester, then IPC-copy
-  // each chunk H->D out of its slot, chunk k out of slot k % 2, in chunk
-  // order whatever order the fins arrive in.
+  // Staged put: grant the whole staging ring to the requester, then
+  // IPC-copy each chunk H->D out of its slot, chunk k out of slot
+  // k % kStagingSlots, in chunk order whatever order the fins arrive in.
   ++puts_served_;
   auto st = std::static_pointer_cast<ProxyPutState>(req.state);
   const int requester = req.from;
@@ -174,7 +174,8 @@ void ProxyDaemon::do_put(sim::Process& self, CtrlMsg& req) {
                      st->windows_done * chunk);
     if (!m) return;  // orphaned transfer: drop it, serve the next
     auto* dst = static_cast<std::byte*>(m->remote) + m->offset;
-    const std::byte* slot = staging_.data() + st->windows_done % 2 * chunk;
+    const std::byte* slot =
+        staging_.data() + st->windows_done % kStagingSlots * chunk;
     rt_.cuda().memcpy_sync(self, node_, dst, slot, m->bytes);
     ++st->windows_done;
     rt_.notify_pe(requester);
@@ -284,7 +285,7 @@ bool ProxyDaemon::stream_out(sim::Process& self, Ctx& owner,
   detail::StagedPipeline pipe(owner, self, staging_.data(), chunk);
   for (std::size_t off = 0; off < bytes; off += chunk) {
     const std::size_t c = std::min(chunk, bytes - off);
-    const std::size_t s = off / chunk % 2;
+    const std::size_t s = off / chunk % kStagingSlots;
     pipe.acquire(s);
     std::byte* slot = pipe.slot(s);
     rt_.cuda().memcpy_sync(self, node_, slot, src + off, c);
@@ -296,11 +297,12 @@ bool ProxyDaemon::stream_out(sim::Process& self, Ctx& owner,
       pipe.post(s, post);
       continue;
     }
-    // The requester's slot s is free once it credited chunk k - 2 back, and
-    // the landed notice must not overtake the chunk (srd, a replay).
-    if (off >= 2 * chunk &&
-        !next_of(self, CtrlMsg::Kind::kProxyGetCredit, staged,
-                 off - 2 * chunk)) {
+    // The requester's slot s is free once it credited chunk
+    // k - kStagingSlots back, and the landed notice must not overtake the
+    // chunk (srd, a replay).
+    const std::size_t ring = kStagingSlots * chunk;
+    if (off >= ring &&
+        !next_of(self, CtrlMsg::Kind::kProxyGetCredit, staged, off - ring)) {
       return false;
     }
     pipe.record(s, owner.issue(self, post, /*tracked=*/false), post);

@@ -10,12 +10,13 @@
 //     GPU heap into proxy staging, then send each chunk to the requester: an
 //     RDMA write into its buffer (completion fired once every chunk landed),
 //     the bytes of a small host buffer in the completion send, or, for a
-//     GDR-poor requester's GPU, an RDMA write into slot k % 2 of its bounce
-//     buffer, a landed notice, and a wait for kProxyGetCredit before the
-//     slot is written again.
+//     GDR-poor requester's GPU, an RDMA write into slot k % kStagingSlots of
+//     its bounce buffer, a landed notice, and a wait for kProxyGetCredit
+//     before the slot is written again.
 //   * kProxyPutReq/kProxyPutFin: the requester streams chunks over RDMA
-//     into two proxy staging slots, one fin per chunk; the proxy performs
-//     each chunk's final H->D IPC copy while the next chunk is on the wire.
+//     into the proxy's ring of kStagingSlots staging slots, one fin per
+//     chunk; the proxy performs each chunk's final H->D IPC copy while later
+//     chunks are on the wire.
 //   * kDeviceCmd: a local kernel's reverse-offload command, run under the
 //     protocol ProtocolSelector::select_offload names: a peer copy through
 //     the IPC mappings, one posting, the reverse pipeline for a proxy-put,
@@ -46,7 +47,7 @@ class Ctx;
 /// Shared state of one proxy-put transfer, carried in the control messages.
 struct ProxyPutState {
   sim::Completion cts;           // fired when the proxy grants staging
-  std::byte* staging = nullptr;  // granted staging: two staging_chunk() slots
+  std::byte* staging = nullptr;  // granted ring: kStagingSlots chunk slots
   std::uint64_t windows_done = 0;  // chunks the proxy has drained to the GPU
   std::shared_ptr<sim::Completion> done =
       std::make_shared<sim::Completion>();  // all bytes at final destination
@@ -56,7 +57,7 @@ struct ProxyPutState {
 struct ProxyGetState {
   /// How the bytes reach the requester's buffer: RDMA-written in place; in
   /// the completion send (a host buffer of at most ib::kInlineBytes, which
-  /// never registers); or through the two slots of its bounce buffer.
+  /// never registers); or through the slots of its bounce buffer.
   enum class Mode { kDirect, kInline, kStaged } mode = Mode::kDirect;
   std::uint64_t landed = 0;  // staged: chunks the proxy announced landed
   std::shared_ptr<sim::Completion> done =
@@ -78,7 +79,7 @@ class ProxyDaemon {
   int node() const { return node_; }
   int endpoint() const;
   /// Chunk size of the staged pipelines through this daemon's staging,
-  /// which holds two chunk slots.
+  /// which holds kStagingSlots chunk slots.
   std::size_t staging_chunk() const;
   sim::Mailbox<CtrlMsg>& mailbox() { return mb_; }
   /// Send request `msg` from `ctx`'s PE into this daemon's mailbox (an
@@ -103,12 +104,13 @@ class ProxyDaemon {
   /// entry the kernel polls).
   void do_device_cmd(sim::Process& self, CtrlMsg& msg);
   /// The reverse pipeline (Fig 5) behind do_get and a device proxy-put:
-  /// IPC-copy each chunk of `src` into a two-slot staging window and
-  /// RDMA-write it to `target`'s `dst`; returns once every chunk landed.
-  /// `owner`'s replay budget covers the chunks. With `staged`, `dst` is the
-  /// requester's bounce buffer: chunk k goes to its slot k % 2, after the
-  /// credit of chunk k - 2, and is followed by a landed notice. False when
-  /// a credit never came (the requester gave up on the transfer).
+  /// IPC-copy each chunk of `src` into the staging ring and RDMA-write it
+  /// to `target`'s `dst`; returns once every chunk landed. `owner`'s replay
+  /// budget covers the chunks. With `staged`, `dst` is the requester's
+  /// bounce buffer: chunk k goes to its slot k % kStagingSlots, after the
+  /// credit of chunk k - kStagingSlots, and is followed by a landed notice.
+  /// False when a credit never came (the requester gave up on the
+  /// transfer).
   bool stream_out(sim::Process& self, Ctx& owner, const std::byte* src,
                   int target, std::byte* dst, std::size_t bytes,
                   const std::shared_ptr<ProxyGetState>& staged = nullptr);

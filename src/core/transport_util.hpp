@@ -107,23 +107,23 @@ inline void rdma_get(Ctx& ctx, const RmaOp& op, Protocol proto) {
   });
 }
 
-/// The two-slot staging pipeline behind every chunked protocol: the host
-/// rendezvous (Fig 1), pipeline-GDR-write (Fig 4), the proxy's reverse
-/// pipeline (Fig 5) and proxy-put's device-source bounce push chunks out;
-/// host-staged-get and the proxy's staged device get pull them in (pull()).
-/// Chunk k stages through slot k % 2 while chunk k - 1 is on the wire. Each
-/// slot keeps the completion of the last chunk posted from it and the
-/// closure that re-posts that chunk, so an error completion is replayed
-/// while the slot still holds the chunk's bytes. Without a fault plan every
-/// wait here is a plain wait.
+/// The staging ring behind every chunked protocol: the host rendezvous
+/// (Fig 1), pipeline-GDR-write (Fig 4), the proxy's reverse pipeline (Fig 5)
+/// and proxy-put's device-source bounce push chunks out; host-staged-get and
+/// the proxy's staged device get pull them in (pull()). Chunk k stages
+/// through slot k % kStagingSlots while up to kStagingSlots - 1 earlier
+/// chunks are on the wire. Each slot keeps the completion of the last chunk
+/// posted from it and the closure that re-posts that chunk, so an error
+/// completion is replayed while the slot still holds the chunk's bytes.
+/// Without a fault plan every wait here is a plain wait.
 class StagedPipeline {
  public:
   using Post = std::function<sim::CompletionPtr()>;
 
   /// `owner` is the PE whose replay budget covers the chunks; `worker` is
   /// the process that stages and posts them (the PE itself or a proxy
-  /// daemon); `staging` holds two `chunk`-byte slots, used by this call
-  /// only.
+  /// daemon); `staging` holds kStagingSlots `chunk`-byte slots, used by
+  /// this call only.
   StagedPipeline(Ctx& owner, sim::Process& worker, std::byte* staging,
                  std::size_t chunk)
       : owner_(owner), worker_(worker), staging_(staging), chunk_(chunk),
@@ -131,7 +131,7 @@ class StagedPipeline {
 
   /// Over `owner`'s bounce buffer, whose slots' chunks in flight outlive
   /// this call (Ctx::bounce_slots): acquiring a slot also waits for a chunk
-  /// an earlier call left in it. A new slot size first drains both slots.
+  /// an earlier call left in it. A new slot size first drains every slot.
   StagedPipeline(Ctx& owner, sim::Process& worker, std::size_t chunk)
       : owner_(owner), worker_(worker), chunk_(chunk),
         slots_(owner.bounce_slots()) {
@@ -139,7 +139,7 @@ class StagedPipeline {
       owner.drain_bounce(worker);
       slots_.chunk = chunk;
     }
-    staging_ = owner.bounce(2 * chunk);
+    staging_ = owner.bounce(kStagingSlots * chunk);
   }
 
   StagedPipeline(const StagedPipeline&) = delete;
@@ -150,7 +150,7 @@ class StagedPipeline {
   template <typename Fn>
   void for_each_chunk(std::size_t bytes, Fn&& fn) const {
     for (std::size_t off = 0; off < bytes; off += chunk_) {
-      fn(off, std::min(chunk_, bytes - off), (off / chunk_) % 2);
+      fn(off, std::min(chunk_, bytes - off), off / chunk_ % kStagingSlots);
     }
   }
 
@@ -173,31 +173,40 @@ class StagedPipeline {
   }
 
   /// Pull `bytes` from `target`'s `src` into `dst`: chunk k is RDMA-read
-  /// from endpoint `ep` into slot k % 2 (a read replays in place) and then
-  /// copied out on `stream`, and that copy guards the slot, so the read of
-  /// chunk k + 1 overlaps the copy of chunk k. Returns once every chunk is
-  /// in `dst`.
+  /// from endpoint `ep` into slot k % kStagingSlots (a read replays in
+  /// place) and then copied out on `stream`, and that copy guards the slot.
+  /// The read of chunk k is posted before the read of chunk k - 1 is awaited
+  /// and copied out, so consecutive reads overlap their round trips and the
+  /// copy of chunk k - 1 overlaps the read of chunk k. Returns once every
+  /// chunk is in `dst`.
   void pull(int ep, int target, const std::byte* src, std::byte* dst,
             std::size_t bytes, cudart::Stream& stream) {
     Runtime& rt = owner_.runtime();
+    // Await the read of the chunk at `off` (its slot's outstanding chunk),
+    // then queue the chunk's copy-out, which guards the slot from then on.
+    auto copy_out = [&](std::size_t off) {
+      const std::size_t s = off / chunk_ % kStagingSlots;
+      acquire(s);
+      record(s,
+             rt.cuda()
+                 .memcpy_async(dst + off, slot(s),
+                               std::min(chunk_, bytes - off), stream)
+                 ->completion(),
+             nullptr);
+    };
     for_each_chunk(bytes, [&](std::size_t off, std::size_t c, std::size_t s) {
       acquire(s);
-      std::byte* to = slot(s);
-      owner_.await_reliable(worker_, [this, &rt, ep, to, target,
-                                      from = src + off, c] {
+      post(s, [this, &rt, ep, to = slot(s), target, from = src + off, c] {
         return rt.ib().rdma_read(worker_, ep, to, target, from, c);
       });
-      record(s, rt.cuda().memcpy_async(dst + off, to, c, stream)->completion(),
-             nullptr);
+      if (off > 0) copy_out(off - chunk_);
     });
+    if (bytes > 0) copy_out((bytes - 1) / chunk_ * chunk_);
     drain();
   }
 
-  /// Wait for every slot's outstanding chunk, slot 0 then slot 1.
-  void drain() {
-    acquire(0);
-    acquire(1);
-  }
+  /// Wait for every slot's outstanding chunk, in slot order.
+  void drain() { slots_.drain(owner_, worker_); }
 
   /// Let the operation return before remote completion: the outstanding
   /// chunks join the owner's quiet() set. Under a fault plan they are

@@ -36,8 +36,13 @@ struct Tuning {
   /// catastrophic (247 / 1179 MB/s); shrink the GDR window by this divisor.
   std::size_t inter_socket_gdr_divisor = 16;
 
-  /// Chunk size of the pipeline-GDR-write and proxy pipelines.
-  std::size_t pipeline_chunk = 256 * 1024;
+  /// Chunk size of every staged pipeline (pipeline-GDR-write, proxy-put,
+  /// proxy-get, host-staged-get, the host rendezvous), each a ring of
+  /// kStagingSlots chunks. The default is the smallest power of two whose
+  /// host<->device copy (launch included) is no slower than its wire
+  /// serialization, so a pipeline stays wire-bound while its fill (the first
+  /// chunk's copy) and drain (the last one's) stay short.
+  std::size_t pipeline_chunk = 128 * 1024;
 
   /// Use the per-node proxy daemon for large transfers that would otherwise
   /// hit a P2P read bottleneck or require target involvement.

@@ -156,11 +156,6 @@ struct SystemParams {
   /// servicing an incoming runtime request (per control message).
   double progress_wakeup_us = 2.5;
 
-  // ---- Pipelining -------------------------------------------------------
-  /// Chunk size used by the host-based pipeline and pipeline-GDR-write
-  /// protocols (bytes).
-  std::size_t pipeline_chunk_bytes = 256 * 1024;
-
   // ---- Device-initiated communication ------------------------------------
   // Costs of issuing OpenSHMEM operations from inside a running kernel
   // (NVSHMEM/ROC_SHMEM-style). The GPU-IB backend pays a WQE build plus a

@@ -158,7 +158,7 @@ TEST(Placement, RegrownStagingDropsItsOldRegistration) {
   ib::RegistrationCache& rc = rt.verbs().reg_cache();
   rt.run([&](Ctx& ctx) {
     const int me = ctx.my_pe();
-    const std::size_t grown = 4 * rt.tuning().pipeline_chunk;
+    const std::size_t grown = 2 * kStagingSlots * rt.tuning().pipeline_chunk;
     std::byte* old_bounce = ctx.bounce(0);
     std::byte* bounce = ctx.bounce(grown);
     EXPECT_FALSE(rc.covered(me, old_bounce, 1));

@@ -1,15 +1,15 @@
-// The pipelined proxy-put and the staged proxy-get (DESIGN §5e). A put into
-// a GDR-poor GPU streams chunk k through proxy staging slot k % 2, and a
-// device source also through bounce slot k % 2; a get into a GDR-poor
-// requester's GPU streams chunk k through proxy staging slot k % 2 into the
-// requester's bounce slot k % 2. Every byte must land, blocking and nbi, on
-// the fault-free path and on the ordered path a fault plan selects, with two
-// requesters sharing one proxy and across a proxy crash. The bounce slots'
-// chunks in flight must survive the next staged call before quiet(). Also
-// the registration-cache lookup the host source relies on when its chunks
-// post from sub-ranges of one registration, and a kernel-issued get past
-// the direct-GDR window, which the requester's proxy pulls through its two
-// staging slots.
+// The pipelined proxy-put and the staged proxy-get (DESIGN §5e). With
+// s = k % kStagingSlots, a put into a GDR-poor GPU streams chunk k through
+// proxy staging slot s, and a device source also through bounce slot s; a
+// get into a GDR-poor requester's GPU streams chunk k through proxy staging
+// slot s into the requester's bounce slot s. Every byte must land, blocking
+// and nbi, on the fault-free path and on the ordered path a fault plan
+// selects, with two requesters sharing one proxy and across a proxy crash.
+// The bounce slots' chunks in flight must survive the next staged call
+// before quiet(). Also the registration-cache lookup the host source relies
+// on when its chunks post from sub-ranges of one registration, and a
+// kernel-issued get past the direct-GDR window, which the requester's proxy
+// pulls through its staging ring.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -47,7 +47,8 @@ std::size_t first_mismatch(const unsigned char* p, std::size_t n, int tag) {
   return n;
 }
 
-// Three full chunks of the default 256 KiB pipeline chunk and a tail.
+// Six full chunks of the default 128 KiB pipeline chunk and a tail, so the
+// transfer wraps the four-slot staging ring.
 constexpr std::size_t kBytes = 3 * (256u << 10) + 100;
 
 struct PutCase {
@@ -389,7 +390,7 @@ TEST(ProxyGetPipeline, LandedNoticeNeverOvertakesItsChunkOnSrd) {
   EXPECT_EQ(rt->stats().ops(Protocol::kProxyGet), 1u);
 }
 
-// The bounce buffer's two slots keep their chunks in flight across calls:
+// The bounce buffer's slots keep their chunks in flight across calls:
 // a later staged call that writes the bounce waits for them, and nothing
 // regrows (and so frees) the bounce under them.
 
@@ -530,8 +531,8 @@ TEST(ProxyGet, IntoRangeEnclosingAnEarlierGetsDestination) {
 
 // A kernel-issued get past the direct-GDR window: the proxy on the
 // requester's node reads chunk k from the remote GPU into its staging slot
-// k % 2 and copies it out on the requester's stream while it reads chunk
-// k + 1 (detail::StagedPipeline::pull, host-staged-get's loop).
+// k % kStagingSlots and copies it out on the proxy's own stream while it
+// reads chunk k + 1 (detail::StagedPipeline::pull, host-staged-get's loop).
 
 struct DeviceGetCase {
   DeviceBackendKind backend;
@@ -634,10 +635,10 @@ TEST(DeviceGetPipeline, ReverseGetAcrossAProxyCrash) {
 }
 
 TEST(DeviceGetPipeline, ReadOfChunkOverlapsCopyOfThePrevious) {
-  // A 4 MiB same-socket get into the GPU takes 1,386.2 us when the read of
-  // each chunk overlaps the copy-out of the one before, and 1,864.2 us with
-  // one staging slot copied out synchronously. Pinned to rc, whose timing
-  // the numbers are.
+  // A 4 MiB same-socket get into the GPU takes 1,357.4 us when the read of
+  // each chunk overlaps the read and the copy-out of the one before, and
+  // 1,864.2 us with one staging slot copied out synchronously. Pinned to rc,
+  // whose timing the numbers are.
   RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
   opts.ib_transport = ib::QpKind::kRc;
   double us = 0;

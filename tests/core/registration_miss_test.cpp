@@ -327,9 +327,10 @@ TEST(RegistrationMiss, SameOnBothEngineBackends) {
 }
 
 TEST(RegistrationMiss, RegrownBounceStaysRegistered) {
-  // A bounce buffer grown past its initial two chunks registers pinned, like
-  // the first one: 130 fresh registrations later (above the 128-entry
-  // cache), a device-source put still stages through registered slots.
+  // A bounce buffer grown past its initial kStagingSlots chunks registers
+  // pinned, like the first one: 130 fresh registrations later (above the
+  // 128-entry cache), a device-source put still stages through registered
+  // slots.
   constexpr std::size_t n = kMiB;
   constexpr std::size_t kRange = 64u << 10;
   auto put_us = [](std::size_t fresh_registrations) {
