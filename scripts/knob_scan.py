@@ -1,16 +1,25 @@
 #!/usr/bin/env python3
 """Knob census: which GDRSHMEM_* environment variables that
-RuntimeOptions::from_env parses no test names.
+RuntimeOptions::from_env parses no test names, and which fields of the
+option structs no code names.
 
-Reads src/core/options.cpp, takes every `key == "GDRSHMEM_<NAME>"` branch
-as a parsed variable, and lists each one with the files under tests/ that
-spell its full name (GDRSHMEM_TRACE_CAP does not count for GDRSHMEM_TRACE).
-It also checks the `known:` list in the parser's unknown-variable error
-against the parsed names, so the message a typo gets stays true.
+Variables: reads src/core/options.cpp, takes every `key == "GDRSHMEM_<NAME>"`
+branch as a parsed variable, and lists each one with the files under tests/
+that spell its full name (GDRSHMEM_TRACE_CAP does not count for
+GDRSHMEM_TRACE). It also checks the `known:` list in the parser's
+unknown-variable error against the parsed names, so the message a typo gets
+stays true.
 
-Exits 1 when a parsed variable is named by no file under tests/, or when
-the `known:` list and the parsed names differ. Runs in well under a second
-and builds nothing.
+Fields: takes the data members of hw::SystemParams, core::Tuning and
+core::RuntimeOptions from their headers (one declaration per line, ending
+in `;`) and looks for each as a member access (`.name` or `->name`) in the
+C++ files under src/, include/, tests/, bench/, perfbench/ and examples/,
+skipping hidden directories. A field that no file names is a knob nothing
+reads or sets.
+
+Exits 1 when a parsed variable is named by no file under tests/, when the
+`known:` list and the parsed names differ, or when a field is named by no
+file. Runs in well under a second and builds nothing.
 
 Usage: scripts/knob_scan.py
 """
@@ -21,6 +30,12 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OPTIONS = ROOT / "src" / "core" / "options.cpp"
 TESTS = ROOT / "tests"
+# The structs of the field census: (qualified name, declaring header).
+STRUCTS = [("hw::SystemParams", ROOT / "src" / "hw" / "params.hpp"),
+           ("core::Tuning", ROOT / "src" / "core" / "tuning.hpp"),
+           ("core::RuntimeOptions", ROOT / "src" / "core" / "runtime.hpp")]
+CODE_DIRS = ["src", "include", "tests", "bench", "perfbench", "examples"]
+CODE_SUFFIXES = {".c", ".cc", ".cpp", ".h", ".hpp"}
 
 
 def parsed_names(source):
@@ -45,6 +60,58 @@ def known_names(source):
 def files_naming(name, files):
     pattern = re.compile(r"GDRSHMEM_" + name + r"(?![A-Z0-9_])")
     return [f for f, text in files.items() if pattern.search(text)]
+
+
+def struct_fields(header, qualified):
+    """(name, line number) of each data member of `struct <Name> { ... };`
+    in `header`: a line at the struct's own brace depth that ends in `;`
+    and declares neither a function nor a static member or alias."""
+    name = qualified.split("::")[-1]
+    lines = header.read_text().splitlines()
+    opening = next((i for i, line in enumerate(lines)
+                    if re.match(r"struct " + name + r" \{", line)), None)
+    if opening is None:
+        sys.exit(f"knob_scan: no `struct {name} {{` in {header}")
+    fields = []
+    depth = 0
+    for i in range(opening, len(lines)):
+        code = lines[i].split("//")[0].strip()
+        after = depth + code.count("{") - code.count("}")
+        if (depth == 1 and after == 1 and code.endswith(";") and
+                not re.match(r"(static|using|friend|typedef)\b", code)):
+            decl = re.sub(r"\{[^{}]*\}\s*;$", ";", code)  # brace initializer
+            decl = decl.split("=")[0].rstrip(" ;")
+            if not decl.endswith(")"):
+                fields.append((re.search(r"(\w+)$", decl).group(1), i + 1))
+        depth = after
+        if depth == 0 and i > opening:
+            return fields
+    sys.exit(f"knob_scan: `struct {name}` in {header} never closes")
+
+
+def field_census():
+    """Print the field census; return the fields that no file names, as
+    (struct, field, header, line)."""
+    code = [p.read_text(errors="replace") for d in CODE_DIRS
+            for p in sorted((ROOT / d).rglob("*"))
+            if p.is_file() and p.suffix in CODE_SUFFIXES and
+            not any(part.startswith(".") for part in p.relative_to(ROOT).parts)]
+    unnamed = []
+    counts = []
+    for qualified, header in STRUCTS:
+        fields = struct_fields(header, qualified)
+        counts.append(f"{qualified} ({len(fields)})")
+        for name, line in fields:
+            access = re.compile(r"(?:\.|->)" + name + r"\b")
+            if not any(access.search(text) for text in code):
+                unnamed.append((qualified, name,
+                                header.relative_to(ROOT), line))
+    print(f"knob_scan: fields of {', '.join(counts)}, each looked for as "
+          f"`.field` or `->field` under {', '.join(CODE_DIRS)}")
+    print(f"knob_scan: {len(unnamed)} field(s) named by no file")
+    for qualified, name, header, line in unnamed:
+        print(f"  {qualified}::{name}  ({header}:{line})")
+    return unnamed
 
 
 def main():
@@ -79,7 +146,8 @@ def main():
             print(f"  in known:, not parsed: {name}")
     else:
         print("knob_scan: the parser's known: list matches the parsed names")
-    return 1 if untested or missing or extra else 0
+    unnamed = field_census()
+    return 1 if untested or missing or extra or unnamed else 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ using sim::Duration;
 Ctx::Ctx(Runtime& rt, int pe)
     : rt_(&rt),
       pe_(pe),
-      bounce_(kStagingSlots * rt.tuning().pipeline_chunk),
+      staging_ring_(rt, pe),
       stream_(rt.cluster().placement(pe).node, rt.cluster().placement(pe).gpu),
       coll_layout_(coll::SyncLayout::make(rt.num_pes(), rt.tuning(),
                                           rt.options().host_heap_bytes)),
@@ -23,8 +23,6 @@ Ctx::Ctx(Runtime& rt, int pe)
   // generation-tagged value the engine will ever wait for.
   coll_pool_ = static_cast<std::byte*>(
       rt_->heap(pe_, Domain::kHost).allocate(coll_layout_.pool_bytes()));
-
-  rt.verbs().reg_cache().register_at_init(pe_, bounce_.data(), bounce_.size());
 }
 
 Ctx::~Ctx() = default;
@@ -276,28 +274,41 @@ void Ctx::progress() {
 // ---------------------------------------------------------------------------
 // Staging helpers
 
-std::byte* Ctx::bounce(std::size_t min_bytes) {
-  if (bounce_.size() < min_bytes) {
-    rt_->verbs().reg_cache().release(pe_, bounce_.data());
-    bounce_ = sim::ZeroPages(min_bytes);
-    rt_->verbs().reg_cache().get_or_register(proc(), pe_, bounce_.data(),
-                                             bounce_.size(), /*pinned=*/true);
-  }
-  return bounce_.data();
+StagingRing::StagingRing(Runtime& rt, int ep)
+    : mem_(kStagingSlots * rt.tuning().pipeline_chunk),
+      chunk_(rt.tuning().pipeline_chunk) {
+  rt.verbs().reg_cache().register_at_init(ep, mem_.data(), mem_.size());
 }
 
-void StagingSlots::acquire(Ctx& owner, sim::Process& worker, std::size_t s) {
-  if (comp[s]) {
-    comp[s] = owner.await_reliable(worker, std::move(comp[s]), repost[s]);
+void StagingRing::acquire(Ctx& owner, sim::Process& worker, std::size_t s) {
+  if (comp_[s]) {
+    comp_[s] = owner.await_reliable(worker, std::move(comp_[s]), repost_[s]);
   }
 }
 
-void StagingSlots::drain(Ctx& owner, sim::Process& worker) {
+void StagingRing::drain(Ctx& owner, sim::Process& worker) {
   for (std::size_t s = 0; s < kStagingSlots; ++s) acquire(owner, worker, s);
 }
 
-void Ctx::drain_bounce(sim::Process& worker) {
-  bounce_slots_.drain(*this, worker);
+std::byte* Ctx::grow_registered(sim::ZeroPages& buf, std::size_t bytes,
+                                sim::Process& worker) {
+  if (buf.size() < bytes) {
+    ib::RegistrationCache& cache = rt_->verbs().reg_cache();
+    cache.release(pe_, buf.data());
+    buf = sim::ZeroPages(bytes);
+    cache.get_or_register(worker, pe_, buf.data(), buf.size(), /*pinned=*/true);
+  }
+  return buf.data();
+}
+
+std::byte* Ctx::bounce(std::size_t min_bytes) {
+  if (bounce_.data() == nullptr && min_bytes <= staging_ring_.bytes()) {
+    // A ring-sized bounce registers free, like the ring.
+    bounce_ = sim::ZeroPages(staging_ring_.bytes());
+    rt_->verbs().reg_cache().register_at_init(pe_, bounce_.data(),
+                                              bounce_.size());
+  }
+  return grow_registered(bounce_, min_bytes, proc());
 }
 
 std::byte* Ctx::eager_src_slot(int peer) {
@@ -310,19 +321,8 @@ std::byte* Ctx::eager_src_slot(int peer) {
   return it->second.data();
 }
 
-std::byte* Ctx::rendezvous_staging(std::size_t bytes) {
-  return rendezvous_staging(bytes, proc());
-}
-
 std::byte* Ctx::rendezvous_staging(std::size_t bytes, sim::Process& worker) {
-  if (rendezvous_staging_.size() < bytes) {
-    rt_->verbs().reg_cache().release(pe_, rendezvous_staging_.data());
-    rendezvous_staging_.assign(bytes, std::byte{0});
-    rt_->verbs().reg_cache().get_or_register(
-        worker, pe_, rendezvous_staging_.data(), rendezvous_staging_.size(),
-        /*pinned=*/true);
-  }
-  return rendezvous_staging_.data();
+  return grow_registered(rendezvous_staging_, bytes, worker);
 }
 
 // ---------------------------------------------------------------------------

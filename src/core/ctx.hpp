@@ -32,27 +32,54 @@ enum class Cmp { kEq, kNe, kGt, kGe, kLt, kLe };
 
 class Ctx;
 
-/// Slots in every staging ring of the staged protocols
-/// (detail::StagedPipeline): a PE's bounce buffer and a proxy's staging each
-/// hold this many chunks, so up to kStagingSlots - 1 chunks are in flight
-/// while the next one is staged. The chunk (Tuning::pipeline_chunk) sets how
-/// long a pipeline takes to fill and drain; the ring sets the bytes in
-/// flight.
+/// Slots in every staging ring (StagingRing), so up to kStagingSlots - 1
+/// chunks are in flight while the next one is staged. The chunk
+/// (Tuning::pipeline_chunk) sets how long a pipeline takes to fill and
+/// drain; the ring sets the bytes in flight.
 inline constexpr std::size_t kStagingSlots = 4;
 
-/// The chunks in flight from a staging ring (detail::StagedPipeline): per
-/// slot, the completion of the last chunk posted from it and the closure
-/// that re-posts that chunk.
-struct StagingSlots {
-  sim::CompletionPtr comp[kStagingSlots];
-  std::function<sim::CompletionPtr()> repost[kStagingSlots];
-  std::size_t chunk = 0;  // slot size the chunks in flight were staged at
+/// The staging ring of the staged protocols (detail::StagedPipeline):
+/// kStagingSlots slots of Tuning::pipeline_chunk bytes of host memory,
+/// mapped once and registered by its owner at init, never regrown, and per
+/// slot the completion of the last chunk posted from it and the closure that
+/// re-posts that chunk. The records outlive the call that staged a chunk, so
+/// a later call waits for a chunk an earlier one still sends. Each PE
+/// (Ctx::staging_ring) and each proxy daemon owns one. Its pages are
+/// committed on first touch, so an owner that never stages holds none.
+class StagingRing {
+ public:
+  /// Map the ring and register it under endpoint `ep` (a PE, or a node's
+  /// service endpoint).
+  StagingRing(Runtime& rt, int ep);
+
+  std::size_t chunk() const { return chunk_; }
+  std::size_t bytes() const { return mem_.size(); }
+  std::byte* data() const { return mem_.data(); }
+  std::byte* slot(std::size_t s) const { return mem_.data() + s * chunk_; }
+  /// The completion of the chunk last posted from slot `s`, or null.
+  const sim::CompletionPtr& comp(std::size_t s) const { return comp_[s]; }
 
   /// Block `worker` until slot `s` has no chunk in flight, replaying an
   /// error completion (fault plans only) under `owner`'s budget.
   void acquire(Ctx& owner, sim::Process& worker, std::size_t s);
   /// acquire() every slot, in slot order.
   void drain(Ctx& owner, sim::Process& worker);
+  /// Remember `comp` as slot `s`'s chunk in flight, re-posted by `repost`.
+  void record(std::size_t s, sim::CompletionPtr comp,
+              std::function<sim::CompletionPtr()> repost) {
+    comp_[s] = std::move(comp);
+    repost_[s] = std::move(repost);
+  }
+  /// Forget every slot's chunk without waiting for it.
+  void clear() {
+    for (std::size_t s = 0; s < kStagingSlots; ++s) record(s, nullptr, nullptr);
+  }
+
+ private:
+  sim::ZeroPages mem_;
+  std::size_t chunk_;
+  sim::CompletionPtr comp_[kStagingSlots];
+  std::function<sim::CompletionPtr()> repost_[kStagingSlots];
 };
 
 class Ctx {
@@ -398,26 +425,18 @@ class Ctx {
                       sim::Time deadline);
   /// Backoff before software replay number `replays` (1-based).
   sim::Duration replay_backoff(int replays) const;
-  /// Host bounce buffer (registered at init, kStagingSlots chunks) for
-  /// staging pipelines. Its pages are committed on first touch, so a PE
-  /// that never stages holds none. Grow it only after drain_bounce():
-  /// regrowth frees the old buffer. A regrown buffer registers pinned, like
-  /// the first one.
+  /// This PE's staging ring, registered under its id at init: every staged
+  /// protocol this PE runs or serves streams its chunks through it.
+  StagingRing& staging_ring() { return staging_ring_; }
+  /// The host pipeline's whole-message bounce (ipc-staged), at least
+  /// `min_bytes` long. Mapped at first use, at least ring-sized, and free
+  /// while it stays that size; a grown bounce registers pinned, at the
+  /// registration cost, charged to this PE.
   std::byte* bounce(std::size_t min_bytes);
-  /// The bounce buffer's kStagingSlots slots. They outlive the call that
-  /// staged a chunk, so a later call waits for a chunk an earlier one still
-  /// sends.
-  StagingSlots& bounce_slots() { return bounce_slots_; }
-  /// Block `worker` until no bounce slot has a chunk in flight: in a
-  /// StagedPipeline that changes the slot size, and before the staged
-  /// proxy-get or the host pipeline's whole-message bounce writes the
-  /// bounce outside the slot rule or grows it.
-  void drain_bounce(sim::Process& worker);
   cudart::Stream& stream() { return stream_; }
-  /// Target-side rendezvous staging (baseline): serialized by a busy flag.
-  /// Registration cost (on growth) is charged to `worker`; the grown buffer
-  /// registers pinned.
-  std::byte* rendezvous_staging(std::size_t bytes);
+  /// Rendezvous staging (baseline), at least `bytes` long: serialized by a
+  /// busy flag. A grown buffer registers pinned, at the registration cost,
+  /// charged to `worker`.
   std::byte* rendezvous_staging(std::size_t bytes, sim::Process& worker);
   bool staging_busy() const { return staging_busy_; }
   void set_staging_busy(bool b) { staging_busy_ = b; }
@@ -459,6 +478,11 @@ class Ctx {
   /// operands zero-extended.
   std::int32_t atomic32(std::int32_t* sym, ib::Amo amo, int pe);
 
+  /// Grow `buf` to at least `bytes`: drop its registration, map a fresh
+  /// buffer and register it pinned, charging `worker`. Returns its data.
+  std::byte* grow_registered(sim::ZeroPages& buf, std::size_t bytes,
+                             sim::Process& worker);
+
   Runtime* rt_;
   int pe_;
   sim::Process* proc_ = nullptr;  // bound by Runtime::run
@@ -467,10 +491,10 @@ class Ctx {
   sim::Mailbox<CtrlMsg> rx_;
   sim::Notification progress_note_;
 
+  StagingRing staging_ring_;
   sim::ZeroPages bounce_;
-  StagingSlots bounce_slots_;
   cudart::Stream stream_;
-  std::vector<std::byte> rendezvous_staging_;
+  sim::ZeroPages rendezvous_staging_;
   bool staging_busy_ = false;
   std::deque<CtrlMsg> deferred_rts_;
   std::map<int, sim::CompletionPtr> eager_outstanding_;

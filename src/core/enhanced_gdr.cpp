@@ -9,9 +9,9 @@
 //                          dotted); per-node proxy for gets from a remote
 //                          GPU and puts into a GDR-poor one (Fig 5); a
 //                          proxy-get into our own GDR-poor GPU streams
-//                          through our bounce slots
+//                          through our staging ring
 //   inter-node   large, local buffer not registered
-//                       -> the staged sibling through the bounce slots,
+//                       -> the staged sibling through the staging ring,
 //                          while a helper registers the buffer (§5j)
 //
 // Thresholds are Tuning runtime parameters, shrunk when the HCA and GPU sit
@@ -83,7 +83,7 @@ void EnhancedGdrTransport::pipeline_gdr_write(Ctx& ctx, const RmaOp& op) {
   // proxy-put or throws.)
   ctx.count_protocol(Protocol::kPipelineGdrWrite, op.bytes);
   const int me = ctx.my_pe();
-  detail::StagedPipeline pipe(ctx, ctx.proc(), rt_.tuning().pipeline_chunk);
+  detail::StagedPipeline pipe(ctx, ctx.proc(), ctx.staging_ring());
   auto* local_bytes = static_cast<const std::byte*>(op.local);
   auto* remote_bytes = static_cast<std::byte*>(op.remote);
   pipe.for_each_chunk(op.bytes, [&](std::size_t off, std::size_t c,
@@ -102,11 +102,11 @@ void EnhancedGdrTransport::pipeline_gdr_write(Ctx& ctx, const RmaOp& op) {
 }
 
 void EnhancedGdrTransport::host_staged_get(Ctx& ctx, const RmaOp& op) {
-  // RDMA-read chunks into the bounce slots, then H->D copy them locally —
+  // RDMA-read chunks into the staging ring, then H->D copy them locally —
   // avoids an inter-socket GDR write into our own GPU, or registering a
   // destination the cache does not cover (which may be host memory: H->H).
   ctx.count_protocol(Protocol::kHostStagedGet, op.bytes);
-  detail::StagedPipeline(ctx, ctx.proc(), rt_.tuning().pipeline_chunk)
+  detail::StagedPipeline(ctx, ctx.proc(), ctx.staging_ring())
       .pull(ctx.my_pe(), op.target_pe, static_cast<const std::byte*>(op.remote),
             static_cast<std::byte*>(op.local), op.bytes, ctx.stream());
 }
@@ -117,13 +117,14 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
   // stream the message through the target-side proxy's staging ring, and
   // let the proxy do the last hop with an IPC copy. Chunk k uses proxy
   // staging slot k % kStagingSlots, and a device source (or, with
-  // `stage_source`, an unregistered host one) is first copied into bounce
-  // slot k % kStagingSlots, so that copy of chunk k + 1, the RDMA of chunk k
-  // and the proxy's H->D copy of an earlier chunk overlap.
+  // `stage_source`, an unregistered host one) is first copied into slot
+  // k % kStagingSlots of our staging ring, so that copy of chunk k + 1, the
+  // RDMA of chunk k and the proxy's H->D copy of an earlier chunk overlap.
+  // Both rings hold slots of Tuning::pipeline_chunk bytes.
   ctx.count_protocol(Protocol::kProxyPut, op.bytes);
   const int me = ctx.my_pe();
   ProxyDaemon& proxy = rt_.proxy(rt_.cluster().placement(op.target_pe).node);
-  const std::size_t chunk = proxy.staging_chunk();
+  const std::size_t chunk = rt_.tuning().pipeline_chunk;
   const sim::Duration timeout =
       sim::Duration::us(rt_.tuning().proxy_timeout_us);
   auto* src_bytes = static_cast<const std::byte*>(op.local);
@@ -134,8 +135,8 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
   // attempt is reissued from scratch.
   detail::reissue_until_done(ctx, "proxy put", [&] {
     auto st = std::make_shared<ProxyPutState>();
-    // A bounce slot is reused once the RDMA that read it completed.
-    detail::StagedPipeline bounce(ctx, ctx.proc(), chunk);
+    // A slot of our ring is reused once the RDMA that read it completed.
+    detail::StagedPipeline bounce(ctx, ctx.proc(), ctx.staging_ring());
     for (std::size_t off = 0; off < op.bytes; off += chunk) {
       const std::size_t c = std::min(chunk, op.bytes - off);
       const std::size_t k = off / chunk;
@@ -226,21 +227,23 @@ void EnhancedGdrTransport::proxy_get(Ctx& ctx, const RmaOp& op,
     return;
   }
   // Our own GDR write is poor, or our buffer is not registered: the proxy
-  // writes chunk k into bounce slot k % kStagingSlots and sends a landed
-  // notice, we copy the chunk out (H->D, or H->H into a host buffer) and,
-  // when chunk k + kStagingSlots exists, credit the slot back. Our buffer is
-  // never registered, and the call returns once the last chunk is copied
-  // out (nbi too), so the bounce is free again.
-  const std::size_t chunk = proxy.staging_chunk();
+  // writes chunk k into slot k % kStagingSlots of our staging ring and
+  // sends a landed notice, we copy the chunk out (H->D, or H->H into a host
+  // buffer) and, when chunk k + kStagingSlots exists, credit the slot back.
+  // Our buffer is never registered, and the call returns once the last
+  // chunk is copied out (nbi too), so the ring is free again.
+  const std::size_t chunk = rt_.tuning().pipeline_chunk;
   auto* dst = static_cast<std::byte*>(op.local);
   detail::reissue_until_done(ctx, "proxy get", [&] {
-    ctx.drain_bounce(ctx.proc());
-    std::byte* bounce = ctx.bounce(kStagingSlots * chunk);
+    // The proxy writes the ring outside the slot rule, so first wait until
+    // every chunk an earlier call left in flight from it has landed.
+    detail::StagedPipeline pipe(ctx, ctx.proc(), ctx.staging_ring());
+    pipe.drain();
     auto st = std::make_shared<ProxyGetState>();
     st->mode = ProxyGetState::Mode::kStaged;
     proxy.post_request(ctx, 32,
                        {.kind = CtrlMsg::Kind::kProxyGet,
-                        .local = bounce,
+                        .local = pipe.slot(0),
                         .remote = op.remote,
                         .bytes = op.bytes,
                         .state = st});
@@ -250,7 +253,7 @@ void EnhancedGdrTransport::proxy_get(Ctx& ctx, const RmaOp& op,
         return false;
       }
       rt_.cuda().memcpy_sync(ctx.proc(), ctx.node(), dst + off,
-                             bounce + k % kStagingSlots * chunk,
+                             pipe.slot(k % kStagingSlots),
                              std::min(chunk, op.bytes - off));
       if (off + kStagingSlots * chunk < op.bytes) {
         proxy.post_request(ctx, 0,

@@ -92,14 +92,12 @@ void HostPipelineTransport::put_intra(Ctx& ctx, const RmaOp& op) {
     // H-D or D-D put: map the destination, one IPC copy.
     return detail::run_unstaged(ctx, op, Protocol::kIpcCopy, /*is_get=*/false);
   }
-  // D-H put: IPC cannot map a host buffer — bounce D->H, then shm copy. The
-  // whole message takes the bounce, so an earlier call's chunks still in its
-  // slots go out first.
+  // D-H put: IPC cannot map a host buffer — bounce D->H, then shm copy.
   ctx.count_protocol(Protocol::kIpcStaged, op.bytes);
-  ctx.drain_bounce(ctx.proc());
   std::byte* b = ctx.bounce(op.bytes);
   rt_.cuda().memcpy_sync(ctx.proc(), ctx.node(), b, op.local, op.bytes);
-  detail::host_shm_copy(ctx, op.remote, b, op.bytes, op.target_pe);
+  rt_.cuda().memcpy_sync(ctx.proc(), ctx.node(), op.remote, b, op.bytes);
+  rt_.notify_pe(op.target_pe);
 }
 
 void HostPipelineTransport::get_intra(Ctx& ctx, const RmaOp& op) {
@@ -110,14 +108,12 @@ void HostPipelineTransport::get_intra(Ctx& ctx, const RmaOp& op) {
     return detail::run_unstaged(ctx, op, Protocol::kIpcCopy, /*is_get=*/true);
   }
   if (rem_dev) {
-    // H-D get: IPC D->H into a bounce, then shm copy into the user buffer
-    // (after the bounce slots drained, as for the D-H put).
+    // H-D get: IPC D->H into a bounce, then shm copy into the user buffer.
     ctx.count_protocol(Protocol::kIpcStaged, op.bytes);
     rt_.map_peer_gpu_heap(ctx.proc(), ctx.my_pe(), op.target_pe);
-    ctx.drain_bounce(ctx.proc());
     std::byte* b = ctx.bounce(op.bytes);
     rt_.cuda().memcpy_sync(ctx.proc(), ctx.node(), b, op.remote, op.bytes);
-    detail::host_shm_copy(ctx, op.local, b, op.bytes, -1);
+    rt_.cuda().memcpy_sync(ctx.proc(), ctx.node(), op.local, b, op.bytes);
     return;
   }
   // D-H get: one H->D copy from the peer's host heap ("on par", Fig 7d).
@@ -251,8 +247,8 @@ void HostPipelineTransport::rendezvous_put(Ctx& ctx, const RmaOp& op) {
   ctx.wait_for([&] { return st->cts.done(); });
 
   // Inter-node rendezvous is D-D only (see put()), so every chunk stages
-  // D->H through the bounce slots.
-  detail::StagedPipeline pipe(ctx, ctx.proc(), rt_.tuning().pipeline_chunk);
+  // D->H through our staging ring.
+  detail::StagedPipeline pipe(ctx, ctx.proc(), ctx.staging_ring());
   auto* local_bytes = static_cast<const std::byte*>(op.local);
   pipe.for_each_chunk(op.bytes, [&](std::size_t off, std::size_t c,
                                     std::size_t s) {
@@ -332,7 +328,7 @@ void HostPipelineTransport::remote_request_get(Ctx& ctx, const RmaOp& op) {
   auto st = std::make_shared<RndvState>();
   st->total = op.bytes;
   st->requester = me;
-  st->staging = ctx.rendezvous_staging(op.bytes);
+  st->staging = ctx.rendezvous_staging(op.bytes, ctx.proc());
   ctx.set_staging_busy(true);
 
   detail::send_ctrl(ctx, ctx.proc(), target, 32,
@@ -356,8 +352,8 @@ void HostPipelineTransport::on_get_req(Ctx& ctx, CtrlMsg& msg,
   const int me = ctx.my_pe();
   const int requester = msg.from;
   // The source is GPU-resident (inter-node gets are D-D only, see get()),
-  // so every chunk stages D->H through our bounce slots.
-  detail::StagedPipeline pipe(ctx, worker, rt_.tuning().pipeline_chunk);
+  // so every chunk stages D->H through our staging ring.
+  detail::StagedPipeline pipe(ctx, worker, ctx.staging_ring());
   auto* src_bytes = static_cast<const std::byte*>(msg.remote);
   pipe.for_each_chunk(msg.bytes, [&](std::size_t off, std::size_t c,
                                      std::size_t s) {

@@ -14,26 +14,18 @@ namespace gdrshmem::core {
 
 using sim::Duration;
 
-ProxyDaemon::ProxyDaemon(Runtime& rt, int node, std::size_t staging_bytes)
-    : rt_(rt), node_(node), staging_(staging_bytes), stream_(node, 0) {
-  // Proxy staging is registered under the node's service endpoint so PEs
-  // can RDMA-write into it.
-  rt_.verbs().reg_cache().register_at_init(endpoint(), staging_.data(),
-                                           staging_.size());
-}
+// The staging ring registers under the node's service endpoint, so PEs can
+// RDMA-write into it.
+ProxyDaemon::ProxyDaemon(Runtime& rt, int node)
+    : rt_(rt), node_(node), ring_(rt, rt.cluster().service_endpoint(node)),
+      stream_(node, 0) {}
 
 int ProxyDaemon::endpoint() const { return rt_.cluster().service_endpoint(node_); }
 
-std::size_t ProxyDaemon::staging_chunk() const {
-  return std::min(rt_.tuning().pipeline_chunk, staging_.size() / kStagingSlots);
-}
-
-std::size_t ProxyDaemon::claim_staging(std::size_t bytes) {
-  const std::size_t chunk = staging_chunk();
+void ProxyDaemon::claim_staging(std::size_t bytes) {
   rt_.metrics()
       .gauge("proxy/staging_used_bytes")
-      .set(std::min(kStagingSlots * chunk, bytes));
-  return chunk;
+      .set(std::min(ring_.bytes(), bytes));
 }
 
 void ProxyDaemon::post_request(Ctx& ctx, std::size_t n, CtrlMsg msg) {
@@ -72,9 +64,11 @@ void ProxyDaemon::restart() {
   // Everything queued or half-served at crash time is lost: requesters hold
   // per-stage deadlines and reissue with fresh transfer state. The GPU heap
   // IPC mappings are re-established by start() (cached, so effectively
-  // free the second time).
+  // free the second time). Every transfer starts with empty ring slots, so
+  // no later transfer awaits the chunks of the one killed mid-stream.
   mb_.clear();
   stash_.clear();
+  ring_.clear();
   ++restarts_;
   rt_.faults().on_event(sim::FaultEvent::kProxyRestart, node_);
   start();
@@ -161,10 +155,11 @@ void ProxyDaemon::do_put(sim::Process& self, CtrlMsg& req) {
   auto st = std::static_pointer_cast<ProxyPutState>(req.state);
   const int requester = req.from;
   Runtime& rt = rt_;
-  const std::size_t chunk = claim_staging(req.bytes);
+  claim_staging(req.bytes);
+  const std::size_t chunk = ring_.chunk();
   rt_.ib().post_send(self, endpoint(), requester, 16,
                         [st, this, &rt, requester] {
-                          st->staging = staging_.data();
+                          st->staging = ring_.data();
                           st->cts.fire();
                           rt.notify_pe(requester);
                         });
@@ -174,8 +169,7 @@ void ProxyDaemon::do_put(sim::Process& self, CtrlMsg& req) {
                      st->windows_done * chunk);
     if (!m) return;  // orphaned transfer: drop it, serve the next
     auto* dst = static_cast<std::byte*>(m->remote) + m->offset;
-    const std::byte* slot =
-        staging_.data() + st->windows_done % kStagingSlots * chunk;
+    const std::byte* slot = ring_.slot(st->windows_done % kStagingSlots);
     rt_.cuda().memcpy_sync(self, node_, dst, slot, m->bytes);
     ++st->windows_done;
     rt_.notify_pe(requester);
@@ -253,8 +247,8 @@ void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
       case Protocol::kProxyGet:
         // host-staged-get's pull through our staging, copied out on our
         // own stream.
-        detail::StagedPipeline(rctx, self, staging_.data(),
-                               claim_staging(op.bytes))
+        claim_staging(op.bytes);
+        detail::StagedPipeline(rctx, self, ring_)
             .pull(endpoint(), op.target_pe, remote, local, op.bytes, stream_);
         break;
       default:
@@ -281,8 +275,9 @@ bool ProxyDaemon::stream_out(sim::Process& self, Ctx& owner,
                              const std::byte* src, int target, std::byte* dst,
                              std::size_t bytes,
                              const std::shared_ptr<ProxyGetState>& staged) {
-  const std::size_t chunk = claim_staging(bytes);
-  detail::StagedPipeline pipe(owner, self, staging_.data(), chunk);
+  claim_staging(bytes);
+  const std::size_t chunk = ring_.chunk();
+  detail::StagedPipeline pipe(owner, self, ring_);
   for (std::size_t off = 0; off < bytes; off += chunk) {
     const std::size_t c = std::min(chunk, bytes - off);
     const std::size_t s = off / chunk % kStagingSlots;

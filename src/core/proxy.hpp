@@ -11,12 +11,12 @@
 //     RDMA write into its buffer (completion fired once every chunk landed),
 //     the bytes of a small host buffer in the completion send, or, for a
 //     GDR-poor requester's GPU, an RDMA write into slot k % kStagingSlots of
-//     its bounce buffer, a landed notice, and a wait for kProxyGetCredit
+//     its staging ring, a landed notice, and a wait for kProxyGetCredit
 //     before the slot is written again.
 //   * kProxyPutReq/kProxyPutFin: the requester streams chunks over RDMA
-//     into the proxy's ring of kStagingSlots staging slots, one fin per
-//     chunk; the proxy performs each chunk's final H->D IPC copy while later
-//     chunks are on the wire.
+//     into the slots of the proxy's staging ring, one fin per chunk; the
+//     proxy performs each chunk's final H->D IPC copy while later chunks
+//     are on the wire.
 //   * kDeviceCmd: a local kernel's reverse-offload command, run under the
 //     protocol ProtocolSelector::select_offload names: a peer copy through
 //     the IPC mappings, one posting, the reverse pipeline for a proxy-put,
@@ -33,21 +33,18 @@
 #include <optional>
 
 #include "core/ctrl.hpp"
+#include "core/ctx.hpp"
 #include "cudart/cudart.hpp"
 #include "sim/engine.hpp"
 #include "sim/future.hpp"
 #include "sim/mailbox.hpp"
-#include "sim/zero_pages.hpp"
 
 namespace gdrshmem::core {
-
-class Runtime;
-class Ctx;
 
 /// Shared state of one proxy-put transfer, carried in the control messages.
 struct ProxyPutState {
   sim::Completion cts;           // fired when the proxy grants staging
-  std::byte* staging = nullptr;  // granted ring: kStagingSlots chunk slots
+  std::byte* staging = nullptr;  // the granted staging ring
   std::uint64_t windows_done = 0;  // chunks the proxy has drained to the GPU
   std::shared_ptr<sim::Completion> done =
       std::make_shared<sim::Completion>();  // all bytes at final destination
@@ -57,7 +54,7 @@ struct ProxyPutState {
 struct ProxyGetState {
   /// How the bytes reach the requester's buffer: RDMA-written in place; in
   /// the completion send (a host buffer of at most ib::kInlineBytes, which
-  /// never registers); or through the slots of its bounce buffer.
+  /// never registers); or through the slots of its staging ring.
   enum class Mode { kDirect, kInline, kStaged } mode = Mode::kDirect;
   std::uint64_t landed = 0;  // staged: chunks the proxy announced landed
   std::shared_ptr<sim::Completion> done =
@@ -66,7 +63,7 @@ struct ProxyGetState {
 
 class ProxyDaemon {
  public:
-  ProxyDaemon(Runtime& rt, int node, std::size_t staging_bytes = 8u << 20);
+  ProxyDaemon(Runtime& rt, int node);
 
   /// Spawn the daemon process (call before Runtime::run starts PEs).
   void start();
@@ -78,14 +75,13 @@ class ProxyDaemon {
 
   int node() const { return node_; }
   int endpoint() const;
-  /// Chunk size of the staged pipelines through this daemon's staging,
-  /// which holds kStagingSlots chunk slots.
-  std::size_t staging_chunk() const;
   sim::Mailbox<CtrlMsg>& mailbox() { return mb_; }
   /// Send request `msg` from `ctx`'s PE into this daemon's mailbox (an
   /// `n`-byte IB send to the service endpoint).
   void post_request(Ctx& ctx, std::size_t n, CtrlMsg msg);
-  const sim::ZeroPages& staging() const { return staging_; }
+  /// The staging ring every transfer served here streams through,
+  /// registered under the service endpoint.
+  const StagingRing& staging_ring() const { return ring_; }
 
   // Diagnostics.
   std::uint64_t gets_served() const { return gets_served_; }
@@ -107,7 +103,7 @@ class ProxyDaemon {
   /// IPC-copy each chunk of `src` into the staging ring and RDMA-write it
   /// to `target`'s `dst`; returns once every chunk landed. `owner`'s replay
   /// budget covers the chunks. With `staged`, `dst` is the requester's
-  /// bounce buffer: chunk k goes to its slot k % kStagingSlots, after the
+  /// staging ring: chunk k goes to its slot k % kStagingSlots, after the
   /// credit of chunk k - kStagingSlots, and is followed by a landed notice.
   /// False when a credit never came (the requester gave up on the
   /// transfer).
@@ -122,13 +118,13 @@ class ProxyDaemon {
                                  const std::shared_ptr<void>& state,
                                  std::size_t offset);
   void restart();
-  /// staging_chunk() for a transfer of `bytes` served here, recording the
-  /// staging it occupies in the proxy/staging_used_bytes gauge.
-  std::size_t claim_staging(std::size_t bytes);
+  /// Record the staging a transfer of `bytes` served here occupies in the
+  /// proxy/staging_used_bytes gauge.
+  void claim_staging(std::size_t bytes);
 
   Runtime& rt_;
   int node_;
-  sim::ZeroPages staging_;
+  StagingRing ring_;
   /// The proxy's own CUDA stream: a device proxy-get's copy-outs queue here,
   /// never behind the requester's stream work.
   cudart::Stream stream_;

@@ -11,18 +11,6 @@
 
 namespace gdrshmem::core::detail {
 
-/// Process-to-process copy through host shared memory on the caller's node,
-/// charged to the caller.
-inline void host_shm_copy(Ctx& ctx, void* dst, const void* src, std::size_t n,
-                          int wake_pe) {
-  Runtime& rt = ctx.runtime();
-  sim::Path p = rt.cluster().host_copy(rt.cluster().placement(ctx.my_pe()).node);
-  sim::Time done = p.schedule(rt.engine().now(), n);
-  ctx.proc().delay(done - rt.engine().now());
-  std::memcpy(dst, src, n);
-  if (wake_pe >= 0) rt.notify_pe(wake_pe);
-}
-
 /// Resolve a symmetric 64-bit word for hardware atomics.
 inline std::uint64_t* resolve_word(Runtime& rt, int owner_pe, int target_pe,
                                    const void* sym) {
@@ -107,40 +95,25 @@ inline void rdma_get(Ctx& ctx, const RmaOp& op, Protocol proto) {
   });
 }
 
-/// The staging ring behind every chunked protocol: the host rendezvous
-/// (Fig 1), pipeline-GDR-write (Fig 4), the proxy's reverse pipeline (Fig 5)
-/// and proxy-put's device-source bounce push chunks out; host-staged-get and
-/// the proxy's staged device get pull them in (pull()). Chunk k stages
-/// through slot k % kStagingSlots while up to kStagingSlots - 1 earlier
-/// chunks are on the wire. Each slot keeps the completion of the last chunk
-/// posted from it and the closure that re-posts that chunk, so an error
-/// completion is replayed while the slot still holds the chunk's bytes.
-/// Without a fault plan every wait here is a plain wait.
+/// A staged protocol's use of a staging ring (StagingRing): the host
+/// rendezvous (Fig 1), pipeline-GDR-write (Fig 4), the proxy's reverse
+/// pipeline (Fig 5) and proxy-put's device-source bounce push chunks out;
+/// host-staged-get and the proxy's staged device get pull them in (pull());
+/// the staged proxy-get has the proxy write into it. Chunk k stages through
+/// slot k % kStagingSlots while up to kStagingSlots - 1 earlier chunks are
+/// on the wire. The ring keeps each slot's last chunk in flight, so an error
+/// completion is replayed while the slot still holds the chunk's bytes, and
+/// a later call waits for a chunk this one left in flight. Without a fault
+/// plan every wait here is a plain wait.
 class StagedPipeline {
  public:
   using Post = std::function<sim::CompletionPtr()>;
 
   /// `owner` is the PE whose replay budget covers the chunks; `worker` is
   /// the process that stages and posts them (the PE itself or a proxy
-  /// daemon); `staging` holds kStagingSlots `chunk`-byte slots, used by
-  /// this call only.
-  StagedPipeline(Ctx& owner, sim::Process& worker, std::byte* staging,
-                 std::size_t chunk)
-      : owner_(owner), worker_(worker), staging_(staging), chunk_(chunk),
-        slots_(own_) {}
-
-  /// Over `owner`'s bounce buffer, whose slots' chunks in flight outlive
-  /// this call (Ctx::bounce_slots): acquiring a slot also waits for a chunk
-  /// an earlier call left in it. A new slot size first drains every slot.
-  StagedPipeline(Ctx& owner, sim::Process& worker, std::size_t chunk)
-      : owner_(owner), worker_(worker), chunk_(chunk),
-        slots_(owner.bounce_slots()) {
-    if (slots_.chunk != chunk) {
-      owner.drain_bounce(worker);
-      slots_.chunk = chunk;
-    }
-    staging_ = owner.bounce(kStagingSlots * chunk);
-  }
+  /// daemon); `ring` is the staging ring of that PE or daemon.
+  StagedPipeline(Ctx& owner, sim::Process& worker, StagingRing& ring)
+      : owner_(owner), worker_(worker), ring_(ring), chunk_(ring.chunk()) {}
 
   StagedPipeline(const StagedPipeline&) = delete;
   StagedPipeline& operator=(const StagedPipeline&) = delete;
@@ -154,16 +127,15 @@ class StagedPipeline {
     }
   }
 
-  std::byte* slot(std::size_t s) const { return staging_ + s * chunk_; }
+  std::byte* slot(std::size_t s) const { return ring_.slot(s); }
 
   /// Wait until the chunk last posted from slot `s` has landed, so the
   /// slot can be overwritten.
-  void acquire(std::size_t s) { slots_.acquire(owner_, worker_, s); }
+  void acquire(std::size_t s) { ring_.acquire(owner_, worker_, s); }
 
   /// Remember `comp` as slot `s`'s outstanding chunk, re-posted by `repost`.
   void record(std::size_t s, sim::CompletionPtr comp, Post repost) {
-    slots_.comp[s] = std::move(comp);
-    slots_.repost[s] = std::move(repost);
+    ring_.record(s, std::move(comp), std::move(repost));
   }
 
   /// Post the chunk staged in slot `s` and remember it.
@@ -206,7 +178,7 @@ class StagedPipeline {
   }
 
   /// Wait for every slot's outstanding chunk, in slot order.
-  void drain() { slots_.drain(owner_, worker_); }
+  void drain() { ring_.drain(owner_, worker_); }
 
   /// Let the operation return before remote completion: the outstanding
   /// chunks join the owner's quiet() set. Under a fault plan they are
@@ -214,18 +186,16 @@ class StagedPipeline {
   /// have reused their slots by then.
   void finish_async() {
     if (owner_.runtime().faults_enabled()) drain();
-    for (const sim::CompletionPtr& comp : slots_.comp) {
-      if (comp) owner_.track(comp);
+    for (std::size_t s = 0; s < kStagingSlots; ++s) {
+      if (const sim::CompletionPtr& comp = ring_.comp(s)) owner_.track(comp);
     }
   }
 
  private:
   Ctx& owner_;
   sim::Process& worker_;
-  std::byte* staging_ = nullptr;
-  std::size_t chunk_;
-  StagingSlots own_;
-  StagingSlots& slots_;
+  StagingRing& ring_;
+  const std::size_t chunk_;
 };
 
 /// Run `attempt` until it reports success, reissuing an attempt that timed
@@ -290,7 +260,10 @@ inline void run_unstaged(Ctx& ctx, const RmaOp& op, Protocol proto,
   switch (proto) {
     case Protocol::kHostShm:
       ctx.count_protocol(proto, op.bytes);
-      return host_shm_copy(ctx, dst, src, op.bytes, is_get ? -1 : op.target_pe);
+      ctx.runtime().cuda().memcpy_sync(ctx.proc(), ctx.node(), dst, src,
+                                       op.bytes);
+      if (!is_get) ctx.runtime().notify_pe(op.target_pe);
+      return;
     case Protocol::kLoopbackGdr:
     case Protocol::kDirectRdma:
     case Protocol::kDirectGdr:

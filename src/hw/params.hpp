@@ -66,8 +66,6 @@ struct SystemParams {
   double switch_latency_us = 0.10;
   /// Extra execution time of an IB hardware atomic at the target HCA.
   double ib_atomic_exec_us = 0.40;
-  /// Delay between a completion landing and the polling CPU noticing.
-  double completion_poll_us = 0.10;
 
   // ---- InfiniBand reliability (tier-1, HCA-transparent) -------------------
   // RC QPs retransmit a failed WQE in hardware before surfacing a
@@ -178,11 +176,6 @@ struct SystemParams {
   /// ...and block-scope issues by this (doorbell cost is never divided —
   /// the ring itself is one MMIO store regardless of scope).
   double wqe_block_divisor = 8.0;
-
-  // ---- GPU compute model -------------------------------------------------
-  /// Per-lattice-cell update cost used by the application kernels (ns).
-  /// Stencil2D and LBM override this per app; see src/apps.
-  double gpu_cell_update_ns = 0.9;
 
   /// Wilkes-like defaults (what the paper evaluated on).
   static SystemParams wilkes() { return SystemParams{}; }

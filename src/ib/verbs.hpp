@@ -56,8 +56,9 @@ class RegistrationCache {
   /// its registration ends. Counts a miss when issued; a range inside one
   /// already on the helper is not registered twice.
   void register_async(int pe, const void* addr, std::size_t len);
-  /// Register without a calling process (used at init before PEs run);
-  /// charges nothing — init-time registration cost is charged by the caller.
+  /// Register without a calling process, charging nothing: init-time
+  /// buffers (whose registration cost the caller charges) and buffers the
+  /// caller prices like them, such as a PE's first ring-sized bounce.
   /// Pinned: never evicted.
   void register_at_init(int pe, const void* addr, std::size_t len);
   /// Deregister the range that starts at `addr` (pinned or dynamic), as a

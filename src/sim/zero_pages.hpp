@@ -20,6 +20,8 @@ namespace gdrshmem::sim {
 
 class ZeroPages {
  public:
+  /// No mapping yet: data() is null and size() is 0, as after a move.
+  ZeroPages() = default;
   /// Map `bytes` zero bytes (page-rounded) plus a guard page. A zero-byte
   /// request maps only the guard page, so data() is still a unique non-null
   /// address that no access may reach. Throws std::system_error if the

@@ -234,8 +234,8 @@ TEST(HeapContents, FreshBuffersReadZero) {
         << "PE " << pe << " eager region";
   }
   for (int node = 0; node < rt.cluster().num_nodes(); ++node) {
-    const sim::ZeroPages& staging = rt.proxy(node).staging();
-    EXPECT_EQ(first_and_last(staging.data(), staging.size()), 0)
+    const StagingRing& ring = rt.proxy(node).staging_ring();
+    EXPECT_EQ(first_and_last(ring.data(), ring.bytes()), 0)
         << "node " << node << " proxy staging";
   }
 }

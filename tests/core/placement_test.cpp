@@ -163,8 +163,8 @@ TEST(Placement, RegrownStagingDropsItsOldRegistration) {
     std::byte* bounce = ctx.bounce(grown);
     EXPECT_FALSE(rc.covered(me, old_bounce, 1));
     EXPECT_TRUE(rc.covered(me, bounce, grown));
-    std::byte* old_staging = ctx.rendezvous_staging(4096);
-    std::byte* staging = ctx.rendezvous_staging(8192);
+    std::byte* old_staging = ctx.rendezvous_staging(4096, ctx.proc());
+    std::byte* staging = ctx.rendezvous_staging(8192, ctx.proc());
     EXPECT_FALSE(rc.covered(me, old_staging, 1));
     EXPECT_TRUE(rc.covered(me, staging, 8192));
   });

@@ -1,11 +1,12 @@
 // The pipelined proxy-put and the staged proxy-get (DESIGN §5e). With
 // s = k % kStagingSlots, a put into a GDR-poor GPU streams chunk k through
-// proxy staging slot s, and a device source also through bounce slot s; a
-// get into a GDR-poor requester's GPU streams chunk k through proxy staging
-// slot s into the requester's bounce slot s. Every byte must land, blocking
+// proxy staging slot s, and a device source also through slot s of its
+// PE's staging ring; a get into a GDR-poor requester's GPU streams chunk k
+// through proxy staging slot s into the requester's ring slot s. Every
+// byte must land, blocking
 // and nbi, on the fault-free path and on the ordered path a fault plan
 // selects, with two requesters sharing one proxy and across a proxy crash.
-// The bounce slots' chunks in flight must survive the next staged call
+// The ring slots' chunks in flight must survive the next staged call
 // before quiet(). Also the registration-cache lookup the host source relies
 // on when its chunks post from sub-ranges of one registration, and a
 // kernel-issued get past the direct-GDR window, which the requester's proxy
@@ -139,7 +140,7 @@ TEST(ProxyPutPipeline, TwoRequestersShareOneProxy) {
 
 TEST(ProxyPutPipeline, DeviceSourceProxyCrashMidPutIsRecovered) {
   // FaultInjection.ProxyCrashMidPutIsRecovered from a device buffer: the
-  // reissued attempt restages its chunks through the bounce slots.
+  // reissued attempt restages its chunks through the staging ring.
   hw::ClusterConfig cluster = make_cluster(2, 1, /*same_socket=*/false);
   RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
   opts.host_heap_bytes = 16u << 20;
@@ -176,9 +177,9 @@ TEST(ProxyPutPipeline, DeviceSourceNeverGrowsTheBounceBuffer) {
     if (ctx.my_pe() == 0) {
       auto* src = static_cast<unsigned char*>(ctx.cuda_malloc(n));
       for (std::size_t i = 0; i < n; ++i) src[i] = pattern(2, i);
-      const std::byte* before = ctx.bounce(0);
+      const std::byte* before = ctx.staging_ring().data();
       ctx.putmem(dev, src, n, 1);
-      EXPECT_EQ(ctx.bounce(0), before);
+      EXPECT_EQ(ctx.staging_ring().data(), before);
     }
     ctx.barrier_all();
     if (ctx.my_pe() == 1) {
@@ -192,8 +193,8 @@ TEST(ProxyPutPipeline, PipelineWriteThenProxyPutBeforeQuiet) {
   // Every HCA sits on the other socket from its GPU. A 1 MiB device-source
   // put into a host word takes pipeline-gdr-write and returns with its last
   // chunks still on the wire; a 2 MiB device-source put into a GPU word then
-  // takes proxy-put. Its staging must not regrow (and so free) the bounce
-  // buffer those chunks are still being sent from.
+  // takes proxy-put. Its staging must not regrow (and so free) the ring
+  // those chunks are still being sent from.
   hw::ClusterConfig cluster = make_cluster(2, 2, /*same_socket=*/false);
   RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
   const std::size_t small = 1u << 20;
@@ -240,8 +241,8 @@ class ProxyGetPipeline : public ::testing::TestWithParam<GetCase> {};
 
 TEST_P(ProxyGetPipeline, MovesEveryByteThroughTheBounce) {
   // PE 0 gets from PE 1's GPU into its own GPU, whose GDR write is poor: the
-  // proxy writes each chunk into PE 0's bounce slots, so the destination is
-  // never registered and the bounce never grows.
+  // proxy writes each chunk into PE 0's ring slots, so the destination is
+  // never registered and the ring never moves.
   const GetCase c = GetParam();
   hw::ClusterConfig cluster = make_cluster(2, 1, /*same_socket=*/c.revoked);
   RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
@@ -255,7 +256,7 @@ TEST_P(ProxyGetPipeline, MovesEveryByteThroughTheBounce) {
     ctx.barrier_all();
     if (ctx.my_pe() == 0) {
       auto* dst = static_cast<unsigned char*>(ctx.cuda_malloc(c.bytes));
-      const std::byte* before = ctx.bounce(0);
+      const std::byte* before = ctx.staging_ring().data();
       if (c.blocking) {
         ctx.getmem(dst, src, c.bytes, 1);
       } else {
@@ -263,7 +264,7 @@ TEST_P(ProxyGetPipeline, MovesEveryByteThroughTheBounce) {
         ctx.quiet();
       }
       EXPECT_EQ(first_mismatch(dst, c.bytes, 6), c.bytes);
-      EXPECT_EQ(ctx.bounce(0), before);
+      EXPECT_EQ(ctx.staging_ring().data(), before);
       EXPECT_FALSE(ctx.runtime().verbs().reg_cache().covered(0, dst, 1));
     }
     ctx.barrier_all();
@@ -343,7 +344,7 @@ std::unique_ptr<Runtime> staged_get_4mib(const RuntimeOptions& opts) {
 TEST(ProxyGetPipeline, ProxyCrashMidGetIsRecovered) {
   // The proxy dies 300 us in, in the middle of a 4 MiB staged get; the
   // requester's landed wait times out and the reissued attempt restreams
-  // every chunk through the bounce slots.
+  // every chunk through the ring slots.
   RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
   opts.faults = sim::FaultPlan::parse("crash=1@300");
   auto rt = staged_get_4mib(opts);
@@ -390,13 +391,13 @@ TEST(ProxyGetPipeline, LandedNoticeNeverOvertakesItsChunkOnSrd) {
   EXPECT_EQ(rt->stats().ops(Protocol::kProxyGet), 1u);
 }
 
-// The bounce buffer's slots keep their chunks in flight across calls:
-// a later staged call that writes the bounce waits for them, and nothing
-// regrows (and so frees) the bounce under them.
+// A PE's staging ring keeps its chunks in flight across calls: a later
+// staged call that writes the ring waits for them, and nothing regrows (and
+// so frees) the ring under them.
 
 TEST(BounceSlots, TwoDeviceSourcePutsBeforeQuiet) {
   // A 4 MiB host-source put holds PE 0's port, so the chunks of the first
-  // 512 KiB device-source put (pipeline-gdr-write) are still in the bounce
+  // 512 KiB device-source put (pipeline-gdr-write) are still in the ring
   // slots when the second one stages its own.
   hw::ClusterConfig cluster = make_cluster(2, 1);
   RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
@@ -431,8 +432,9 @@ TEST(BounceSlots, TwoDeviceSourcePutsBeforeQuiet) {
 
 TEST(BounceSlots, HostPipelineRendezvousThenIntraNodeStagedPut) {
   // Host-pipeline transport: a 1 MiB D-D put to the other node (rendezvous)
-  // returns with its last chunks in the bounce slots; a 2 MiB D-H put to the
-  // same-node peer then bounces the whole message and grows the bounce.
+  // returns with its last chunks in the ring slots; a 2 MiB D-H put to the
+  // same-node peer then bounces the whole message through a bounce buffer
+  // of its own.
   hw::ClusterConfig cluster = make_cluster(2, 2);
   RuntimeOptions opts = make_options(TransportKind::kHostPipeline);
   const std::size_t small = 1u << 20;
@@ -467,7 +469,7 @@ TEST(BounceSlots, HostPipelineRendezvousThenIntraNodeStagedPut) {
 TEST(BounceSlots, DeviceSourcePutThenStagedProxyGetBeforeQuiet) {
   // HCA and GPU on other sockets. A 4 MiB host-source put holds PE 0's
   // port, a 1 MiB device-source put into PE 1's host heap leaves its chunks
-  // in the bounce slots, and a staged proxy-get into PE 0's GPU then has
+  // in the ring slots, and a staged proxy-get into PE 0's GPU then has
   // the proxy write into those slots.
   hw::ClusterConfig cluster = make_cluster(2, 1, /*same_socket=*/false);
   RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);

@@ -1,10 +1,10 @@
 // Registration misses off the critical path (DESIGN §5j). An inter-node
 // transfer larger than its direct-GDR window whose local buffer the
 // registration cache does not cover runs its protocol's staged sibling
-// through the bounce slots, while the PE's registration helper registers the
-// buffer; once that registration ends the same transfer goes zero-copy.
-// Ops inside their GDR window keep registering on the calling PE. Also the
-// bounce buffer's registration after it regrows.
+// through the PE's staging ring, while the PE's registration helper
+// registers the buffer; once that registration ends the same transfer goes
+// zero-copy. Ops inside their GDR window keep registering on the calling
+// PE. Also the ring's registration after the bounce buffer grows.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -327,10 +327,10 @@ TEST(RegistrationMiss, SameOnBothEngineBackends) {
 }
 
 TEST(RegistrationMiss, RegrownBounceStaysRegistered) {
-  // A bounce buffer grown past its initial kStagingSlots chunks registers
-  // pinned, like the first one: 130 fresh registrations later (above the
-  // 128-entry cache), a device-source put still stages through registered
-  // slots.
+  // A bounce buffer grown past the ring's size registers pinned, and the
+  // ring registered at init stays: 130 fresh registrations later (above
+  // the 128-entry cache), a device-source put still stages through
+  // registered slots.
   constexpr std::size_t n = kMiB;
   constexpr std::size_t kRange = 64u << 10;
   auto put_us = [](std::size_t fresh_registrations) {

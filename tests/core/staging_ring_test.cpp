@@ -1,15 +1,17 @@
 // The staging ring (DESIGN §5e). Every staged protocol streams chunks of
-// Tuning::pipeline_chunk bytes through a ring of kStagingSlots slots: a
-// PE's bounce buffer or a proxy's staging. The chunk sets how long a
-// pipeline takes to fill (the first chunk's copy before the wire starts)
-// and to drain (the last chunk's copy after it ends); the ring sets the
-// bytes in flight. So the default chunk is the smallest power of two that
-// keeps a pipeline wire-bound, single staged ops pay one short chunk at
-// each end, a get whose copy-outs queue behind a same-node copy on the
-// GPU's PCIe slot still keeps the wire busy, and a pull overlaps its
-// consecutive reads. Also: the bounce buffer's pages are committed only
-// when its PE first stages. Every case checks every byte; the timing cases
-// pin themselves to rc.
+// Tuning::pipeline_chunk bytes through a StagingRing of kStagingSlots
+// slots: its PE's or its proxy's. The chunk sets how long a pipeline takes
+// to fill (the first chunk's copy before the wire starts) and to drain (the
+// last chunk's copy after it ends); the ring sets the bytes in flight. So
+// the default chunk is the smallest power of two that keeps a pipeline
+// wire-bound, single staged ops pay one short chunk at each end, a get
+// whose copy-outs queue behind a same-node copy on the GPU's PCIe slot
+// still keeps the wire busy, and a pull overlaps its consecutive reads.
+// Also: a ring's pages are committed only when its PE first stages, a
+// proxy's ring is exactly ring-sized, the host pipeline's whole-message
+// bounce neither moves the ring nor waits for its chunks, and a restarted
+// proxy's ring holds no chunk of the transfer it lost. Every case checks
+// every byte; the timing cases pin themselves to rc.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <unistd.h>
@@ -19,8 +21,11 @@
 #include <cstring>
 #include <vector>
 
+#include "core/proxy.hpp"
 #include "core/tuning.hpp"
 #include "hw/topology.hpp"
+#include "ib/verbs.hpp"
+#include "sim/fault.hpp"
 #include "test_util.hpp"
 
 namespace gdrshmem::core {
@@ -217,8 +222,8 @@ std::size_t resident_pages(const void* p, std::size_t n) {
 }
 
 TEST(StagingRing, BounceIsCommittedOnlyWhenItsPEStages) {
-  // PE 0 stages a 1 MiB D-D put to PE 1 through its bounce
-  // (pipeline-gdr-write); PE 1 never stages, so none of its bounce pages
+  // PE 0 stages a 1 MiB D-D put to PE 1 through its ring
+  // (pipeline-gdr-write); PE 1 never stages, so none of its ring's pages
   // may be resident.
   constexpr std::size_t kBytes = 1u << 20;
   std::size_t resident[2] = {0, 0};
@@ -237,12 +242,144 @@ TEST(StagingRing, BounceIsCommittedOnlyWhenItsPEStages) {
     if (ctx.my_pe() == 1) {
       EXPECT_EQ(first_mismatch(dst, kBytes, 3), kBytes);
     }
-    resident[ctx.my_pe()] = resident_pages(ctx.bounce(0), ring);
+    resident[ctx.my_pe()] = resident_pages(ctx.staging_ring().data(), ring);
     ctx.barrier_all();
   });
   EXPECT_EQ(rt->stats().ops(Protocol::kPipelineGdrWrite), 1u);
   EXPECT_GT(resident[0], 0u);
   EXPECT_EQ(resident[1], 0u);
+}
+
+TEST(StagingRing, ProxyStagingIsOneRingUnderItsServiceEndpoint) {
+  // Every transfer a proxy serves streams through kStagingSlots chunks, so
+  // its staging is one ring of that size, at any chunk, registered at init
+  // under the node's service endpoint (the requesters RDMA-write into it)
+  // and under no PE.
+  RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
+  opts.tuning.pipeline_chunk = 32u << 10;
+  Runtime rt(make_cluster(2, 2), opts);
+  const ib::RegistrationCache& cache = rt.verbs().reg_cache();
+  for (int node = 0; node < rt.cluster().num_nodes(); ++node) {
+    const StagingRing& ring = rt.proxy(node).staging_ring();
+    const int ep = rt.cluster().service_endpoint(node);
+    EXPECT_EQ(ring.chunk(), opts.tuning.pipeline_chunk) << node;
+    EXPECT_EQ(ring.bytes(), kStagingSlots * opts.tuning.pipeline_chunk)
+        << node;
+    EXPECT_TRUE(cache.covered(ep, ring.data(), ring.bytes())) << node;
+    EXPECT_FALSE(cache.covered(ep, ring.data(), ring.bytes() + 1)) << node;
+    for (int pe = 0; pe < rt.num_pes(); ++pe) {
+      EXPECT_FALSE(cache.covered(pe, ring.data(), 1)) << node << " " << pe;
+    }
+  }
+}
+
+struct BounceRun {
+  double dh_put_us = 0;       // virtual time of the intra-node D-H put
+  std::size_t in_flight = 0;  // ring chunks in flight when it starts
+};
+
+/// Host pipeline, 2 nodes x 2 PEs: PE 0 puts 2 MiB from its GPU into PE 1's
+/// host heap (ipc-staged: the whole message through the bounce, four times
+/// the ring), after a 1 MiB D-D put to PE 2 (rendezvous, which returns with
+/// its last chunks in flight from PE 0's ring) when `rendezvous_first`.
+/// Checks every byte, and that the ring kept its address and registration.
+BounceRun bounce_after_rendezvous(bool rendezvous_first) {
+  constexpr std::size_t kSmall = 1u << 20;
+  constexpr std::size_t kLarge = 2u << 20;
+  RuntimeOptions opts = make_options(TransportKind::kHostPipeline);
+  opts.ib_transport = ib::QpKind::kRc;
+  BounceRun run;
+  auto rt = run_spmd(make_cluster(2, 2), opts, [&](Ctx& ctx) {
+    auto* gpu_dst =
+        static_cast<unsigned char*>(ctx.shmalloc(kSmall, Domain::kGpu));
+    auto* host_dst =
+        static_cast<unsigned char*>(ctx.shmalloc(kLarge, Domain::kHost));
+    ctx.barrier_all();
+    if (ctx.my_pe() == 0) {
+      const StagingRing& ring = ctx.staging_ring();
+      const std::byte* base = ring.data();
+      auto* a = static_cast<unsigned char*>(ctx.cuda_malloc(kSmall));
+      auto* b = static_cast<unsigned char*>(ctx.cuda_malloc(kLarge));
+      fill(a, kSmall, 12);
+      fill(b, kLarge, 13);
+      if (rendezvous_first) ctx.putmem(gpu_dst, a, kSmall, 2);
+      for (std::size_t s = 0; s < kStagingSlots; ++s) {
+        run.in_flight += ring.comp(s) && !ring.comp(s)->done();
+      }
+      const sim::Time t0 = ctx.now();
+      ctx.putmem(host_dst, b, kLarge, 1);
+      run.dh_put_us = (ctx.now() - t0).to_us();
+      EXPECT_EQ(ring.data(), base);
+      EXPECT_TRUE(ctx.runtime().verbs().reg_cache().covered(0, ring.data(),
+                                                             ring.bytes()));
+      ctx.quiet();
+    }
+    ctx.barrier_all();
+    if (ctx.my_pe() == 1) {
+      EXPECT_EQ(first_mismatch(host_dst, kLarge, 13), kLarge);
+    } else if (ctx.my_pe() == 2 && rendezvous_first) {
+      EXPECT_EQ(first_mismatch(gpu_dst, kSmall, 12), kSmall);
+    }
+    ctx.barrier_all();
+  });
+  EXPECT_EQ(rt->stats().ops(Protocol::kRendezvous), rendezvous_first ? 1u : 0u);
+  EXPECT_EQ(rt->stats().ops(Protocol::kIpcStaged), 1u);
+  return run;
+}
+
+TEST(StagingRing, WholeMessageBounceLeavesTheRingsChunksInFlight) {
+  // The bounce is a buffer of its own: growing it neither moves the ring
+  // nor waits for the rendezvous's chunks still in flight from it, so the
+  // D-H put takes as long as it does alone.
+  const BounceRun after = bounce_after_rendezvous(/*rendezvous_first=*/true);
+  const BounceRun alone = bounce_after_rendezvous(/*rendezvous_first=*/false);
+  EXPECT_GT(after.in_flight, 0u);
+  EXPECT_EQ(alone.in_flight, 0u);
+  EXPECT_EQ(after.dh_put_us, alone.dh_put_us);
+}
+
+/// Ring slots with a chunk record.
+std::size_t records(const StagingRing& ring) {
+  std::size_t n = 0;
+  for (std::size_t s = 0; s < kStagingSlots; ++s) n += ring.comp(s) != nullptr;
+  return n;
+}
+
+TEST(StagingRing, RestartedProxyRingHoldsNoChunkRecord) {
+  // Node 1's proxy dies 300 µs in, streaming a 4 MiB staged get, and
+  // restarts at once. No later transfer may await the lost one's chunks,
+  // so PE 1, looking at 2 ms (after the restart, before the requester's
+  // per-stage timeout reissues the get), finds no chunk record in the ring;
+  // the reissued get then streams through it again. Pinned to rc, as the
+  // look is timed.
+  constexpr std::size_t kBytes = 4u << 20;
+  RuntimeOptions opts = rc_options();
+  opts.faults = sim::FaultPlan::parse("crash=1@300,restart_us=0");
+  std::size_t after_restart = kStagingSlots;
+  auto rt = run_spmd(make_cluster(2, 1, /*same_socket=*/false), opts,
+                     [&](Ctx& ctx) {
+    auto* src = static_cast<unsigned char*>(ctx.shmalloc(kBytes, Domain::kGpu));
+    if (ctx.my_pe() == 1) fill(src, kBytes, 7);
+    ctx.barrier_all();
+    if (ctx.my_pe() == 0) {
+      auto* dst = static_cast<unsigned char*>(ctx.cuda_malloc(kBytes));
+      ctx.getmem(dst, src, kBytes, 1);
+      EXPECT_EQ(first_mismatch(dst, kBytes, 7), kBytes);
+    } else {
+      const sim::Time look = sim::Time::ns(2'000'000);
+      EXPECT_LT(ctx.now(), look);
+      if (ctx.now() < look) ctx.proc().delay(look - ctx.now());
+      const ProxyDaemon& proxy = ctx.runtime().proxy(1);
+      EXPECT_EQ(proxy.restarts(), 1);
+      EXPECT_EQ(proxy.gets_served(), 1u);
+      after_restart = records(proxy.staging_ring());
+    }
+    ctx.barrier_all();
+  });
+  EXPECT_EQ(after_restart, 0u);
+  EXPECT_GE(rt->faults().count(sim::FaultEvent::kProxyReissue), 1u);
+  EXPECT_EQ(rt->proxy(1).gets_served(), 2u);
+  EXPECT_GT(records(rt->proxy(1).staging_ring()), 0u);
 }
 
 }  // namespace
