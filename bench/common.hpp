@@ -6,11 +6,11 @@
 // as the runtime's JSON report) — override the destination with
 // `--out <path>`. Besides the points, the file records the events every
 // engine of the process executed (`"events"`, as deterministic as virtual
-// time). scripts/check_perf.sh compares the virtual_us points against the
-// committed baselines in bench/baselines/ and requires equal events;
-// scripts/bench_identical.py compares two runs exactly. The file also
+// time). scripts/bench_identical.py compares every virtual_us point and
+// event count of two runs exactly, and scripts/check_tier1.sh runs it
+// against the committed baselines in bench/baselines/. The file also
 // records the process's host cost so far (wall, CPU, minor faults, peak
-// RSS) under "host"; neither script reads it.
+// RSS) under "host"; no script compares it.
 #pragma once
 
 #include <sys/resource.h>
@@ -50,10 +50,10 @@ inline void add_point(std::string name, double virtual_us) {
 // The paper-figure benches report *virtual* time (what the simulated
 // hardware would take); engine-efficiency benches report *wall* time (what
 // the simulation itself costs to run). Wall points carry an event count so
-// throughput (events/sec) is comparable across engine changes. The perf
-// gate compares virtual_us points tightly (deterministic), wall-point
-// `events` exactly (also deterministic), and events_per_sec only against a
-// loose machine-variance floor (PERF_WALL_FRAC).
+// throughput (events/sec) is comparable across engine changes. The bench
+// gate compares wall-point `events` exactly, like virtual_us points; the
+// seconds and events_per_sec are a machine-dependent report that no gate
+// reads.
 
 struct WallPoint {
   std::string name;       // e.g. "engine/msgrate/fibers/64pe"

@@ -5,7 +5,8 @@ Usage: scripts/bench_identical.py <dir_a> <dir_b>
 
 Both directories hold the BENCH_*.json files written by the bench binaries
 (each accepts `--out <path>`; by default they write to the working
-directory). The check is the refactor oracle: every deterministic value
+directory). The check is the refactor oracle, and against bench/baselines/
+it is the bench gate of scripts/check_tier1.sh: every deterministic value
 must match exactly, with no tolerance.
 
   * points[].virtual_us  — simulated time of each data point
@@ -13,9 +14,12 @@ must match exactly, with no tolerance.
   * events               — simulation events the whole bench executed
 
 Wall-clock fields (wall_seconds, events_per_sec) and scalar metrics are
-machine-dependent and ignored. A bench file, point, wall point or event
-total present on only one side is a difference too. Every difference is printed by name; the
-exit status is 0 only when there are none.
+machine-dependent and ignored; bench_engine_overhead holds its own
+same-run wall ratios to their floors. A bench file, point, wall point or
+event total present on only one side is a difference too. Every difference
+is printed by name; the exit status is 0 only when there are none. A point
+or wall point named twice in one file would make the comparison ambiguous,
+so it ends the check with status 1, naming the file and the point.
 """
 import json
 import pathlib
@@ -29,10 +33,13 @@ def deterministic_values(path):
     values = {}
     if "events" in doc:
         values["events"] = doc["events"]
-    for p in doc.get("points", []):
-        values[f"{p['name']}:virtual_us"] = p["virtual_us"]
-    for p in doc.get("wall_points", []):
-        values[f"{p['name']}:events"] = p["events"]
+    for section, field in (("points", "virtual_us"), ("wall_points", "events")):
+        for p in doc.get(section, []):
+            key = f"{p['name']}:{field}"
+            if key in values:
+                sys.exit(f"bench_identical: {path}: {section} name "
+                         f"'{p['name']}' appears twice")
+            values[key] = p[field]
     return values
 
 

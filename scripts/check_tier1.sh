@@ -58,8 +58,9 @@ python3 perfbench/selftest.py
 python3 scripts/api_scan.py
 
 # Knob census: fails when a GDRSHMEM_* variable RuntimeOptions::from_env
-# parses is named by no file under tests/, or when the parser's known: list
-# differs from what it parses (reads options.cpp and tests/, builds nothing).
+# parses is named by no file under tests/, when the parser's known: list
+# differs from what it parses, or when a field of SystemParams, Tuning or
+# RuntimeOptions is named by no C++ file (reads sources, builds nothing).
 python3 scripts/knob_scan.py
 
 scripts/check_sanitize.sh
@@ -92,6 +93,8 @@ run_benches() {
 }
 
 # Bench smoke: run every bench and collect each bench's BENCH_<tag>.json.
+# bench_engine_overhead fails here when a same-run wall ratio falls below
+# its floor.
 repo=$PWD
 smoke_dir=$(mktemp -d)
 release_dir=$(mktemp -d)
@@ -110,8 +113,8 @@ cmake --build build-release -j
 run_benches build-release "$release_dir"
 scripts/bench_identical.py "$smoke_dir" "$release_dir"
 
-# Perf gate: compare the deterministic virtual-time points against the
-# committed baselines.
-scripts/check_perf.sh "$smoke_dir" bench/baselines
+# Bench gate: every virtual_us point, wall-point event count and bench
+# event total must equal the committed baselines exactly.
+scripts/bench_identical.py "$smoke_dir" bench/baselines
 
 echo "tier-1 check passed"

@@ -14,6 +14,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/mailbox.hpp"
+#include "sim/stack_pool.hpp"
 #include "sim/time.hpp"
 
 namespace gdrshmem::sim {
@@ -31,9 +32,11 @@ struct RunTrace {
 /// notification that releases all PEs mid-run, a child process spawned from
 /// a running process, and a daemon that ticks forever in the background.
 RunTrace run_workload(BackendKind kind, int pes, int rounds,
-                      QueueKind queue = queue_from_env()) {
+                      QueueKind queue = queue_from_env(),
+                      bool batch = batch_from_env()) {
   RunTrace out;
   Engine eng(kind, queue);
+  eng.set_batch_wakeups(batch);
   std::vector<Mailbox<int>> ring(static_cast<std::size_t>(pes));
   Notification phase2;
   int phase1_done = 0;
@@ -127,14 +130,51 @@ TEST(Determinism, HeapAndWheelQueuesProduceIdenticalTraces) {
 }
 
 TEST(Determinism, AllFourQueueBackendCombinationsAgree) {
+  // The whole GDRSHMEM_SIM_* cross-product: backend x queue x wakeup
+  // batching, and on fibers also the switch mechanism x stack pooling (20
+  // runs). Each setting may change wall-clock cost only: one log and one end
+  // time across all runs, and an event count that depends on batching alone
+  // (a batched fan-out coalesces its wakeups into fewer events).
+  FiberStackPool& pool = FiberStackPool::instance();
+  const std::size_t pool_cap = pool.capacity();
   const RunTrace ref =
       run_workload(BackendKind::kFibers, 12, 6, QueueKind::kHeap);
+  std::uint64_t events[2] = {};  // by batching: [0] off, [1] on
+  int runs = 0;
+  auto check = [&](const RunTrace& t, bool batch, const std::string& cfg) {
+    ++runs;
+    EXPECT_EQ(ref.log, t.log) << cfg;
+    EXPECT_EQ(ref.end_ns, t.end_ns) << cfg;
+    if (events[batch] == 0) events[batch] = t.events_executed;
+    EXPECT_EQ(events[batch], t.events_executed) << cfg;
+  };
   for (BackendKind kind : {BackendKind::kThreads, BackendKind::kFibers}) {
     for (QueueKind queue : {QueueKind::kHeap, QueueKind::kWheel}) {
-      RunTrace t = run_workload(kind, 12, 6, queue);
-      EXPECT_EQ(ref, t) << to_string(kind) << "/" << to_string(queue);
+      for (bool batch : {false, true}) {
+        const std::string cfg = std::string(to_string(kind)) + "/" +
+                                to_string(queue) +
+                                (batch ? "/batched" : "/unbatched");
+        if (kind == BackendKind::kThreads) {
+          check(run_workload(kind, 12, 6, queue, batch), batch, cfg);
+          continue;
+        }
+        for (const char* mode : {"fast", "ucontext"}) {
+          // 64 stacks pool every process of a run; 0 maps each afresh.
+          for (std::size_t cap : {std::size_t{64}, std::size_t{0}}) {
+            ::setenv("GDRSHMEM_SIM_FIBER_SWITCH", mode, 1);
+            pool.set_capacity(cap);
+            RunTrace t = run_workload(kind, 12, 6, queue, batch);
+            pool.set_capacity(pool_cap);
+            ::unsetenv("GDRSHMEM_SIM_FIBER_SWITCH");
+            check(t, batch, cfg + "/" + mode + (cap ? "/pooled" : "/unpooled"));
+          }
+        }
+      }
     }
   }
+  EXPECT_EQ(runs, 20);
+  EXPECT_LT(events[true], events[false])
+      << "batching should execute fewer queue events on a broadcast wakeup";
 }
 
 TEST(Determinism, FastAndUcontextFiberSwitchesProduceIdenticalTraces) {
