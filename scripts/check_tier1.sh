@@ -8,7 +8,7 @@ cd "$(dirname "$0")/.."
 
 cmake -B build -S .
 cmake --build build -j
-(cd build && ctest --output-on-failure -j "$@")
+(cd build && ctest --output-on-failure -j "$(nproc)" "$@")
 
 # Device-backend A/B: the device-initiated suites run under both engines.
 # Differential tests pin and compare backends internally; the env-driven
@@ -35,8 +35,8 @@ done
 # an unregistered buffer stages every byte through the bounce slots, and
 # its reuse goes zero-copy, on each QP kind, DeviceGetPipeline so a
 # kernel-issued get that the proxy pulls through its staging slots lands
-# every byte on each QP kind, and StagingRing so the four-slot staging
-# ring's shapes (its timing cases pin themselves to rc) do too.
+# every byte on each QP kind, and StagingRing so the staging ring's shapes
+# (its timing cases pin themselves to rc) do too.
 # (Timing-assertion suites stay on their pinned configs — transports move
 # the clock, never the bytes.)
 for ib_transport in rc ud dc srd; do

@@ -276,7 +276,9 @@ void Ctx::progress() {
 
 StagingRing::StagingRing(Runtime& rt, int ep)
     : mem_(kStagingSlots * rt.tuning().pipeline_chunk),
-      chunk_(rt.tuning().pipeline_chunk) {
+      chunk_(rt.tuning().pipeline_chunk),
+      streams_(kStagingSlots, cudart::Stream(rt.cluster().placement(ep).node,
+                                             rt.cluster().placement(ep).gpu)) {
   rt.verbs().reg_cache().register_at_init(ep, mem_.data(), mem_.size());
 }
 
@@ -288,6 +290,13 @@ void StagingRing::acquire(Ctx& owner, sim::Process& worker, std::size_t s) {
 
 void StagingRing::drain(Ctx& owner, sim::Process& worker) {
   for (std::size_t s = 0; s < kStagingSlots; ++s) acquire(owner, worker, s);
+}
+
+void StagingRing::settle(sim::Process& worker) {
+  for (std::size_t s = 0; s < kStagingSlots; ++s) {
+    if (comp_[s]) comp_[s]->wait(worker);
+    record(s, nullptr, nullptr);
+  }
 }
 
 std::byte* Ctx::grow_registered(sim::ZeroPages& buf, std::size_t bytes,

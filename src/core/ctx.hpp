@@ -35,17 +35,32 @@ class Ctx;
 /// Slots in every staging ring (StagingRing), so up to kStagingSlots - 1
 /// chunks are in flight while the next one is staged. The chunk
 /// (Tuning::pipeline_chunk) sets how long a pipeline takes to fill and
-/// drain; the ring sets the bytes in flight.
-inline constexpr std::size_t kStagingSlots = 4;
+/// drain; the ring sets the bytes in flight. Eight slots of the default
+/// 64 KiB chunk hold 512 KiB, what a get whose copy-outs queue behind a
+/// same-node copy needs in flight to keep the wire busy.
+inline constexpr std::size_t kStagingSlots = 8;
+
+/// How many chunks ahead of its consumer a staged pipeline keeps the copies
+/// on its slots' streams: it queues the copy of chunk k + kCopyAhead once it
+/// has sent chunk k, and it waits for the copy-out of chunk k (to credit or
+/// drain the slot) once it has queued the copy-out of chunk k + kCopyAhead.
+/// A copy (launch, hop and serialization) takes at most two chunks' wire
+/// time when a chunk's wire time covers one copy launch (the chunk rule of
+/// Tuning::pipeline_chunk) and PCIe outruns the wire, so in a wire-bound
+/// pipeline the copy it waits for has landed. More copies ahead would only
+/// hold the GPU's PCIe slot longer before they are needed.
+inline constexpr std::size_t kCopyAhead = 2;
+static_assert(kCopyAhead < kStagingSlots);
 
 /// The staging ring of the staged protocols (detail::StagedPipeline):
 /// kStagingSlots slots of Tuning::pipeline_chunk bytes of host memory,
 /// mapped once and registered by its owner at init, never regrown, and per
-/// slot the completion of the last chunk posted from it and the closure that
-/// re-posts that chunk. The records outlive the call that staged a chunk, so
-/// a later call waits for a chunk an earlier one still sends. Each PE
-/// (Ctx::staging_ring) and each proxy daemon owns one. Its pages are
-/// committed on first touch, so an owner that never stages holds none.
+/// slot a CUDA stream, the completion of the last chunk posted from it (or
+/// copied into or out of it) and the closure that re-posts that chunk. The
+/// records outlive the call that staged a chunk, so a later call waits for a
+/// chunk an earlier one still sends. Each PE (Ctx::staging_ring) and each
+/// proxy daemon owns one. Its pages are committed on first touch, so an
+/// owner that never stages holds none.
 class StagingRing {
  public:
   /// Map the ring and register it under endpoint `ep` (a PE, or a node's
@@ -56,7 +71,11 @@ class StagingRing {
   std::size_t bytes() const { return mem_.size(); }
   std::byte* data() const { return mem_.data(); }
   std::byte* slot(std::size_t s) const { return mem_.data() + s * chunk_; }
-  /// The completion of the chunk last posted from slot `s`, or null.
+  /// The stream of every copy into or out of slot `s`: copies of different
+  /// slots overlap their launches, and copies of one slot land in order.
+  cudart::Stream& stream(std::size_t s) { return streams_[s]; }
+  /// The completion of slot `s`'s chunk in flight (the last post from it or
+  /// copy into or out of it), or null.
   const sim::CompletionPtr& comp(std::size_t s) const { return comp_[s]; }
 
   /// Block `worker` until slot `s` has no chunk in flight, replaying an
@@ -70,14 +89,16 @@ class StagingRing {
     comp_[s] = std::move(comp);
     repost_[s] = std::move(repost);
   }
-  /// Forget every slot's chunk without waiting for it.
-  void clear() {
-    for (std::size_t s = 0; s < kStagingSlots; ++s) record(s, nullptr, nullptr);
-  }
+  /// Block `worker` until every slot's chunk in flight has landed, never
+  /// replaying one, then forget them all: a restarted proxy's first
+  /// transfer must neither share a slot with nor replay the chunks of the
+  /// one its killed process was serving.
+  void settle(sim::Process& worker);
 
  private:
   sim::ZeroPages mem_;
   std::size_t chunk_;
+  std::vector<cudart::Stream> streams_;
   sim::CompletionPtr comp_[kStagingSlots];
   std::function<sim::CompletionPtr()> repost_[kStagingSlots];
 };

@@ -24,6 +24,13 @@ double wqe_divisor(DeviceScope scope, const hw::SystemParams& p) {
   return 1.0;
 }
 
+/// Bytes of a reverse-offload transfer that each Tuning::proxy_timeout_us of
+/// its deadline covers under a fault plan. A fixed unit, not the pipeline
+/// chunk, so the deadline, and the recovery it gates when the proxy dies
+/// holding the command, scales with the transfer's size alone; 128 KiB is
+/// the chunk the timeout was sized for (a 4 MiB command waits out 34).
+constexpr std::size_t kOffloadTimeoutBytes = 128 * 1024;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -70,14 +77,14 @@ void DeviceBackend::offload(DeviceCtx& dctx, std::shared_ptr<DeviceCmd> cmd) {
   // The proxy may crash holding our descriptor under a fault plan. Each
   // attempt posts fresh completion state (a restarted daemon can never
   // complete a command we already gave up on) under a deadline scaled to
-  // the staged transfer size; timed-out attempts are reissued from scratch.
+  // the transfer size; timed-out attempts are reissued from scratch.
   // Puts and gets rewrite the same bytes on reissue (idempotent); atomics
   // may double-apply if the proxy crashes after executing the RMW but
   // before the completion notification — see DESIGN.md.
   const Duration timeout = Duration::us(
       rt_.tuning().proxy_timeout_us *
       (2.0 + static_cast<double>(cmd->rma.bytes) /
-                 static_cast<double>(rt_.tuning().pipeline_chunk)));
+                 static_cast<double>(kOffloadTimeoutBytes)));
   std::shared_ptr<DeviceCmd> attempt;
   detail::reissue_until_done(ctx, "device offload", [&] {
     if (attempt == nullptr) {

@@ -78,23 +78,20 @@ void EnhancedGdrTransport::handle_ctrl(Ctx&, CtrlMsg&, sim::Process&) {
 void EnhancedGdrTransport::pipeline_gdr_write(Ctx& ctx, const RmaOp& op) {
   // Device source, large put. Avoid the P2P *read* bottleneck by IPC-copying
   // D->H into registered host staging, then RDMA (GDR-)writing each chunk;
-  // an unregistered host source is copied into the staging by the CPU.
+  // an unregistered host source is copied into the staging H->H.
   // (GDR-poor targets never reach here: the selector diverts them to
   // proxy-put or throws.)
   ctx.count_protocol(Protocol::kPipelineGdrWrite, op.bytes);
   const int me = ctx.my_pe();
   detail::StagedPipeline pipe(ctx, ctx.proc(), ctx.staging_ring());
-  auto* local_bytes = static_cast<const std::byte*>(op.local);
   auto* remote_bytes = static_cast<std::byte*>(op.remote);
-  pipe.for_each_chunk(op.bytes, [&](std::size_t off, std::size_t c,
-                                    std::size_t s) {
-    pipe.acquire(s);
-    std::byte* slot = pipe.slot(s);
-    rt_.cuda().memcpy_sync(ctx.proc(), ctx.node(), slot, local_bytes + off, c);
-    pipe.post(s, [this, &ctx, me, slot, target = op.target_pe,
+  pipe.push(static_cast<const std::byte*>(op.local), op.bytes,
+            [&](std::size_t off, std::size_t c, std::size_t s) {
+    pipe.post(s, [this, &ctx, me, slot = pipe.slot(s), target = op.target_pe,
                   dst = remote_bytes + off, c] {
       return rt_.ib().rdma_write(ctx.proc(), me, slot, target, dst, c);
     });
+    return true;
   });
   // Paper semantics: the put returns once the last IPC cudaMemcpy completes
   // and the RDMA is posted — the source buffer is already copied out.
@@ -108,7 +105,7 @@ void EnhancedGdrTransport::host_staged_get(Ctx& ctx, const RmaOp& op) {
   ctx.count_protocol(Protocol::kHostStagedGet, op.bytes);
   detail::StagedPipeline(ctx, ctx.proc(), ctx.staging_ring())
       .pull(ctx.my_pe(), op.target_pe, static_cast<const std::byte*>(op.remote),
-            static_cast<std::byte*>(op.local), op.bytes, ctx.stream());
+            static_cast<std::byte*>(op.local), op.bytes);
 }
 
 void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
@@ -117,10 +114,10 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
   // stream the message through the target-side proxy's staging ring, and
   // let the proxy do the last hop with an IPC copy. Chunk k uses proxy
   // staging slot k % kStagingSlots, and a device source (or, with
-  // `stage_source`, an unregistered host one) is first copied into slot
-  // k % kStagingSlots of our staging ring, so that copy of chunk k + 1, the
-  // RDMA of chunk k and the proxy's H->D copy of an earlier chunk overlap.
-  // Both rings hold slots of Tuning::pipeline_chunk bytes.
+  // `stage_source`, an unregistered host one) is first pushed through our
+  // staging ring, so the copies of later chunks, the RDMA of chunk k and the
+  // proxy's H->D copy of an earlier chunk overlap. Both rings hold slots of
+  // Tuning::pipeline_chunk bytes.
   ctx.count_protocol(Protocol::kProxyPut, op.bytes);
   const int me = ctx.my_pe();
   ProxyDaemon& proxy = rt_.proxy(rt_.cluster().placement(op.target_pe).node);
@@ -137,16 +134,10 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
     auto st = std::make_shared<ProxyPutState>();
     // A slot of our ring is reused once the RDMA that read it completed.
     detail::StagedPipeline bounce(ctx, ctx.proc(), ctx.staging_ring());
-    for (std::size_t off = 0; off < op.bytes; off += chunk) {
-      const std::size_t c = std::min(chunk, op.bytes - off);
+    // Send the chunk at `off` from `from` into proxy staging slot `s`.
+    auto send = [&](std::size_t off, std::size_t c, const std::byte* from) {
       const std::size_t k = off / chunk;
       const std::size_t s = k % kStagingSlots;
-      const std::byte* from = src_bytes + off;
-      if (bounced) {
-        bounce.acquire(s);
-        rt_.cuda().memcpy_sync(ctx.proc(), ctx.node(), bounce.slot(s), from, c);
-        from = bounce.slot(s);
-      }
       if (k == 0) {
         // Chunk 0 waits for the grant of the whole staging ring.
         proxy.post_request(ctx, 32,
@@ -188,6 +179,21 @@ void EnhancedGdrTransport::proxy_put(Ctx& ctx, const RmaOp& op,
                           .bytes = c,
                           .offset = off,
                           .state = st});
+      return true;
+    };
+    if (bounced) {
+      if (!bounce.push(src_bytes, op.bytes,
+                       [&](std::size_t off, std::size_t c, std::size_t s) {
+                         return send(off, c, bounce.slot(s));
+                       })) {
+        return false;
+      }
+    } else {
+      for (std::size_t off = 0; off < op.bytes; off += chunk) {
+        if (!send(off, std::min(chunk, op.bytes - off), src_bytes + off)) {
+          return false;
+        }
+      }
     }
     return ctx.finish_attempt(st->done, op.blocking,
                               rt_.deadline_after(timeout));
@@ -228,10 +234,11 @@ void EnhancedGdrTransport::proxy_get(Ctx& ctx, const RmaOp& op,
   }
   // Our own GDR write is poor, or our buffer is not registered: the proxy
   // writes chunk k into slot k % kStagingSlots of our staging ring and
-  // sends a landed notice, we copy the chunk out (H->D, or H->H into a host
-  // buffer) and, when chunk k + kStagingSlots exists, credit the slot back.
-  // Our buffer is never registered, and the call returns once the last
-  // chunk is copied out (nbi too), so the ring is free again.
+  // sends a landed notice, we copy the chunk out (H->D on the slot's
+  // stream, or H->H into a host buffer) and, when chunk k + kStagingSlots
+  // exists, credit the slot back once that copy landed. Our buffer is never
+  // registered, and the call returns once the last chunk is copied out (nbi
+  // too), so the ring is free again.
   const std::size_t chunk = rt_.tuning().pipeline_chunk;
   auto* dst = static_cast<std::byte*>(op.local);
   detail::reissue_until_done(ctx, "proxy get", [&] {
@@ -247,21 +254,25 @@ void EnhancedGdrTransport::proxy_get(Ctx& ctx, const RmaOp& op,
                         .remote = op.remote,
                         .bytes = op.bytes,
                         .state = st});
-    for (std::size_t off = 0, k = 0; off < op.bytes; off += chunk, ++k) {
+    // Chunk j's slot is free once its copy landed; the proxy needs it back
+    // only for chunk j + kStagingSlots.
+    auto credit = [&](std::size_t j) {
+      if ((j + kStagingSlots) * chunk >= op.bytes) return;
+      proxy.post_request(ctx, 0,
+                         {.kind = CtrlMsg::Kind::kProxyGetCredit,
+                          .offset = j * chunk,
+                          .state = st});
+    };
+    std::size_t k = 0;
+    for (; k * chunk < op.bytes; ++k) {
       if (!ctx.wait_for_deadline([&] { return st->landed > k; },
                                  rt_.deadline_after(timeout))) {
         return false;
       }
-      rt_.cuda().memcpy_sync(ctx.proc(), ctx.node(), dst + off,
-                             pipe.slot(k % kStagingSlots),
-                             std::min(chunk, op.bytes - off));
-      if (off + kStagingSlots * chunk < op.bytes) {
-        proxy.post_request(ctx, 0,
-                           {.kind = CtrlMsg::Kind::kProxyGetCredit,
-                            .offset = off,
-                            .state = st});
-      }
+      pipe.copy_out(k, dst + k * chunk, std::min(chunk, op.bytes - k * chunk),
+                    credit);
     }
+    pipe.copied_out(k, dst, credit);
     return true;
   });
 }

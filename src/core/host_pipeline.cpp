@@ -22,7 +22,10 @@ struct RndvState {
   sim::Completion cts;
   std::byte* staging = nullptr;
   std::size_t total = 0;
-  std::size_t copied = 0;
+  std::size_t copied = 0;  // bytes whose copy out of staging is queued
+  /// Per slot stream of the copying PE's ring, the last copy out of staging
+  /// queued on it: once each has landed, so has every earlier one.
+  sim::CompletionPtr copy_out[kStagingSlots];
   int requester = -1;
   std::shared_ptr<sim::Completion> done = std::make_shared<sim::Completion>();
 };
@@ -249,14 +252,10 @@ void HostPipelineTransport::rendezvous_put(Ctx& ctx, const RmaOp& op) {
   // Inter-node rendezvous is D-D only (see put()), so every chunk stages
   // D->H through our staging ring.
   detail::StagedPipeline pipe(ctx, ctx.proc(), ctx.staging_ring());
-  auto* local_bytes = static_cast<const std::byte*>(op.local);
-  pipe.for_each_chunk(op.bytes, [&](std::size_t off, std::size_t c,
-                                    std::size_t s) {
-    pipe.acquire(s);
-    std::byte* slot = pipe.slot(s);
-    rt_.cuda().memcpy_sync(ctx.proc(), ctx.node(), slot, local_bytes + off, c);
-    auto data_post = [this, &ctx, me, slot, dst, staging = st->staging + off,
-                      c] {
+  pipe.push(static_cast<const std::byte*>(op.local), op.bytes,
+            [&](std::size_t off, std::size_t c, std::size_t s) {
+    auto data_post = [this, &ctx, me, slot = pipe.slot(s), dst,
+                      staging = st->staging + off, c] {
       return rt_.ib().rdma_write(ctx.proc(), me, slot, dst, staging, c);
     };
     // Chunk bytes must be in target staging before the chunk notification
@@ -269,18 +268,29 @@ void HostPipelineTransport::rendezvous_put(Ctx& ctx, const RmaOp& op) {
                        .bytes = c,
                        .offset = off,
                        .state = st});
+    return true;
   });
   ctx.track(st->done);
 }
 
 void HostPipelineTransport::on_chunk(Ctx& ctx, CtrlMsg& msg,
                                      sim::Process& worker) {
+  // Queue the chunk's copy out of staging on the stream of the ring slot it
+  // would stage through, so the copies of consecutive chunks overlap their
+  // launches; the last chunk waits for every copy.
   auto st = std::static_pointer_cast<RndvState>(msg.state);
-  rt_.cuda().memcpy_sync(worker, ctx.node(),
-                         static_cast<std::byte*>(msg.remote) + msg.offset,
-                         st->staging + msg.offset, msg.bytes);
+  StagingRing& ring = ctx.staging_ring();
+  const std::size_t s = msg.offset / ring.chunk() % kStagingSlots;
+  st->copy_out[s] = rt_.cuda()
+                        .memcpy_async(
+                            static_cast<std::byte*>(msg.remote) + msg.offset,
+                            st->staging + msg.offset, msg.bytes, ring.stream(s))
+                        ->completion();
   st->copied += msg.bytes;
   if (st->copied < st->total) return;
+  for (const sim::CompletionPtr& copy : st->copy_out) {
+    if (copy) copy->wait(worker);
+  }
 
   // Transfer complete: release staging, service a deferred RTS, notify.
   ctx.set_staging_busy(false);
@@ -354,13 +364,9 @@ void HostPipelineTransport::on_get_req(Ctx& ctx, CtrlMsg& msg,
   // The source is GPU-resident (inter-node gets are D-D only, see get()),
   // so every chunk stages D->H through our staging ring.
   detail::StagedPipeline pipe(ctx, worker, ctx.staging_ring());
-  auto* src_bytes = static_cast<const std::byte*>(msg.remote);
-  pipe.for_each_chunk(msg.bytes, [&](std::size_t off, std::size_t c,
-                                     std::size_t s) {
-    pipe.acquire(s);
-    std::byte* slot = pipe.slot(s);
-    rt_.cuda().memcpy_sync(worker, ctx.node(), slot, src_bytes + off, c);
-    auto data_post = [this, &worker, me, slot, requester,
+  pipe.push(static_cast<const std::byte*>(msg.remote), msg.bytes,
+            [&](std::size_t off, std::size_t c, std::size_t s) {
+    auto data_post = [this, &worker, me, slot = pipe.slot(s), requester,
                       staging = st->staging + off, c] {
       return rt_.ib().rdma_write(worker, me, slot, requester, staging, c);
     };
@@ -372,6 +378,7 @@ void HostPipelineTransport::on_get_req(Ctx& ctx, CtrlMsg& msg,
                        .offset = off,
                        .is_reply = true,
                        .state = st});
+    return true;
   });
 }
 

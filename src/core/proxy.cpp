@@ -17,8 +17,7 @@ using sim::Duration;
 // The staging ring registers under the node's service endpoint, so PEs can
 // RDMA-write into it.
 ProxyDaemon::ProxyDaemon(Runtime& rt, int node)
-    : rt_(rt), node_(node), ring_(rt, rt.cluster().service_endpoint(node)),
-      stream_(node, 0) {}
+    : rt_(rt), node_(node), ring_(rt, rt.cluster().service_endpoint(node)) {}
 
 int ProxyDaemon::endpoint() const { return rt_.cluster().service_endpoint(node_); }
 
@@ -38,6 +37,10 @@ void ProxyDaemon::start() {
   proc_ = &rt_.engine().spawn(
       "proxy-node" + std::to_string(node_),
       [this](sim::Process& self) {
+        // A killed predecessor's chunks may still be copied into, read into
+        // or sent from the ring; the requesters reissue them, so they are
+        // awaited, not replayed, before any transfer is served.
+        ring_.settle(self);
         // Map every local PE's GPU heap once, at startup (III-C: "the IPC
         // mapping is performed only during the heap creation").
         for (int pe = 0; pe < rt_.num_pes(); ++pe) {
@@ -64,11 +67,10 @@ void ProxyDaemon::restart() {
   // Everything queued or half-served at crash time is lost: requesters hold
   // per-stage deadlines and reissue with fresh transfer state. The GPU heap
   // IPC mappings are re-established by start() (cached, so effectively
-  // free the second time). Every transfer starts with empty ring slots, so
-  // no later transfer awaits the chunks of the one killed mid-stream.
+  // free the second time), which first lets the killed transfer's chunks
+  // still in flight in the ring land.
   mb_.clear();
   stash_.clear();
-  ring_.clear();
   ++restarts_;
   rt_.faults().on_event(sim::FaultEvent::kProxyRestart, node_);
   start();
@@ -150,13 +152,19 @@ void ProxyDaemon::do_get(sim::Process& self, CtrlMsg& msg) {
 void ProxyDaemon::do_put(sim::Process& self, CtrlMsg& req) {
   // Staged put: grant the whole staging ring to the requester, then
   // IPC-copy each chunk H->D out of its slot, chunk k out of slot
-  // k % kStagingSlots, in chunk order whatever order the fins arrive in.
+  // k % kStagingSlots, in chunk order whatever order the fins arrive in. A
+  // chunk counts as drained (its slot free) once its copy landed, so
+  // windows_done counts a prefix of chunks.
   ++puts_served_;
   auto st = std::static_pointer_cast<ProxyPutState>(req.state);
   const int requester = req.from;
   Runtime& rt = rt_;
   claim_staging(req.bytes);
   const std::size_t chunk = ring_.chunk();
+  // The requester writes the ring outside the slot rule, so first wait
+  // until every chunk an orphaned transfer left in flight in it has landed.
+  detail::StagedPipeline pipe(rt_.ctx(requester), self, ring_);
+  pipe.drain();
   rt_.ib().post_send(self, endpoint(), requester, 16,
                         [st, this, &rt, requester] {
                           st->staging = ring_.data();
@@ -164,16 +172,18 @@ void ProxyDaemon::do_put(sim::Process& self, CtrlMsg& req) {
                           rt.notify_pe(requester);
                         });
 
-  while (st->windows_done * chunk < req.bytes) {
-    auto m = next_of(self, CtrlMsg::Kind::kProxyPutFin, req.state,
-                     st->windows_done * chunk);
-    if (!m) return;  // orphaned transfer: drop it, serve the next
-    auto* dst = static_cast<std::byte*>(m->remote) + m->offset;
-    const std::byte* slot = ring_.slot(st->windows_done % kStagingSlots);
-    rt_.cuda().memcpy_sync(self, node_, dst, slot, m->bytes);
+  auto drained = [&](std::size_t) {
     ++st->windows_done;
     rt_.notify_pe(requester);
+  };
+  auto* dst = static_cast<std::byte*>(req.remote);
+  std::size_t k = 0;
+  for (; k * chunk < req.bytes; ++k) {
+    auto m = next_of(self, CtrlMsg::Kind::kProxyPutFin, req.state, k * chunk);
+    if (!m) return;  // orphaned transfer: drop it, serve the next
+    pipe.copy_out(k, dst + m->offset, m->bytes, drained);
   }
+  pipe.copied_out(k, dst, drained);
   detail::send_done(rt_, self, endpoint(), requester, st->done);
 }
 
@@ -245,11 +255,11 @@ void ProxyDaemon::do_device_cmd(sim::Process& self, CtrlMsg& msg) {
         stream_out(self, rctx, local, op.target_pe, remote, op.bytes);
         break;
       case Protocol::kProxyGet:
-        // host-staged-get's pull through our staging, copied out on our
-        // own stream.
+        // host-staged-get's pull through our staging, copied out on its
+        // slots' streams.
         claim_staging(op.bytes);
         detail::StagedPipeline(rctx, self, ring_)
-            .pull(endpoint(), op.target_pe, remote, local, op.bytes, stream_);
+            .pull(endpoint(), op.target_pe, remote, local, op.bytes);
         break;
       default:
         // direct-gdr or direct-rdma: one posting from this node's HCA,
@@ -278,19 +288,15 @@ bool ProxyDaemon::stream_out(sim::Process& self, Ctx& owner,
   claim_staging(bytes);
   const std::size_t chunk = ring_.chunk();
   detail::StagedPipeline pipe(owner, self, ring_);
-  for (std::size_t off = 0; off < bytes; off += chunk) {
-    const std::size_t c = std::min(chunk, bytes - off);
-    const std::size_t s = off / chunk % kStagingSlots;
-    pipe.acquire(s);
-    std::byte* slot = pipe.slot(s);
-    rt_.cuda().memcpy_sync(self, node_, slot, src + off, c);
-    auto post = [this, &self, slot, target,
+  const bool sent = pipe.push(src, bytes, [&](std::size_t off, std::size_t c,
+                                              std::size_t s) {
+    auto post = [this, &self, slot = pipe.slot(s), target,
                  to = staged ? dst + s * chunk : dst + off, c] {
       return rt_.ib().rdma_write(self, endpoint(), slot, target, to, c);
     };
     if (!staged) {
       pipe.post(s, post);
-      continue;
+      return true;
     }
     // The requester's slot s is free once it credited chunk
     // k - kStagingSlots back, and the landed notice must not overtake the
@@ -306,7 +312,9 @@ bool ProxyDaemon::stream_out(sim::Process& self, Ctx& owner,
                          ++staged->landed;
                          rt.notify_pe(target);
                        });
-  }
+    return true;
+  });
+  if (!sent) return false;
   // The caller's completion must not fire before every chunk landed at its
   // final destination, whatever order the wire completes them in.
   pipe.drain();

@@ -21,7 +21,7 @@
 //     protocol ProtocolSelector::select_offload names: a peer copy through
 //     the IPC mappings, one posting, the reverse pipeline for a proxy-put,
 //     or host-staged-get's detail::StagedPipeline::pull through the proxy
-//     staging, copied out on the proxy's own stream, for a proxy-get. The
+//     staging, copied out on its slots' streams, for a proxy-get. The
 //     copy and the posting run here rather than through
 //     detail::run_unstaged, because they run on the proxy's process and IPC
 //     mappings and every posting is awaited before the kernel's completion
@@ -125,9 +125,6 @@ class ProxyDaemon {
   Runtime& rt_;
   int node_;
   StagingRing ring_;
-  /// The proxy's own CUDA stream: a device proxy-get's copy-outs queue here,
-  /// never behind the requester's stream work.
-  cudart::Stream stream_;
   sim::Mailbox<CtrlMsg> mb_;
   std::deque<CtrlMsg> stash_;  // messages deferred while a transfer is active
   sim::Process* proc_ = nullptr;  // live daemon process (null while crashed)

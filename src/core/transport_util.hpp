@@ -97,11 +97,12 @@ inline void rdma_get(Ctx& ctx, const RmaOp& op, Protocol proto) {
 
 /// A staged protocol's use of a staging ring (StagingRing): the host
 /// rendezvous (Fig 1), pipeline-GDR-write (Fig 4), the proxy's reverse
-/// pipeline (Fig 5) and proxy-put's device-source bounce push chunks out;
+/// pipeline (Fig 5) and proxy-put's bounce push chunks out (push());
 /// host-staged-get and the proxy's staged device get pull them in (pull());
 /// the staged proxy-get has the proxy write into it. Chunk k stages through
 /// slot k % kStagingSlots while up to kStagingSlots - 1 earlier chunks are
-/// on the wire. The ring keeps each slot's last chunk in flight, so an error
+/// on the wire, and every copy between a slot and a GPU runs on that slot's
+/// stream. The ring keeps each slot's last chunk in flight, so an error
 /// completion is replayed while the slot still holds the chunk's bytes, and
 /// a later call waits for a chunk this one left in flight. Without a fault
 /// plan every wait here is a plain wait.
@@ -118,19 +119,10 @@ class StagedPipeline {
   StagedPipeline(const StagedPipeline&) = delete;
   StagedPipeline& operator=(const StagedPipeline&) = delete;
 
-  /// Call fn(offset, length, slot) for each chunk of a `bytes`-long
-  /// message, in order.
-  template <typename Fn>
-  void for_each_chunk(std::size_t bytes, Fn&& fn) const {
-    for (std::size_t off = 0; off < bytes; off += chunk_) {
-      fn(off, std::min(chunk_, bytes - off), off / chunk_ % kStagingSlots);
-    }
-  }
-
   std::byte* slot(std::size_t s) const { return ring_.slot(s); }
 
-  /// Wait until the chunk last posted from slot `s` has landed, so the
-  /// slot can be overwritten.
+  /// Wait until the chunk last posted from slot `s` (or copied into or out
+  /// of it) has landed, so the slot can be overwritten.
   void acquire(std::size_t s) { ring_.acquire(owner_, worker_, s); }
 
   /// Remember `comp` as slot `s`'s outstanding chunk, re-posted by `repost`.
@@ -144,36 +136,111 @@ class StagedPipeline {
     record(s, std::move(comp), std::move(post));
   }
 
-  /// Pull `bytes` from `target`'s `src` into `dst`: chunk k is RDMA-read
-  /// from endpoint `ep` into slot k % kStagingSlots (a read replays in
-  /// place) and then copied out on `stream`, and that copy guards the slot.
-  /// The read of chunk k is posted before the read of chunk k - 1 is awaited
-  /// and copied out, so consecutive reads overlap their round trips and the
-  /// copy of chunk k - 1 overlaps the read of chunk k. Returns once every
-  /// chunk is in `dst`.
+  /// Copy `n` bytes from `src` to `dst` into or out of slot `s`. A copy to
+  /// or from a GPU is queued on the slot's stream and remembered as the
+  /// slot's outstanding chunk; a host-to-host one is a CPU copy that blocks
+  /// the worker, as a cudaMemcpyAsync between pageable host buffers does.
+  void copy(std::size_t s, std::byte* dst, const std::byte* src,
+            std::size_t n) {
+    cudart::CudaRuntime& cuda = owner_.runtime().cuda();
+    if (!on_gpu(dst) && !on_gpu(src)) {
+      cuda.memcpy_sync(worker_, ring_.stream(s).node(), dst, src, n);
+      return;
+    }
+    record(s, cuda.memcpy_async(dst, src, n, ring_.stream(s))->completion(),
+           nullptr);
+  }
+
+  /// Push `bytes` from `src` through the ring: chunk k is copied into slot
+  /// k % kStagingSlots, and once the copy of chunk k + lag is queued (or the
+  /// last one is), chunk k's copy is awaited and `send(offset, length,
+  /// slot)` sends the chunk from the slot and records what it posted. The
+  /// lag is kCopyAhead - 1 for copies on the slots' streams, so each copy's
+  /// launch overlaps the copies and the wire of the chunks before it, and 0
+  /// for CPU copies, which run just before their chunk is sent. Returns
+  /// false as soon as `send` does (its transfer gave up), true once every
+  /// chunk was sent.
+  template <typename Send>
+  bool push(const std::byte* src, std::size_t bytes, Send&& send) {
+    const std::size_t lag = on_gpu(src) ? kCopyAhead - 1 : 0;
+    const std::size_t chunks = (bytes + chunk_ - 1) / chunk_;
+    for (std::size_t k = 0; k < chunks + lag; ++k) {
+      if (k < chunks) {
+        const std::size_t s = k % kStagingSlots;
+        acquire(s);
+        copy(s, slot(s), src + k * chunk_, length(k, bytes));
+      }
+      if (k < lag) continue;
+      const std::size_t s = (k - lag) % kStagingSlots;
+      acquire(s);
+      if (!send((k - lag) * chunk_, length(k - lag, bytes), s)) return false;
+    }
+    return true;
+  }
+
+  /// Copy chunk `k` (`n` bytes) out of its slot into `dst`, then, once the
+  /// copy-out of chunk k - lag has landed, call `landed(k - lag)`, so the
+  /// caller credits or counts each chunk's slot in chunk order (out_lag).
+  /// copied_out() awaits the chunks still lagging behind the last one.
+  template <typename Landed>
+  void copy_out(std::size_t k, std::byte* dst, std::size_t n,
+                Landed&& landed) {
+    const std::size_t lag = out_lag(dst);
+    copy(k % kStagingSlots, dst, slot(k % kStagingSlots), n);
+    if (k < lag) return;
+    acquire((k - lag) % kStagingSlots);
+    landed(k - lag);
+  }
+
+  /// After copy_out() of chunks [0, chunks) into `dst`: await the copy-outs
+  /// still lagging and call `landed` for each, in chunk order.
+  template <typename Landed>
+  void copied_out(std::size_t chunks, const std::byte* dst, Landed&& landed) {
+    const std::size_t lag = out_lag(dst);
+    for (std::size_t k = chunks - std::min(chunks, lag); k < chunks; ++k) {
+      acquire(k % kStagingSlots);
+      landed(k);
+    }
+  }
+
+  /// Pull `bytes` from `target`'s `src` into `dst`: each RDMA read from
+  /// endpoint `ep` fills two adjacent slots (a read replays in place), so
+  /// the half-duplex port pays its per-read gap once per two chunks, except
+  /// that the last two chunks are read one by one, so one copy-out follows
+  /// the last read. A read guards its first slot. Each chunk is then copied
+  /// out (copy()), and a copy on its slot's stream guards the slot. Each
+  /// read is posted before the one before it is awaited and copied out, so
+  /// consecutive reads overlap their round trips and the copies of one read
+  /// overlap the next. Returns once every chunk is in `dst`.
   void pull(int ep, int target, const std::byte* src, std::byte* dst,
-            std::size_t bytes, cudart::Stream& stream) {
+            std::size_t bytes) {
+    static_assert(kStagingSlots % 2 == 0);
     Runtime& rt = owner_.runtime();
-    // Await the read of the chunk at `off` (its slot's outstanding chunk),
-    // then queue the chunk's copy-out, which guards the slot from then on.
-    auto copy_out = [&](std::size_t off) {
+    // Await the read of [off, off + len), then copy its chunks out.
+    auto copy_read = [&](std::size_t off, std::size_t len) {
+      acquire(off / chunk_ % kStagingSlots);
+      for (std::size_t at = off; at < off + len; at += chunk_) {
+        const std::size_t s = at / chunk_ % kStagingSlots;
+        copy(s, dst + at, slot(s), std::min(chunk_, off + len - at));
+      }
+    };
+    std::size_t prev = 0;
+    std::size_t prev_len = 0;
+    for (std::size_t off = 0, len = 0; off < bytes; off += len) {
+      // Pairs start at even chunks, so a pair never wraps the ring.
+      len = std::min(bytes - off > 2 * chunk_ ? 2 * chunk_ : chunk_,
+                     bytes - off);
       const std::size_t s = off / chunk_ % kStagingSlots;
       acquire(s);
-      record(s,
-             rt.cuda()
-                 .memcpy_async(dst + off, slot(s),
-                               std::min(chunk_, bytes - off), stream)
-                 ->completion(),
-             nullptr);
-    };
-    for_each_chunk(bytes, [&](std::size_t off, std::size_t c, std::size_t s) {
-      acquire(s);
-      post(s, [this, &rt, ep, to = slot(s), target, from = src + off, c] {
-        return rt.ib().rdma_read(worker_, ep, to, target, from, c);
+      if (len > chunk_) acquire(s + 1);
+      post(s, [this, &rt, ep, to = slot(s), target, from = src + off, len] {
+        return rt.ib().rdma_read(worker_, ep, to, target, from, len);
       });
-      if (off > 0) copy_out(off - chunk_);
-    });
-    if (bytes > 0) copy_out((bytes - 1) / chunk_ * chunk_);
+      if (prev_len > 0) copy_read(prev, prev_len);
+      prev = off;
+      prev_len = len;
+    }
+    if (prev_len > 0) copy_read(prev, prev_len);
     drain();
   }
 
@@ -192,6 +259,22 @@ class StagedPipeline {
   }
 
  private:
+  bool on_gpu(const void* p) const {
+    return owner_.runtime().cuda().attributes(p).space ==
+           cudart::MemSpace::kDevice;
+  }
+
+  /// Chunks a copy-out into `dst` keeps in flight past the one it awaits:
+  /// kCopyAhead on the slots' streams, none for CPU copies.
+  std::size_t out_lag(const void* dst) const {
+    return on_gpu(dst) ? kCopyAhead : 0;
+  }
+
+  /// Bytes of chunk `k` of a `bytes`-long message.
+  std::size_t length(std::size_t k, std::size_t bytes) const {
+    return std::min(chunk_, bytes - k * chunk_);
+  }
+
   Ctx& owner_;
   sim::Process& worker_;
   StagingRing& ring_;

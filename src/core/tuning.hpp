@@ -38,11 +38,15 @@ struct Tuning {
 
   /// Chunk size of every staged pipeline (pipeline-GDR-write, proxy-put,
   /// proxy-get, host-staged-get, the host rendezvous), each a ring of
-  /// kStagingSlots chunks. The default is the smallest power of two whose
-  /// host<->device copy (launch included) is no slower than its wire
-  /// serialization, so a pipeline stays wire-bound while its fill (the first
-  /// chunk's copy) and drain (the last one's) stay short.
-  std::size_t pipeline_chunk = 128 * 1024;
+  /// kStagingSlots chunks whose copies run on per-slot streams. The default
+  /// is the smallest power of two whose wire serialization covers one
+  /// host<->device copy launch (launch and hop): then a chunk's copy, issued
+  /// while the chunks before it are copied and on the wire, hides its launch
+  /// behind them and the pipeline stays wire-bound, while its fill (the
+  /// first chunk's copy) and drain (the last one's) stay short. A smaller
+  /// chunk pays its per-chunk costs, a launch and an RDMA read's request on
+  /// the half-duplex port, more often than the wire can hide.
+  std::size_t pipeline_chunk = 64 * 1024;
 
   /// Use the per-node proxy daemon for large transfers that would otherwise
   /// hit a P2P read bottleneck or require target involvement.

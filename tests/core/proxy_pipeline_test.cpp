@@ -48,8 +48,8 @@ std::size_t first_mismatch(const unsigned char* p, std::size_t n, int tag) {
   return n;
 }
 
-// Six full chunks of the default 128 KiB pipeline chunk and a tail, so the
-// transfer wraps the four-slot staging ring.
+// Twelve full chunks of the default 64 KiB pipeline chunk and a tail, so
+// the transfer wraps the eight-slot staging ring.
 constexpr std::size_t kBytes = 3 * (256u << 10) + 100;
 
 struct PutCase {
@@ -532,9 +532,9 @@ TEST(ProxyGet, IntoRangeEnclosingAnEarlierGetsDestination) {
 }
 
 // A kernel-issued get past the direct-GDR window: the proxy on the
-// requester's node reads chunk k from the remote GPU into its staging slot
-// k % kStagingSlots and copies it out on the proxy's own stream while it
-// reads chunk k + 1 (detail::StagedPipeline::pull, host-staged-get's loop).
+// requester's node reads the remote GPU into its staging slots, two slots
+// per read, and copies each chunk out on its slot's stream while it reads
+// the next ones (detail::StagedPipeline::pull, host-staged-get's loop).
 
 struct DeviceGetCase {
   DeviceBackendKind backend;
@@ -626,21 +626,27 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DeviceGetPipeline, ReverseGetAcrossAProxyCrash) {
   // The requester's own proxy dies 300 us in, in the middle of the pull;
   // the kernel's command times out and its reissue pulls every chunk again.
+  // Almost all of its 137,277 us is the wait for the command's deadline,
+  // two per-stage timeouts plus one per 128 KiB whatever the pipeline
+  // chunk: one per 64 KiB chunk took 265,277 us.
   RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
   opts.faults = sim::FaultPlan::parse("crash=0@300");
+  double us = 0;
   auto rt = kernel_get({DeviceBackendKind::kReverseOffload, 4u << 20,
                         /*blocking=*/true, /*device_dest=*/true,
                         /*same_socket=*/true},
-                       opts);
+                       opts, &us);
   EXPECT_EQ(rt->faults().count(sim::FaultEvent::kProxyCrash), 1u);
   EXPECT_GE(rt->faults().count(sim::FaultEvent::kProxyReissue), 1u);
+  EXPECT_LT(us, 140'000.0);
 }
 
 TEST(DeviceGetPipeline, ReadOfChunkOverlapsCopyOfThePrevious) {
-  // A 4 MiB same-socket get into the GPU takes 1,357.4 us when the read of
-  // each chunk overlaps the read and the copy-out of the one before, and
-  // 1,864.2 us with one staging slot copied out synchronously. Pinned to rc,
-  // whose timing the numbers are.
+  // A 4 MiB same-socket get into the GPU takes 1,351.6 us when each read
+  // overlaps the read and the copy-outs of the one before (1,357.4 us over
+  // four 128 KiB slots copied out on one stream), and 1,864.2 us with one
+  // staging slot copied out synchronously. Pinned to rc, whose timing the
+  // numbers are.
   RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
   opts.ib_transport = ib::QpKind::kRc;
   double us = 0;
@@ -651,10 +657,10 @@ TEST(DeviceGetPipeline, ReadOfChunkOverlapsCopyOfThePrevious) {
 }
 
 TEST(DeviceGetPipeline, CopyOutDoesNotQueueBehindTheRequestersStream) {
-  // The proxy is its own process and copies each pulled chunk out on its own
-  // stream, so a 5 ms kernel the PE queued on its stream just before does
-  // not delay a kernel get; copied out on the PE's stream, the get's first
-  // chunk would wait for that kernel. Pinned to rc.
+  // The proxy is its own process and copies each pulled chunk out on its
+  // ring's slot streams, so a 5 ms kernel the PE queued on its stream just
+  // before does not delay a kernel get; copied out on the PE's stream, the
+  // get's first chunk would wait for that kernel. Pinned to rc.
   RuntimeOptions opts = make_options(TransportKind::kEnhancedGdr);
   opts.ib_transport = ib::QpKind::kRc;
   const DeviceGetCase c{DeviceBackendKind::kGpuIb, 4u << 20, /*blocking=*/true,

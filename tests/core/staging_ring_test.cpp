@@ -1,17 +1,20 @@
 // The staging ring (DESIGN §5e). Every staged protocol streams chunks of
 // Tuning::pipeline_chunk bytes through a StagingRing of kStagingSlots
-// slots: its PE's or its proxy's. The chunk sets how long a pipeline takes
-// to fill (the first chunk's copy before the wire starts) and to drain (the
-// last chunk's copy after it ends); the ring sets the bytes in flight. So
-// the default chunk is the smallest power of two that keeps a pipeline
-// wire-bound, single staged ops pay one short chunk at each end, a get
-// whose copy-outs queue behind a same-node copy on the GPU's PCIe slot
-// still keeps the wire busy, and a pull overlaps its consecutive reads.
-// Also: a ring's pages are committed only when its PE first stages, a
+// slots: its PE's or its proxy's, each slot with its own CUDA stream. The
+// chunk sets how long a pipeline takes to fill (the first chunk's copy
+// before the wire starts) and to drain (the last chunk's copy after it
+// ends); the ring sets the bytes in flight. So the default chunk is the
+// smallest power of two whose wire time covers a copy launch, single staged
+// ops pay one short chunk at each end, a staged put's copies overlap their
+// launches, a get whose copy-outs queue behind a same-node copy on the GPU's
+// PCIe slot still keeps the wire busy, and a pull overlaps its consecutive
+// reads. Also: a ring's pages are committed only when its PE first stages, a
 // proxy's ring is exactly ring-sized, the host pipeline's whole-message
-// bounce neither moves the ring nor waits for its chunks, and a restarted
-// proxy's ring holds no chunk of the transfer it lost. Every case checks
-// every byte; the timing cases pin themselves to rc.
+// bounce neither moves the ring nor waits for its chunks, a restarted proxy's
+// ring holds no chunk record of the transfer it lost, and its next transfer,
+// a get, a put or a kernel's get, lands every byte over the lost one's
+// copies still in flight. Every case checks every byte; the timing cases pin
+// themselves to rc.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <unistd.h>
@@ -19,8 +22,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "core/device_api.hpp"
 #include "core/proxy.hpp"
 #include "core/tuning.hpp"
 #include "hw/topology.hpp"
@@ -64,60 +69,71 @@ RuntimeOptions rc_options() {
   return opts;
 }
 
-TEST(StagingRing, DefaultChunkIsTheSmallestWireBoundPowerOfTwo) {
-  // A chunk's host<->device copy (launch and hop included) must take no
-  // longer than its wire serialization, or the pipeline is copy-bound; a
-  // larger chunk than that only lengthens the fill and the drain.
+TEST(StagingRing, DefaultChunkIsTheSmallestWhoseWireTimeCoversACopyLaunch) {
+  // Each chunk's copy runs on its slot's stream, issued kCopyAhead chunks
+  // ahead of its post, so the copies of consecutive chunks overlap their
+  // launches. The pipeline stays wire-bound once a chunk's wire time covers
+  // one copy launch (launch and hop); a smaller chunk only multiplies the
+  // per-chunk costs. kCopyAhead is the fewest chunks whose wire time covers
+  // one whole copy, so the copy a pipeline waits for has landed, and the
+  // ring keeps its 512 KiB.
   hw::ClusterConfig cfg = make_cluster(1, 1);
   cfg.params = hw::SystemParams::wilkes();
   hw::Cluster cluster(cfg);
-  auto wire_bound = [&](std::size_t c) {
-    const double copy_us = std::max(cluster.cuda_h2d(0, 0).cost(c).to_us(),
-                                    cluster.cuda_d2h(0, 0).cost(c).to_us());
-    return copy_us <= static_cast<double>(c) / cfg.params.ib_bandwidth_mbps;
+  const hw::SystemParams& p = cfg.params;
+  const double launch_us = p.cuda_copy_launch_us + p.pcie_hop_latency_us;
+  auto wire_us = [&](std::size_t c) {
+    return static_cast<double>(c) / p.ib_bandwidth_mbps;
+  };
+  auto copy_us = [&](std::size_t c) {
+    return std::max(cluster.cuda_h2d(0, 0).cost(c).to_us(),
+                    cluster.cuda_d2h(0, 0).cost(c).to_us());
   };
   const std::size_t chunk = Tuning{}.pipeline_chunk;
   ASSERT_GT(chunk, 1u);
   EXPECT_EQ(chunk & (chunk - 1), 0u) << chunk << " is not a power of two";
-  EXPECT_TRUE(wire_bound(chunk)) << chunk;
-  EXPECT_FALSE(wire_bound(chunk / 2)) << chunk / 2;
+  EXPECT_GE(wire_us(chunk), launch_us) << chunk;
+  EXPECT_LT(wire_us(chunk / 2), launch_us) << chunk / 2;
+  EXPECT_LE(copy_us(chunk), static_cast<double>(kCopyAhead) * wire_us(chunk));
+  EXPECT_GT(copy_us(chunk),
+            static_cast<double>(kCopyAhead - 1) * wire_us(chunk));
+  EXPECT_EQ(kStagingSlots * chunk, 512u << 10);
 }
 
-/// Virtual time (µs) of one 256 KiB inter-node D-D putmem + quiet, or getmem
-/// + quiet, between the two PEs' symmetric GPU buffers, same socket (put:
-/// pipeline-gdr-write, get: the proxy's reverse pipeline straight into the
-/// requester's GPU), timed after one untimed warm-up op, which also waits
-/// out the proxy's start-up IPC mapping.
-double single_op_us(bool put) {
-  constexpr std::size_t kBytes = 256u << 10;
+/// Virtual time (µs) of one `bytes`-long inter-node D-D putmem + quiet, or
+/// getmem + quiet, between the two PEs' symmetric GPU buffers, same socket
+/// (put: pipeline-gdr-write, get: the proxy's reverse pipeline straight into
+/// the requester's GPU), timed after one untimed warm-up op, which also
+/// waits out the proxy's start-up IPC mapping.
+double single_op_us(bool put, std::size_t bytes = 256u << 10) {
   double us = 0;
   auto rt = run_spmd(make_cluster(2, 1), rc_options(), [&](Ctx& ctx) {
-    auto* a = static_cast<unsigned char*>(ctx.shmalloc(kBytes, Domain::kGpu));
-    auto* b = static_cast<unsigned char*>(ctx.shmalloc(kBytes, Domain::kGpu));
-    if (ctx.my_pe() == 1) fill(a, kBytes, 9);
+    auto* a = static_cast<unsigned char*>(ctx.shmalloc(bytes, Domain::kGpu));
+    auto* b = static_cast<unsigned char*>(ctx.shmalloc(bytes, Domain::kGpu));
+    if (ctx.my_pe() == 1) fill(a, bytes, 9);
     ctx.barrier_all();
     if (ctx.my_pe() == 0) {
       for (int rep = 0; rep < 2; ++rep) {
         // Each put sends a pattern of its own; each get lands in a cleared
         // buffer.
-        fill(a, kBytes, rep);
-        std::memset(b, 0, kBytes);
+        fill(a, bytes, rep);
+        std::memset(b, 0, bytes);
         const sim::Time t0 = ctx.now();
         if (put) {
-          ctx.putmem(b, a, kBytes, 1);
+          ctx.putmem(b, a, bytes, 1);
         } else {
-          ctx.getmem(b, a, kBytes, 1);
+          ctx.getmem(b, a, bytes, 1);
         }
         ctx.quiet();
         us = (ctx.now() - t0).to_us();
         if (!put) {
-          EXPECT_EQ(first_mismatch(b, kBytes, 9), kBytes) << rep;
+          EXPECT_EQ(first_mismatch(b, bytes, 9), bytes) << rep;
         }
       }
     }
     ctx.barrier_all();
     if (put && ctx.my_pe() == 1) {
-      EXPECT_EQ(first_mismatch(b, kBytes, 1), kBytes);
+      EXPECT_EQ(first_mismatch(b, bytes, 1), bytes);
     }
     ctx.barrier_all();
   });
@@ -128,13 +144,30 @@ double single_op_us(bool put) {
 }
 
 TEST(StagingRing, SingleStagedPutFillsAndDrainsOneShortChunk) {
-  // 75.5 µs with one 256 KiB chunk, 62.4 µs with two of 128 KiB.
+  // 75.5 µs with one 256 KiB chunk, 62.4 µs with two of 128 KiB, 55.8 µs
+  // with four of 64 KiB copied on their slots' streams.
   EXPECT_LT(single_op_us(/*put=*/true), 70.0);
 }
 
 TEST(StagingRing, SingleProxyGetFillsAndDrainsOneShortChunk) {
-  // 81.2 µs with one 256 KiB chunk, 68.1 µs with two of 128 KiB.
+  // 81.2 µs with one 256 KiB chunk, 68.1 µs with two of 128 KiB, 61.5 µs
+  // with four of 64 KiB copied on their slots' streams.
   EXPECT_LT(single_op_us(/*put=*/false), 75.0);
+}
+
+TEST(StagingRing, StagedPutCopiesOverlapTheirLaunches) {
+  // A 4 MiB pipeline-gdr-write copies 64 chunks D->H. Each copy runs on its
+  // slot's stream while the copies of the two chunks before it land, so
+  // the put is wire-bound (670.6 µs); blocking on every copy, launch
+  // included, makes it copy-bound (822.8 µs), at least one whole copy per
+  // chunk.
+  constexpr std::size_t kBytes = 4u << 20;
+  hw::ClusterConfig cfg = make_cluster(1, 1);
+  hw::Cluster cluster(cfg);
+  const std::size_t chunk = Tuning{}.pipeline_chunk;
+  const double copy_bound_us = static_cast<double>(kBytes / chunk) *
+                               cluster.cuda_d2h(0, 0).cost(chunk).to_us();
+  EXPECT_LT(single_op_us(/*put=*/true, kBytes), copy_bound_us);
 }
 
 TEST(StagingRing, GetBehindASameNodeCopyKeepsTheWireBusy) {
@@ -144,8 +177,9 @@ TEST(StagingRing, GetBehindASameNodeCopyKeepsTheWireBusy) {
   // same GPU (the staged proxy-get, whose copy-outs queue behind that copy
   // on the GPU's PCIe slot), then quiets; timed after one warm-up window.
   // 1,127.6 µs with two 256 KiB slots, 1,168.0 µs with two 128 KiB slots,
-  // 1,090.2 µs with four: the bytes the ring holds while its copy-outs wait
-  // must not shrink.
+  // 1,090.2 µs with four, 1,070.7 µs with eight of 64 KiB on their own
+  // streams: the bytes the ring holds while its copy-outs wait must not
+  // shrink.
   constexpr std::size_t kBytes = 4u << 20;
   double window_us = 0;
   auto rt = run_spmd(make_cluster(2, 2, /*same_socket=*/false), rc_options(),
@@ -180,10 +214,12 @@ TEST(StagingRing, GetBehindASameNodeCopyKeepsTheWireBusy) {
 TEST(StagingRing, PullOverlapsConsecutiveReads) {
   // bench_ablation_regcache's inter/get_into_device/4M/first_touch: a 4 MiB
   // get from PE 1's host heap into a device buffer the HCA has never seen
-  // takes host-staged-get, StagedPipeline::pull through the bounce ring.
+  // takes host-staged-get, StagedPipeline::pull through the staging ring.
   // 726.1 µs with one 256 KiB read in flight, 751.4 µs with one 128 KiB
-  // read in flight, 701.8 µs when each read is posted before the previous
-  // one is awaited.
+  // read in flight, 701.8 µs when each 128 KiB read is posted before the
+  // previous one is awaited. With 64 KiB chunks, a read per chunk pays the
+  // port's per-read gap twice as often (720.8 µs); a read per two slots,
+  // with the last two chunks read alone, takes 696.0 µs.
   constexpr std::size_t kBytes = 4u << 20;
   double us = 0;
   auto rt = run_spmd(make_cluster(2, 1), rc_options(), [&](Ctx& ctx) {
@@ -202,7 +238,7 @@ TEST(StagingRing, PullOverlapsConsecutiveReads) {
     ctx.barrier_all();
   });
   EXPECT_EQ(rt->stats().ops(Protocol::kHostStagedGet), 1u);
-  EXPECT_LT(us, 715.0);
+  EXPECT_LT(us, 710.0);
 }
 
 /// Pages of [p, p + n) resident in this process, by mincore(2).
@@ -347,11 +383,12 @@ std::size_t records(const StagingRing& ring) {
 
 TEST(StagingRing, RestartedProxyRingHoldsNoChunkRecord) {
   // Node 1's proxy dies 300 µs in, streaming a 4 MiB staged get, and
-  // restarts at once. No later transfer may await the lost one's chunks,
-  // so PE 1, looking at 2 ms (after the restart, before the requester's
-  // per-stage timeout reissues the get), finds no chunk record in the ring;
-  // the reissued get then streams through it again. Pinned to rc, as the
-  // look is timed.
+  // restarts at once. The restarted proxy lets the lost transfer's chunks
+  // land without replaying them and forgets them, so no later transfer
+  // awaits or replays them: PE 1, looking at 2 ms (after the restart,
+  // before the requester's per-stage timeout reissues the get), finds no
+  // chunk record in the ring; the reissued get then streams through it
+  // again. Pinned to rc, as the look is timed.
   constexpr std::size_t kBytes = 4u << 20;
   RuntimeOptions opts = rc_options();
   opts.faults = sim::FaultPlan::parse("crash=1@300,restart_us=0");
@@ -380,6 +417,122 @@ TEST(StagingRing, RestartedProxyRingHoldsNoChunkRecord) {
   EXPECT_GE(rt->faults().count(sim::FaultEvent::kProxyReissue), 1u);
   EXPECT_EQ(rt->proxy(1).gets_served(), 2u);
   EXPECT_GT(records(rt->proxy(1).staging_ring()), 0u);
+}
+
+/// What node 1's restarted proxy serves first in crash_with_copies_in_flight.
+enum class FirstTransfer {
+  kGet,        // PE 1's staged get from PE 3's GPU (the proxy's stream_out)
+  kPut,        // PE 1's proxy-put into PE 3's GPU (the proxy's do_put)
+  kDeviceGet,  // PE 3's kernel get from PE 1's host heap (the proxy's pull)
+};
+
+/// Node 1's proxy dies `crash_us` into a 1 MiB staged get by PE 0 from PE 2's
+/// GPU (HCAs on the other socket), and restarts at once. Just before, PE 2
+/// started a 1 MiB H->D copy into its GPU, so the get's last copies out of
+/// that GPU into the proxy's ring slots are still queued behind it. At the
+/// crash `first` asks the proxy for 1 MiB more, to or from a GPU whose PCIe
+/// slot is idle, through the same slots: its RDMA writes into them (a put),
+/// its RDMA reads into them (a device get) or its copies into them (a get)
+/// must not be overwritten by the stale copies, so the restarted proxy
+/// serves nothing before those have landed. Every transfer must land every
+/// byte, PE 0's get after its reissue.
+void crash_with_copies_in_flight(double crash_us, FirstTransfer first) {
+  constexpr std::size_t kBytes = 1u << 20;
+  constexpr double kGetAtUs = 2000;
+  RuntimeOptions opts = rc_options();
+  sim::FaultPlan plan;
+  plan.proxy_restart_us = 0;
+  plan.crashes.push_back({1, kGetAtUs + crash_us});
+  opts.faults = plan;
+  auto rt = run_spmd(make_cluster(2, 2, /*same_socket=*/false), opts,
+                     [&](Ctx& ctx) {
+    auto* src = static_cast<unsigned char*>(ctx.shmalloc(kBytes, Domain::kGpu));
+    auto* put_dst =
+        static_cast<unsigned char*>(ctx.shmalloc(kBytes, Domain::kGpu));
+    // A host source, which the HCA reads at wire speed.
+    auto* host_src =
+        static_cast<unsigned char*>(ctx.shmalloc(kBytes, Domain::kHost));
+    const int me = ctx.my_pe();
+    fill(src, kBytes, me);
+    fill(host_src, kBytes, me);
+    ctx.barrier_all();
+    auto wait_until = [&](double at_us) {
+      const sim::Time at = sim::Time::ns(static_cast<std::int64_t>(at_us * 1e3));
+      EXPECT_LT(ctx.now(), at);
+      if (ctx.now() < at) ctx.proc().delay(at - ctx.now());
+    };
+    const std::string at = "crash at " + std::to_string(crash_us) + " us";
+    if (me == 0) {
+      auto* dst = static_cast<unsigned char*>(ctx.cuda_malloc(kBytes));
+      wait_until(kGetAtUs);
+      ctx.getmem(dst, src, kBytes, 2);
+      EXPECT_EQ(first_mismatch(dst, kBytes, 2), kBytes) << "PE 0, " << at;
+    } else if (me == 2) {
+      std::vector<unsigned char> host(kBytes);
+      auto* gpu = ctx.cuda_malloc(kBytes);
+      wait_until(kGetAtUs + crash_us - 10);
+      ctx.cuda_memcpy(gpu, host.data(), kBytes);
+    } else if (me == 1 && first != FirstTransfer::kDeviceGet) {
+      auto* dst = static_cast<unsigned char*>(ctx.cuda_malloc(kBytes));
+      wait_until(kGetAtUs + crash_us);
+      if (first == FirstTransfer::kGet) {
+        ctx.getmem(dst, src, kBytes, 3);
+        EXPECT_EQ(first_mismatch(dst, kBytes, 3), kBytes) << "PE 1, " << at;
+      } else {
+        fill(dst, kBytes, 1);
+        ctx.putmem(put_dst, dst, kBytes, 3);
+        ctx.quiet();
+      }
+    } else if (me == 3 && first == FirstTransfer::kDeviceGet) {
+      auto* dst = static_cast<unsigned char*>(ctx.cuda_malloc(kBytes));
+      wait_until(kGetAtUs + crash_us);
+      ctx.launch_kernel_device(1.0, DeviceScope::kThread, [&](DeviceCtx& d) {
+        d.getmem(dst, host_src, kBytes, 1);
+        d.quiet();
+      });
+      EXPECT_EQ(first_mismatch(dst, kBytes, 1), kBytes) << "PE 3, " << at;
+    }
+    ctx.barrier_all();
+    if (me == 3 && first == FirstTransfer::kPut) {
+      EXPECT_EQ(first_mismatch(put_dst, kBytes, 1), kBytes) << "PE 3, " << at;
+    }
+    ctx.barrier_all();
+  });
+  const ProxyDaemon& proxy = rt->proxy(1);
+  EXPECT_EQ(proxy.restarts(), 1);
+  EXPECT_EQ(proxy.gets_served(), first == FirstTransfer::kGet ? 3u : 2u);
+  EXPECT_EQ(proxy.puts_served(), first == FirstTransfer::kPut ? 1u : 0u);
+  EXPECT_EQ(proxy.device_cmds_served(),
+            first == FirstTransfer::kDeviceGet ? 1u : 0u);
+}
+
+TEST(StagingRing, RestartedProxyLandsEveryByteOverCopiesInFlight) {
+  // One crash every 2.5 µs while the get's first ring rotation drains.
+  // Served before the stale copies landed, the get still lands every byte,
+  // as its copies into a slot queue behind them on the slot's stream; on
+  // fresh streams as well, the proxy sends stale bytes for PE 1 at 4 of
+  // these 16 instants.
+  for (double crash_us = 60; crash_us < 100; crash_us += 2.5) {
+    crash_with_copies_in_flight(crash_us, FirstTransfer::kGet);
+  }
+}
+
+TEST(StagingRing, RestartedProxyPutLandsEveryByteOverCopiesInFlight) {
+  // Served before the stale copies landed, the put's chunks are overwritten
+  // in their slots, and PE 3's GPU gets stale bytes at 10 of these 16
+  // instants.
+  for (double crash_us = 60; crash_us < 100; crash_us += 2.5) {
+    crash_with_copies_in_flight(crash_us, FirstTransfer::kPut);
+  }
+}
+
+TEST(StagingRing, RestartedProxyDeviceGetLandsEveryByteOverCopiesInFlight) {
+  // Served before the stale copies landed, the kernel's chunks are
+  // overwritten in their slots, and PE 3 gets stale bytes at 12 of these 16
+  // instants.
+  for (double crash_us = 60; crash_us < 100; crash_us += 2.5) {
+    crash_with_copies_in_flight(crash_us, FirstTransfer::kDeviceGet);
+  }
 }
 
 }  // namespace
